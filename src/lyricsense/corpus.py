@@ -257,11 +257,12 @@ def split(
     Songs (not samples) are partitioned so no song straddles splits.
     Rule: distinct song_ids in first-appearance order are shuffled with
     SplitMix64(seed) Fisher-Yates, then cut at ``floor(r1*N)`` and
-    ``floor((r1+r2)*N)``. Ratios must be non-negative and sum to 1.
+    ``floor((r1+r2)*N)``. Ratios must be non-negative and sum to 1, both
+    within a tolerance of 1e-9 for floating-point rounding.
     """
     if len(ratios) != 3:
         raise ValueError("exactly three split ratios are required")
-    if any(r < 0 for r in ratios):
+    if any(r < -1e-9 for r in ratios):
         raise ValueError("split ratios must be non-negative")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")

@@ -23,7 +23,7 @@ from .corpus import Sample, clean_corpus, flatten, load_corpus, split
 from .decoding import DecodeConfig, Strategy, decode
 from .lm import LanguageModel, NGramModel, fit_ngram
 from .metrics import MetricReport, TotalScoreWeights, evaluate
-from .prompts import PromptError, PromptSpec, extract_generation, render, render_with_target
+from .prompts import PromptSpec, extract_generation, render, render_with_target
 from .rng import derive_seed
 from .wire import RemoteLM, WireError
 
@@ -340,7 +340,7 @@ def _run_combination(
             )
         mean = CombinationMean(model_id, prompt_id, decoder_id, len(rows), _mean_report([r.report for r in rows]))
         return rows, mean
-    except (WireError, PromptError) as exc:
+    except (WireError, ValueError) as exc:
         return GridFailure(model_id, prompt_id, decoder_id, type(exc).__name__, str(exc))
 
 
@@ -362,9 +362,10 @@ def run_grid(
 ) -> GridResult:
     """Execute the full grid, streaming rows to ``out_dir/grid.jsonl``.
 
-    Remote failures are recorded per combination and the grid continues;
-    two runs with the same seed, config and corpus produce byte-identical
-    output.
+    A combination that raises a wire error or a ``ValueError`` (a bad
+    prompt, a model's invalid distribution) is recorded as a failure and
+    the grid continues; two runs with the same seed, config and corpus
+    produce byte-identical output.
     """
     loaded = load_corpus(corpus_path)
     records = clean_corpus(loaded.records)

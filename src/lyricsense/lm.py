@@ -130,22 +130,25 @@ class NGramModel:
         self._counts = counts
         self._totals = {ctx: sum(counter.values()) for ctx, counter in counts.items()}
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._ids = frozenset(range(len(vocab)))
 
     def vocabulary(self) -> Vocabulary:
         return self._vocab
 
     def next(self, context: Sequence[int]) -> NextTokenDistribution:
-        size = len(self._vocab)
+        # Every id is checked, not just the tail: one set lookup per id is
+        # cheaper than a range comparison in Python on this per-step path.
+        if not self._ids.issuperset(context):
+            bad = next(i for i in context if i not in self._ids)
+            raise ValueError(f"token id {bad} out of range for |V|={len(self._vocab)}")
         width = self.order - 1
         tail = tuple(context[-width:]) if width else ()
-        for token_id in tail:
-            if not 0 <= token_id < size:
-                raise ValueError(f"token id {token_id} out of range for |V|={size}")
         if len(tail) < width:
             tail = (self._vocab.bos_id,) * (width - len(tail)) + tail
         key = tail
         cached = self._cache.get(key)
         if cached is None:
+            size = len(self._vocab)
             counter = self._counts.get(key)
             total = self._totals.get(key, 0)
             denom = math.log(total + self.k * size)

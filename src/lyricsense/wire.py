@@ -4,19 +4,38 @@ Each message is one JSON object on one ``\\n``-terminated UTF-8 line.
 
 Handshake::
 
-    client  {"op": "hello", "proto": 1}
-    server  {"op": "vocab", "tokens": [...], "bos": i, "eos": j, "unk": k}
+    client  {"op": "hello", "proto": 2}
+    server  {"op": "vocab", "tokens": [...], "bos": i, "eos": j, "unk": k, "proto": 2}
 
 Step::
 
     client  {"op": "next", "ctx": [token ids]}
-    server  {"op": "dist", "logp": [|V| floats]}
+    server  {"op": "dist", "logp_b64": "<base64>"}          (protocol 2)
+    server  {"op": "dist", "logp": [|V| floats]}            (protocol 1)
 
 Errors::
 
     server  {"op": "err", "code": "...", "msg": "..."}
 
-Log probabilities are finite JSON numbers or the string ``"-inf"``.
+The protocol version is negotiated per session by ``hello``. In protocol 2,
+``logp_b64`` is the standard base64 encoding of |V| little-endian IEEE-754
+float64 values, so ``-inf`` travels natively and every distribution
+crosses the wire bit for bit. In protocol 1, log probabilities are finite
+JSON numbers or the string ``"-inf"``.
+
+Fallback works in both directions. A client opens with ``proto: 2``; if the
+server answers ``err``/``bad_proto`` the client repeats ``hello`` with
+``proto: 1`` on the same connection, and if the ``vocab`` frame carries no
+``"proto": 2`` the client reads protocol 1 frames. The server answers a
+``proto: 1`` hello (or a session without any hello) with protocol 1 frames,
+exactly as a protocol 1 server does.
+
+The server answers every request line with exactly one frame. Requests the
+model cannot serve get ``bad_context`` (a ``ValueError`` from the model) or
+``internal`` (any other exception), and the session continues. A request
+line longer than ``MAX_REQUEST_BYTES`` gets one ``bad_frame`` error, after
+which the server closes the session.
+
 The default per-step timeout is 10 seconds. Failures are distinguishable
 by exception type: transport problems (connect, timeout, closed socket)
 are retryable; protocol violations (malformed frames, wrong-length
@@ -25,20 +44,23 @@ distributions) are not.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import socket
 import socketserver
 import sys
 import threading
+import traceback
 from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
 from .lm import LanguageModel, NextTokenDistribution, Vocabulary
 
-PROTO_VERSION = 1
+PROTO_VERSIONS = (1, 2)
 DEFAULT_TIMEOUT = 10.0
+MAX_REQUEST_BYTES = 1 << 20
 
 
 class WireError(Exception):
@@ -76,40 +98,72 @@ def _encode_logp(values: np.ndarray) -> list:
     return [float(v) if math.isfinite(v) else "-inf" for v in values]
 
 
+def _encode_logp_b64(values: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _checked_logp(logp: np.ndarray, expected_len: int) -> np.ndarray:
+    """The length, NaN and ``+inf`` checks every decoded distribution passes."""
+    if len(logp) != expected_len:
+        raise VocabularyMismatch(
+            f"distribution has {len(logp)} entries, vocabulary has {expected_len}"
+        )
+    if np.isnan(logp).any() or (logp == math.inf).any():
+        raise ProtocolError("logp entries must be finite or -inf")
+    return logp
+
+
 def _decode_logp(values: list, expected_len: int) -> np.ndarray:
     if not isinstance(values, list):
         raise ProtocolError("logp must be a list")
-    if len(values) != expected_len:
-        raise VocabularyMismatch(
-            f"distribution has {len(values)} entries, vocabulary has {expected_len}"
-        )
-    out = np.empty(expected_len)
-    for i, v in enumerate(values):
-        if v == "-inf":
-            out[i] = -math.inf
-        elif isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v):
-            out[i] = float(v)
-        else:
-            raise ProtocolError(f"logp entry {i} is not a finite number or '-inf': {v!r}")
-    return out
+    out = np.empty(len(values))
+    try:
+        for i, v in enumerate(values):
+            if v == "-inf":
+                out[i] = -math.inf
+            elif isinstance(v, (int, float)) and not isinstance(v, bool):
+                out[i] = v
+            else:
+                raise ProtocolError(f"logp entry {i} is not a number or '-inf': {v!r}")
+    except OverflowError as exc:
+        raise ProtocolError(f"logp entry {i} is out of float64 range") from exc
+    return _checked_logp(out, expected_len)
+
+
+def _decode_logp_b64(text: str, expected_len: int) -> np.ndarray:
+    if not isinstance(text, str):
+        raise ProtocolError("logp_b64 must be a string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ProtocolError(f"logp_b64 is not valid base64: {exc}") from exc
+    if len(raw) % 8:
+        raise VocabularyMismatch(f"logp_b64 holds {len(raw)} bytes, not whole float64 values")
+    return _checked_logp(np.frombuffer(raw, dtype="<f8"), expected_len)
 
 
 def _send(stream: BinaryIO, obj: dict) -> None:
-    stream.write(json.dumps(obj, ensure_ascii=False).encode("utf-8") + b"\n")
+    # backslashreplace turns a lone surrogate (say, in a model's error
+    # message) into a JSON escape instead of failing the whole frame.
+    stream.write(json.dumps(obj, ensure_ascii=False).encode("utf-8", "backslashreplace") + b"\n")
     stream.flush()
+
+
+def _parse(line: bytes) -> dict:
+    try:
+        obj = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, ValueError, RecursionError) as exc:
+        raise ProtocolError(f"malformed frame: {exc}") from exc
+    if not isinstance(obj, dict) or "op" not in obj:
+        raise ProtocolError("frame is not an object with an 'op' field")
+    return obj
 
 
 def _recv(stream: BinaryIO) -> dict:
     line = stream.readline()
     if not line:
         raise TransportError("connection closed by peer")
-    try:
-        obj = json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"malformed frame: {exc}") from exc
-    if not isinstance(obj, dict) or "op" not in obj:
-        raise ProtocolError("frame is not an object with an 'op' field")
-    return obj
+    return _parse(line)
 
 
 class RemoteLM:
@@ -125,6 +179,7 @@ class RemoteLM:
         except OSError as exc:
             raise TransportError(f"cannot connect to {endpoint}: {exc}") from exc
         self._stream = self._sock.makefile("rwb")
+        self.proto = 1
         self._vocab = self._handshake()
 
     def _exchange(self, request: dict) -> dict:
@@ -140,9 +195,16 @@ class RemoteLM:
         return response
 
     def _handshake(self) -> Vocabulary:
-        response = self._exchange({"op": "hello", "proto": PROTO_VERSION})
+        try:
+            response = self._exchange({"op": "hello", "proto": 2})
+        except ServerReported as exc:
+            if exc.code != "bad_proto":
+                raise
+            response = self._exchange({"op": "hello", "proto": 1})
         if response.get("op") != "vocab":
             raise ProtocolError(f"expected vocab frame, got op={response.get('op')!r}")
+        if response.get("proto") == 2:
+            self.proto = 2
         try:
             return Vocabulary(
                 tokens=tuple(response["tokens"]),
@@ -160,7 +222,10 @@ class RemoteLM:
         response = self._exchange({"op": "next", "ctx": [int(i) for i in context]})
         if response.get("op") != "dist":
             raise ProtocolError(f"expected dist frame, got op={response.get('op')!r}")
-        logp = _decode_logp(response.get("logp"), len(self._vocab))
+        if self.proto == 2:
+            logp = _decode_logp_b64(response.get("logp_b64"), len(self._vocab))
+        else:
+            logp = _decode_logp(response.get("logp"), len(self._vocab))
         dist = NextTokenDistribution(logp)
         try:
             dist.validate()
@@ -182,19 +247,23 @@ class RemoteLM:
         self.close()
 
 
-def _build_reply(model: LanguageModel, vocab: Vocabulary, request: dict) -> dict:
+def _build_reply(model: LanguageModel, vocab: Vocabulary, request: dict, proto: int) -> dict:
     op = request.get("op")
     if op == "hello":
-        if request.get("proto") != PROTO_VERSION:
+        requested = request.get("proto")
+        if requested not in PROTO_VERSIONS:
             return {"op": "err", "code": "bad_proto",
-                    "msg": f"unsupported protocol {request.get('proto')!r}"}
-        return {
+                    "msg": f"unsupported protocol {requested!r}"}
+        reply = {
             "op": "vocab",
             "tokens": list(vocab.tokens),
             "bos": vocab.bos_id,
             "eos": vocab.eos_id,
             "unk": vocab.unk_id,
         }
+        if requested == 2:
+            reply["proto"] = 2
+        return reply
     if op == "next":
         ctx = request.get("ctx")
         if not isinstance(ctx, list) or not all(
@@ -205,25 +274,46 @@ def _build_reply(model: LanguageModel, vocab: Vocabulary, request: dict) -> dict
             dist = model.next(ctx)
         except ValueError as exc:
             return {"op": "err", "code": "bad_context", "msg": str(exc)}
+        if proto == 2:
+            return {"op": "dist", "logp_b64": _encode_logp_b64(dist.log_probs)}
         return {"op": "dist", "logp": _encode_logp(dist.log_probs)}
     return {"op": "err", "code": "bad_op", "msg": f"unknown op {op!r}"}
 
 
 def serve_session(model: LanguageModel, reader: BinaryIO, writer: BinaryIO) -> None:
-    """Answer protocol requests on a stream pair until it closes."""
+    """Answer protocol requests on a stream pair until it closes.
+
+    Every request line gets exactly one reply frame; the session speaks
+    protocol 1 until a ``hello`` selects another version.
+    """
     vocab = model.vocabulary()
+    proto = 1
     while True:
         try:
-            request = _recv(reader)
-        except TransportError:
+            line = reader.readline(MAX_REQUEST_BYTES)
+        except OSError:
             return
-        except ProtocolError as exc:
-            reply = {"op": "err", "code": "bad_frame", "msg": str(exc)}
+        if not line:
+            return
+        too_long = len(line) == MAX_REQUEST_BYTES and not line.endswith(b"\n")
+        if too_long:
+            reply = {"op": "err", "code": "bad_frame",
+                     "msg": f"request line exceeds {MAX_REQUEST_BYTES} bytes"}
         else:
-            reply = _build_reply(model, vocab, request)
+            try:
+                reply = _build_reply(model, vocab, _parse(line), proto)
+            except ProtocolError as exc:
+                reply = {"op": "err", "code": "bad_frame", "msg": str(exc)}
+            except Exception as exc:  # the model or encoder failed; report it and keep serving
+                traceback.print_exc(file=sys.stderr)
+                reply = {"op": "err", "code": "internal", "msg": repr(exc)}
+            if reply["op"] == "vocab":
+                proto = reply.get("proto", 1)
         try:
             _send(writer, reply)
         except OSError:
+            return
+        if too_long:
             return
 
 

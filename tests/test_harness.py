@@ -262,6 +262,53 @@ def test_unreachable_remote_recorded_as_failure(mini_corpus_path, tmp_path):
     assert "TransportError" in summary
 
 
+class _FailsAfter:
+    """Wraps a model; every ``next`` call after the first ``calls`` raises."""
+
+    def __init__(self, model, calls):
+        self._model = model
+        self._calls = calls
+
+    def vocabulary(self):
+        return self._model.vocabulary()
+
+    def next(self, context):
+        self._calls -= 1
+        if self._calls < 0:
+            raise ValueError("distribution has no finite entries")
+        return self._model.next(context)
+
+
+def test_model_value_error_recorded_as_failure_and_grid_continues(mini_corpus_path, tmp_path, monkeypatch):
+    import lyricsense.harness as harness
+
+    models = [{"id": "good", "type": "ngram", "order": 2}, {"id": "flaky", "type": "ngram", "order": 3}]
+    decoders = [
+        {"id": "greedy", "strategy": "greedy", "max_new_tokens": 8},
+        {"id": "top_k", "strategy": "top_k", "k": 5, "max_new_tokens": 8, "seed": 1},
+    ]
+    prompts = ["lyrics_meaning", "none"]
+    alone = run_grid(small_grid(models=models[:1], decoders=decoders, prompts=prompts), mini_corpus_path, str(tmp_path / "alone"))
+
+    real_fit = harness.fit_ngram
+
+    def fit(texts, order, **kwargs):
+        model = real_fit(texts, order, **kwargs)
+        return _FailsAfter(model, 30) if order == 3 else model
+
+    monkeypatch.setattr(harness, "fit_ngram", fit)
+    out = tmp_path / "mixed"
+    result = run_grid(small_grid(models=models, decoders=decoders, prompts=prompts), mini_corpus_path, str(out))
+    assert result.failures
+    assert all(f.model_id == "flaky" and f.error_type == "ValueError" for f in result.failures)
+    assert "no finite entries" in result.failures[-1].message
+    assert [r for r in result.rows if r.model_id == "good"] == alone.rows
+    lines = (out / "grid.jsonl").read_text().splitlines()[1:]
+    good_lines = [line for line in lines if json.loads(line).get("model") == "good"]
+    assert good_lines == (tmp_path / "alone" / "grid.jsonl").read_text().splitlines()[1:]
+    assert len(lines) == len(result.rows) + len(result.failures)
+
+
 def test_training_texts_cover_all_variants(mini_corpus_path):
     records = clean_corpus(load_corpus(mini_corpus_path).records)
     samples = flatten(records)[:2]

@@ -136,6 +136,14 @@ def test_out_of_range_context_id():
         model.next([99])
 
 
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("context", [[10**9, -5], [-1], [10**9, 3], [99, 3, 4]])
+def test_every_context_id_is_range_checked_for_any_order(order, context):
+    model = fit_ngram(["a b c"], order=order)
+    with pytest.raises(ValueError, match="out of range"):
+        model.next(context)
+
+
 def test_vocab_cap_and_unk():
     texts = ["common common common rare apple", "common unusual"]
     model = fit_ngram(texts, order=1, k=0.1, vocab_cap=3)

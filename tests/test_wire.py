@@ -1,3 +1,5 @@
+import base64
+import contextlib
 import io
 import json
 import math
@@ -7,10 +9,13 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import const_model
 from lyricsense.lm import Vocabulary, fit_ngram
 from lyricsense.wire import (
+    MAX_REQUEST_BYTES,
     LMServer,
     ProtocolError,
     RemoteLM,
@@ -18,6 +23,7 @@ from lyricsense.wire import (
     StepTimeout,
     TransportError,
     VocabularyMismatch,
+    serve_session,
     serve_stdio,
 )
 
@@ -243,3 +249,223 @@ def test_stdio_session(model):
     reply = json.loads(lines[1])
     assert reply["op"] == "dist"
     assert len(reply["logp"]) == len(model.vocabulary())
+
+
+# ----------------------------------------------------------------- protocol 2
+
+
+class _ReplyFnServer(socketserver.ThreadingTCPServer):
+    """Answers each request line with ``reply_fn(request)``; records the requests."""
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, reply_fn):
+        self.requests = []
+        outer = self
+
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(handler):  # noqa: N805
+                for line in handler.rfile:
+                    request = json.loads(line)
+                    outer.requests.append(request)
+                    handler.wfile.write((json.dumps(reply_fn(request)) + "\n").encode())
+                    handler.wfile.flush()
+
+        super().__init__(("127.0.0.1", 0), Handler)
+
+
+@contextlib.contextmanager
+def _running(reply_fn):
+    srv = _ReplyFnServer(reply_fn)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    try:
+        host, port = srv.server_address[:2]
+        yield srv, f"{host}:{port}"
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+_AB = Vocabulary.build(["a", "b"])
+_UNIFORM = np.full(len(_AB), -math.log(len(_AB)))
+
+
+def _vocab_frame(vocab, **extra):
+    return {"op": "vocab", "tokens": list(vocab.tokens), "bos": vocab.bos_id,
+            "eos": vocab.eos_id, "unk": vocab.unk_id, **extra}
+
+
+def _b64(values):
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def test_v2_client_gets_bit_identical_distributions(server, model):
+    with RemoteLM(server.endpoint) as client:
+        assert client.proto == 2
+        for ctx in ([], [3], [4, 3], [0, 1, 2]):
+            remote = client.next(ctx).log_probs
+            assert remote.tobytes() == model.next(ctx).log_probs.astype("<f8").tobytes()
+
+
+def test_v2_negative_infinity_is_native():
+    stub = const_model({"a": 0.25, "b": 0.75})
+    srv = LMServer(stub)
+    srv.start_background()
+    try:
+        with RemoteLM(srv.endpoint) as client:
+            assert client.proto == 2
+            remote = client.next([]).log_probs
+            local = stub.next([]).log_probs
+            assert np.isneginf(remote).sum() == len(local) - 2
+            assert remote.tobytes() == local.tobytes()
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+def test_v2_client_falls_back_when_server_rejects_proto_2():
+    def v1_only(request):
+        if request["op"] == "hello":
+            if request.get("proto") != 1:
+                return {"op": "err", "code": "bad_proto", "msg": "unsupported protocol 2"}
+            return _vocab_frame(_AB)
+        return {"op": "dist", "logp": _UNIFORM.tolist()}
+
+    with _running(v1_only) as (srv, endpoint), RemoteLM(endpoint) as client:
+        assert client.proto == 1
+        assert np.array_equal(client.next([3]).log_probs, _UNIFORM)
+        assert [r.get("proto") for r in srv.requests[:2]] == [2, 1]  # same connection
+
+
+def test_v2_client_falls_back_when_vocab_frame_has_no_proto():
+    def ignores_proto(request):
+        if request["op"] == "hello":
+            return _vocab_frame(_AB)
+        return {"op": "dist", "logp": _UNIFORM.tolist()}
+
+    with _running(ignores_proto) as (srv, endpoint), RemoteLM(endpoint) as client:
+        assert client.proto == 1
+        assert np.array_equal(client.next([3]).log_probs, _UNIFORM)
+        assert len(srv.requests) == 2  # one hello, one step
+
+
+def test_v1_client_is_answered_with_v1_frames(server, model):
+    host, port = server.endpoint.rsplit(":", 1)
+    with socket.create_connection((host, int(port))) as sock:
+        stream = sock.makefile("rwb")
+
+        def ask(obj):
+            stream.write((json.dumps(obj) + "\n").encode())
+            stream.flush()
+            return json.loads(stream.readline())
+
+        vocab = ask({"op": "hello", "proto": 1})
+        assert vocab["op"] == "vocab" and "proto" not in vocab
+        dist = ask({"op": "next", "ctx": [3]})
+        assert set(dist) == {"op", "logp"}
+        expected = [v if math.isfinite(v) else "-inf" for v in model.next([3]).log_probs.tolist()]
+        assert dist["logp"] == expected
+
+
+@pytest.mark.parametrize(
+    "logp_b64, error",
+    [
+        ("%%%not base64%%%", ProtocolError),
+        (_b64(_UNIFORM).rstrip("="), ProtocolError),  # padding stripped
+        (_b64(_UNIFORM)[:8], VocabularyMismatch),  # 6 bytes, not whole float64 values
+        (_b64(_UNIFORM[:-1]), VocabularyMismatch),
+        (_b64(np.append(_UNIFORM, -math.inf)), VocabularyMismatch),
+        (_b64(np.where(np.arange(len(_AB)) == 3, math.nan, _UNIFORM)), ProtocolError),
+        (_b64(np.where(np.arange(len(_AB)) == 3, math.inf, _UNIFORM)), ProtocolError),
+        (None, ProtocolError),
+    ],
+    ids=["alphabet", "padding", "partial_value", "short", "long", "nan", "pos_inf", "missing"],
+)
+def test_bad_v2_frames_raise_typed_errors(logp_b64, error):
+    def v2(request):
+        if request["op"] == "hello":
+            return _vocab_frame(_AB, proto=2)
+        return {"op": "dist", "logp_b64": logp_b64}
+
+    with _running(v2) as (_srv, endpoint), RemoteLM(endpoint) as client:
+        assert client.proto == 2
+        with pytest.raises(error) as exc_info:
+            client.next([3])
+        assert not exc_info.value.retryable
+        if error is ProtocolError:
+            assert not isinstance(exc_info.value, VocabularyMismatch)
+
+
+class _Exploding:
+    """Wraps a model; contexts starting with id 4 raise a non-ValueError, and
+    with id 5 a ValueError whose message holds a lone surrogate."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def vocabulary(self):
+        return self._model.vocabulary()
+
+    def next(self, context):
+        if context[:1] == [4]:
+            raise RuntimeError("model crashed")
+        if context[:1] == [5]:
+            raise ValueError("bad token \ud800")
+        return self._model.next(context)
+
+
+def _session(model, lines):
+    out = io.BytesIO()
+    serve_session(model, io.BytesIO(b"".join(line + b"\n" for line in lines)), out)
+    return [json.loads(line) for line in out.getvalue().splitlines()]
+
+
+def test_server_reports_internal_errors_and_keeps_serving(model):
+    replies = _session(_Exploding(model), [
+        b'{"op": "hello", "proto": 2}', b'{"op": "next", "ctx": [4]}', b'{"op": "next", "ctx": [5]}',
+        b'{"op": "next", "ctx": [3]}',
+    ])
+    assert [r["op"] for r in replies] == ["vocab", "err", "err", "dist"]
+    assert replies[1]["code"] == "internal" and "model crashed" in replies[1]["msg"]
+    assert replies[2] == {"op": "err", "code": "bad_context", "msg": "bad token \ud800"}
+
+
+def test_over_long_request_line_gets_one_error_then_close(model):
+    long_line = b'{"op": "next", "ctx": [' + b"3, " * (MAX_REQUEST_BYTES // 3) + b"3]}"
+    replies = _session(model, [b'{"op": "hello", "proto": 2}', long_line, b'{"op": "next", "ctx": []}'])
+    assert [r["op"] for r in replies] == ["vocab", "err"]
+    assert replies[1]["code"] == "bad_frame"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_ids = st.integers(0, 8) | st.integers(-(2**70), 2**70)
+_request_lines = st.one_of(
+    st.fixed_dictionaries({"op": st.just("next"), "ctx": st.lists(_ids, max_size=5)}),
+    st.fixed_dictionaries({"op": st.just("hello"), "proto": st.sampled_from([1, 2]) | _json_values}),
+    st.fixed_dictionaries({"op": _json_values}, optional={"ctx": _json_values, "proto": _json_values}),
+    _json_values,
+).map(lambda obj: json.dumps(obj).encode())
+_lines = st.lists(
+    _request_lines | st.binary(max_size=30).map(lambda raw: raw.replace(b"\n", b"")), max_size=12
+)
+
+
+@pytest.mark.parametrize("proto", [1, 2])
+@given(lines=_lines)
+@settings(max_examples=60, deadline=None)
+def test_every_request_line_gets_exactly_one_reply(model, proto, lines):
+    replies = _session(_Exploding(model), [json.dumps({"op": "hello", "proto": proto}).encode(), *lines])
+    assert len(replies) == 1 + len(lines)
+    assert all(r["op"] in ("vocab", "dist", "err") for r in replies)
+    session_proto = 1
+    for reply in replies:
+        if reply["op"] == "vocab":
+            session_proto = reply.get("proto", 1)
+        elif reply["op"] == "dist":
+            assert set(reply) == {"op", "logp_b64" if session_proto == 2 else "logp"}
+    assert replies[0] == _vocab_frame(model.vocabulary(), **({"proto": 2} if proto == 2 else {}))
