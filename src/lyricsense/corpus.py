@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
+from .metrics import tokenize_for_metrics
 from .rng import SplitMix64
 
 SCHEMA_KEY = "trbll_schema"
@@ -289,25 +290,16 @@ def split(
     return parts
 
 
-def stats_tokenize(text: str) -> list[str]:
-    """Lowercased whitespace tokens with leading/trailing punctuation stripped."""
-    tokens = []
-    for raw in text.lower().split():
-        start, end = 0, len(raw)
-        while start < end and not raw[start].isalnum():
-            start += 1
-        while end > start and not raw[end - 1].isalnum():
-            end -= 1
-        if start < end:
-            tokens.append(raw[start:end])
-    return tokens
+# The metrics tokenizer under the name the corpus API has always exported.
+stats_tokenize = tokenize_for_metrics
 
 
 def compute_stats(records: list[SongRecord]) -> CorpusStats:
     """Exploration statistics over a cleaned corpus.
 
     Lengths are measured in whitespace tokens; word frequencies use
-    :func:`stats_tokenize`.
+    :func:`lyricsense.metrics.tokenize_for_metrics`, the tokenizer the
+    metrics score with.
     """
     genres: Counter[str] = Counter()
     artists: Counter[str] = Counter()
@@ -318,11 +310,11 @@ def compute_stats(records: list[SongRecord]) -> CorpusStats:
     for record in records:
         genres[record.genre or "other"] += 1
         artists[record.artist] += 1
-        words_lyrics.update(stats_tokenize(record.lyrics))
+        words_lyrics.update(tokenize_for_metrics(record.lyrics))
         for frag in record.fragments:
             annotation_lengths[len(frag.annotation.split())] += 1
             sample_lengths[len(frag.fragment.split())] += 1
-            words_annotations.update(stats_tokenize(frag.annotation))
+            words_annotations.update(tokenize_for_metrics(frag.annotation))
     return CorpusStats(
         songs_per_genre=dict(sorted(genres.items())),
         songs_per_artist=dict(sorted(artists.items())),

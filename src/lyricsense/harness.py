@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 from . import __version__
 from .corpus import Sample, clean_corpus, flatten, load_corpus, split
 from .decoding import DecodeConfig, Strategy, decode
-from .lm import LanguageModel, NGramModel, fit_ngram
+from .lm import LanguageModel, NGramModel, TrainingTexts, fit_ngram
 from .metrics import MetricReport, TotalScoreWeights, evaluate
 from .prompts import PromptSpec, extract_generation, render, render_with_target
 from .rng import derive_seed
@@ -241,14 +241,15 @@ def training_texts(samples: Sequence[Sample]) -> list[str]:
 class _ModelHandle:
     """Lazily provides a LanguageModel; remote models get one client per worker."""
 
-    def __init__(self, spec: ModelSpec, train_samples: Sequence[Sample]) -> None:
+    def __init__(self, spec: ModelSpec, train_texts: Optional[TrainingTexts]) -> None:
+        """``train_texts`` is the training set every ``ngram`` spec of a grid shares."""
         self.spec = spec
         self._local = threading.local()
         self._clients: list[RemoteLM] = []
         self._lock = threading.Lock()
         if spec.kind == "ngram":
             self._shared: Optional[LanguageModel] = fit_ngram(
-                training_texts(train_samples), order=spec.order, k=spec.k, vocab_cap=spec.vocab_cap
+                train_texts, order=spec.order, k=spec.k, vocab_cap=spec.vocab_cap
             )
         elif spec.kind == "ngram_file":
             self._shared = NGramModel.load(spec.path)
@@ -271,6 +272,15 @@ class _ModelHandle:
             for client in self._clients:
                 client.close()
             self._clients.clear()
+
+
+def _model_handles(models: Sequence[ModelSpec], train: Sequence[Sample]) -> dict[str, _ModelHandle]:
+    """One handle per model; the ``ngram`` specs share one rendering of the train split.
+
+    The rendering and its tokens are dropped once the models are fit.
+    """
+    texts = TrainingTexts(training_texts(train)) if any(m.kind == "ngram" for m in models) else None
+    return {spec.model_id: _ModelHandle(spec, texts) for spec in models}
 
 
 def _resolve_eval_samples(
@@ -375,7 +385,7 @@ def run_grid(
     views_by_song = {r.song_id: r.page_views or 0 for r in records}
     eval_samples = _resolve_eval_samples(grid, test, views_by_song)
 
-    handles = {spec.model_id: _ModelHandle(spec, train) for spec in grid.models}
+    handles = _model_handles(grid.models, train)
     provenance = _provenance(grid, corpus_path)
     combos = [
         (model_spec, prompt_spec, decoder_id, cfg)

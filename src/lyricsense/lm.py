@@ -5,6 +5,13 @@ and a deterministic ``next(context) -> NextTokenDistribution`` step. The
 bundled implementation is a word-level add-k smoothed n-gram model, small
 enough that every probability it produces can be checked by hand; larger
 models are reached over the wire protocol in :mod:`lyricsense.wire`.
+
+Models of several orders fitted on the same corpus share one
+:class:`TrainingTexts`: the texts are tokenized once, and each vocabulary
+cap's vocabulary and encoded id lists are built once, whatever the number
+of orders. A fitted model caches one read-only distribution per context
+seen in training, so its cache never holds more than ``len(counts)``
+arrays; every unseen context shares one uniform vector.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -110,7 +118,8 @@ class NGramModel:
 
     P(t | context) = (count(context, t) + k) / (count(context) + k * |V|),
     with the context truncated to the last n-1 ids and left-padded with
-    BOS. Unseen contexts therefore give the uniform distribution.
+    BOS. Unseen contexts therefore give the uniform distribution, which
+    all of them share; only contexts with counts are cached.
     """
 
     def __init__(
@@ -131,6 +140,9 @@ class NGramModel:
         self._totals = {ctx: sum(counter.values()) for ctx, counter in counts.items()}
         self._cache: dict[tuple[int, ...], np.ndarray] = {}
         self._ids = frozenset(range(len(vocab)))
+        # log(k) - log(0 + k*|V|): the add-k formula with no counts.
+        self._uniform = np.full(len(vocab), math.log(k) - math.log(k * len(vocab)))
+        self._uniform.setflags(write=False)
 
     def vocabulary(self) -> Vocabulary:
         return self._vocab
@@ -145,19 +157,18 @@ class NGramModel:
         tail = tuple(context[-width:]) if width else ()
         if len(tail) < width:
             tail = (self._vocab.bos_id,) * (width - len(tail)) + tail
-        key = tail
-        cached = self._cache.get(key)
+        cached = self._cache.get(tail)
         if cached is None:
+            counter = self._counts.get(tail)
+            if not counter:
+                return NextTokenDistribution(self._uniform)
             size = len(self._vocab)
-            counter = self._counts.get(key)
-            total = self._totals.get(key, 0)
-            denom = math.log(total + self.k * size)
+            denom = math.log(self._totals[tail] + self.k * size)
             cached = np.full(size, math.log(self.k) - denom)
-            if counter:
-                for token_id, count in counter.items():
-                    cached[token_id] = math.log(count + self.k) - denom
+            for token_id, count in counter.items():
+                cached[token_id] = math.log(count + self.k) - denom
             cached.setflags(write=False)
-            self._cache[key] = cached
+            self._cache[tail] = cached
         return NextTokenDistribution(cached)
 
     def to_dict(self) -> dict:
@@ -205,6 +216,39 @@ class NGramModel:
             return cls.from_dict(json.load(fh))
 
 
+class TrainingTexts(tuple):
+    """Training texts, tokenized once and encoded once per vocabulary cap.
+
+    A tuple of strings, so it stands wherever the plain texts do. Passing
+    the same object to several :func:`fit_ngram` calls fits every order
+    from one tokenization, and models with the same ``vocab_cap`` share
+    one :class:`Vocabulary`.
+    """
+
+    def __init__(self, texts: Iterable[str] = ()) -> None:
+        self._tokenized: list[list[str]] | None = None
+        self._encoded: dict[int, tuple[Vocabulary, list[list[int]]]] = {}
+
+    def encoded(self, vocab_cap: int) -> tuple[Vocabulary, list[list[int]]]:
+        """The capped vocabulary and the id lists of the texts that have tokens.
+
+        The vocabulary keeps the ``vocab_cap`` most frequent tokens (ties
+        by alphabetical order) after the reserved markers.
+        """
+        built = self._encoded.get(vocab_cap)
+        if built is None:
+            if self._tokenized is None:
+                self._tokenized = [toks for toks in map(tokenize_lm, self) if toks]
+            tokenized = self._tokenized
+            if not tokenized:
+                raise ValueError("no training text")
+            frequencies = Counter(chain.from_iterable(tokenized))
+            kept = sorted(frequencies.items(), key=lambda item: (-item[1], item[0]))[:vocab_cap]
+            vocab = Vocabulary.build([tok for tok, _ in kept])
+            built = self._encoded[vocab_cap] = (vocab, [vocab.encode(toks) for toks in tokenized])
+        return built
+
+
 def fit_ngram(texts: Iterable[str], order: int, k: float = 0.1, vocab_cap: int = 5000) -> NGramModel:
     """Fit an add-k n-gram model on raw texts.
 
@@ -212,6 +256,11 @@ def fit_ngram(texts: Iterable[str], order: int, k: float = 0.1, vocab_cap: int =
     alphabetical order) plus the reserved markers; everything else maps
     to UNK. Each text is bracketed with BOS padding and a final EOS so
     decoders can stop naturally.
+
+    ``texts`` that are not a :class:`TrainingTexts` are wrapped in one;
+    pass one ``TrainingTexts`` to fit several orders or caps without
+    tokenizing the texts again. The fitted model caches at most one
+    distribution per context in its counts.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -219,26 +268,22 @@ def fit_ngram(texts: Iterable[str], order: int, k: float = 0.1, vocab_cap: int =
         raise ValueError("smoothing constant k must be positive")
     if vocab_cap < 3:
         raise ValueError("vocab_cap must be >= 3")
+    if not isinstance(texts, TrainingTexts):
+        texts = TrainingTexts(texts)
+    vocab, encoded = texts.encoded(vocab_cap)
 
-    tokenized = [tokenize_lm(text) for text in texts]
-    tokenized = [toks for toks in tokenized if toks]
-    if not tokenized:
-        raise ValueError("no training text")
-
-    frequencies = Counter(tok for toks in tokenized for tok in toks)
-    kept = sorted(frequencies.items(), key=lambda item: (-item[1], item[0]))[:vocab_cap]
-    vocab = Vocabulary.build([tok for tok, _ in kept])
-
+    # Each n-gram is a zip of one padded id list against its own shifts.
+    pad = [vocab.bos_id] * (order - 1)
+    tail = [vocab.eos_id]
+    padded = (pad + ids + tail for ids in encoded)
+    grams = Counter(chain.from_iterable(zip(*(seq[i:] for i in range(order))) for seq in padded))
     counts: dict[tuple[int, ...], Counter] = {}
-    pad = (vocab.bos_id,) * (order - 1)
-    for toks in tokenized:
-        ids = (*pad, *vocab.encode(toks), vocab.eos_id)
-        for t in range(order - 1, len(ids)):
-            ctx = ids[t - order + 1 : t]
-            counter = counts.get(ctx)
-            if counter is None:
-                counter = counts[ctx] = Counter()
-            counter[ids[t]] += 1
+    for gram, count in grams.items():
+        ctx = gram[:-1]
+        counter = counts.get(ctx)
+        if counter is None:
+            counter = counts[ctx] = Counter()
+        counter[gram[-1]] = count
     return NGramModel(order=order, k=k, vocab=vocab, counts=counts)
 
 

@@ -21,7 +21,8 @@ The protocol version is negotiated per session by ``hello``. In protocol 2,
 ``logp_b64`` is the standard base64 encoding of |V| little-endian IEEE-754
 float64 values, so ``-inf`` travels natively and every distribution
 crosses the wire bit for bit. In protocol 1, log probabilities are finite
-JSON numbers or the string ``"-inf"``.
+JSON numbers or the string ``"-inf"``; a protocol 1 server whose model
+returns NaN or ``+inf`` answers ``internal`` instead of a ``dist`` frame.
 
 Fallback works in both directions. A client opens with ``proto: 2``; if the
 server answers ``err``/``bad_proto`` the client repeats ``hello`` with
@@ -95,6 +96,9 @@ class ServerReported(WireError):
 
 
 def _encode_logp(values: np.ndarray) -> list:
+    """Protocol 1 entries; NaN or ``+inf`` raises, so the session answers ``internal``."""
+    if np.isnan(values).any() or (values == math.inf).any():
+        raise ValueError("model returned NaN or +inf log probabilities")
     return [float(v) if math.isfinite(v) else "-inf" for v in values]
 
 

@@ -316,3 +316,22 @@ def test_training_texts_cover_all_variants(mini_corpus_path):
     assert len(texts) == 2 * 7
     assert any(t.startswith("lyrics: ") for t in texts)
     assert any(t.startswith("question: ") for t in texts)
+
+
+def test_grid_renders_training_texts_once_for_all_ngram_orders(mini_corpus_path, tmp_path, monkeypatch):
+    import lyricsense.harness as harness
+
+    calls = []
+    real_render = harness.render_with_target
+
+    def counting_render(spec, sample):
+        calls.append(sample.sample_id)
+        return real_render(spec, sample)
+
+    monkeypatch.setattr(harness, "render_with_target", counting_render)
+    models = [{"id": f"ngram{n}", "type": "ngram", "order": n} for n in (1, 2, 3)]
+    grid = small_grid(models=models)
+    run_grid(grid, mini_corpus_path, str(tmp_path))
+    samples = flatten(clean_corpus(load_corpus(mini_corpus_path).records))
+    train, _validation, _test = split(samples, grid.split_ratios, grid.seed)
+    assert len(calls) == 7 * len(train)

@@ -1,5 +1,7 @@
+import itertools
 import math
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from lyricsense.lm import (
     EOS,
     UNK,
     NGramModel,
+    TrainingTexts,
     Vocabulary,
     fit_ngram,
     sequence_log_prob,
@@ -248,3 +251,68 @@ def test_load_rejects_foreign_files(tmp_path):
     path.write_text('{"format": "something-else"}')
     with pytest.raises(ValueError):
         NGramModel.load(str(path))
+
+
+def _oracle_fit(texts, order, k, vocab_cap):
+    """Reference fit that counts every position of every padded text one at a time."""
+    tokenized = [toks for toks in (tokenize_lm(text) for text in texts) if toks]
+    frequencies = Counter(tok for toks in tokenized for tok in toks)
+    kept = sorted(frequencies.items(), key=lambda item: (-item[1], item[0]))[:vocab_cap]
+    vocab = Vocabulary.build([tok for tok, _ in kept])
+    counts = {}
+    pad = (vocab.bos_id,) * (order - 1)
+    for toks in tokenized:
+        ids = (*pad, *vocab.encode(toks), vocab.eos_id)
+        for t in range(order - 1, len(ids)):
+            ctx = ids[t - order + 1 : t]
+            counter = counts.get(ctx)
+            if counter is None:
+                counter = counts[ctx] = Counter()
+            counter[ids[t]] += 1
+    return NGramModel(order=order, k=k, vocab=vocab, counts=counts)
+
+
+_words = st.sampled_from(
+    ["a", "b", "c", "Don't", "it's", "x_y", "café", "", " ", "\n", ",", "!?", "...", "'", "(b)"]
+)
+_texts = st.lists(st.lists(_words, max_size=8).map(" ".join), min_size=1, max_size=6)
+
+
+@given(texts=_texts, order=st.integers(1, 4), vocab_cap=st.integers(3, 20))
+@settings(max_examples=120)
+def test_fit_matches_per_position_counting(texts, order, vocab_cap):
+    if not any(tokenize_lm(text) for text in texts):
+        with pytest.raises(ValueError, match="training text"):
+            fit_ngram(texts, order=order, k=0.1, vocab_cap=vocab_cap)
+        return
+    fitted = fit_ngram(texts, order=order, k=0.1, vocab_cap=vocab_cap)
+    assert fitted.to_dict() == _oracle_fit(texts, order, 0.1, vocab_cap).to_dict()
+
+
+def test_shared_training_texts_fit_the_same_models():
+    texts = ["a b c a b", "c a b d", "d d e", "", "it's a b"]
+    shared = TrainingTexts(texts)
+    for order in (1, 2, 3):
+        for cap in (3, 4, 10):
+            fresh = fit_ngram(list(texts), order=order, k=0.3, vocab_cap=cap)
+            assert fit_ngram(shared, order=order, k=0.3, vocab_cap=cap).to_dict() == fresh.to_dict()
+    assert shared == tuple(texts)
+    # Same cap, same vocabulary object.
+    assert fit_ngram(shared, order=1).vocabulary() is fit_ngram(shared, order=3).vocabulary()
+
+
+def test_unseen_contexts_share_one_uniform_vector_and_stay_uncached():
+    words = [f"w{i}" for i in range(150)]
+    model = fit_ngram([" ".join(words), " ".join(reversed(words))], order=3, k=0.7, vocab_cap=200)
+    size = len(model.vocabulary())
+    seen = model.next([3, 4]).log_probs  # a context with counts is cached
+    cached = len(model._cache)
+    unseen = [ctx for ctx in itertools.product(range(size), repeat=2) if ctx not in model._counts]
+    assert len(unseen) >= 10_000
+    for ctx in unseen[:10_000]:
+        model.next(list(ctx))
+    assert len(model._cache) == cached <= len(model._counts)
+    uniform = model.next([0, 2]).log_probs  # (bos, unk) never occurs in training
+    assert not uniform.flags.writeable and not seen.flags.writeable
+    expected = np.full(size, math.log(0.7) - math.log(0 + 0.7 * size))
+    assert uniform.tobytes() == expected.tobytes()

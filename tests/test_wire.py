@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import const_model
-from lyricsense.lm import Vocabulary, fit_ngram
+from lyricsense.lm import NextTokenDistribution, Vocabulary, fit_ngram
 from lyricsense.wire import (
     MAX_REQUEST_BYTES,
     LMServer,
@@ -429,6 +429,29 @@ def test_server_reports_internal_errors_and_keeps_serving(model):
     assert [r["op"] for r in replies] == ["vocab", "err", "err", "dist"]
     assert replies[1]["code"] == "internal" and "model crashed" in replies[1]["msg"]
     assert replies[2] == {"op": "err", "code": "bad_context", "msg": "bad token \ud800"}
+
+
+class _NonFinite:
+    """Over _AB, context [3] gets a NaN or +inf entry; any other context is uniform."""
+
+    def __init__(self, bad):
+        self._bad = np.array([bad, -math.inf, -math.inf, 0.0, -math.inf])
+
+    def vocabulary(self):
+        return _AB
+
+    def next(self, context):
+        return NextTokenDistribution(self._bad if context == [3] else _UNIFORM)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_v1_server_reports_nan_and_pos_inf_as_internal_errors(bad):
+    replies = _session(_NonFinite(bad), [
+        b'{"op": "hello", "proto": 1}', b'{"op": "next", "ctx": [3]}', b'{"op": "next", "ctx": [4]}',
+    ])
+    assert [r["op"] for r in replies] == ["vocab", "err", "dist"]
+    assert replies[1]["code"] == "internal"
+    assert replies[2]["logp"] == _UNIFORM.tolist()
 
 
 def test_over_long_request_line_gets_one_error_then_close(model):
