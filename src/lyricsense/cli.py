@@ -33,7 +33,7 @@ from .corpus import (
 from .decoding import DecodeConfig, Strategy, decode
 from .harness import ExperimentGrid, ModelSpec, default_grid, emit_report, run_grid, training_texts
 from .lm import NGramModel, fit_ngram
-from .metrics import TotalScoreWeights, evaluate
+from .metrics import TotalScoreWeights, evaluate, mean_report
 from .prompts import PromptSpec, extract_generation, render
 from .wire import LMServer, WireError, serve_stdio
 
@@ -164,29 +164,47 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _prediction_triple(obj: object, where: str) -> tuple[str, str, str]:
+    """The prediction, annotation and lyrics (default empty) of one predictions line."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    for name in ("prediction", "annotation"):
+        if name not in obj:
+            raise ValueError(f"{where}: missing field {name!r}")
+    triple = (obj["prediction"], obj["annotation"], obj.get("lyrics", ""))
+    for name, value in zip(("prediction", "annotation", "lyrics"), triple):
+        if not isinstance(value, str):
+            raise ValueError(f"{where}: field {name!r} must be a string, got {type(value).__name__}")
+    return triple
+
+
+def _read_predictions(path: str) -> list[tuple[str, str, str]]:
+    triples = []
+    with open(path, encoding="utf-8") as fh:
+        for line_number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{line_number}"
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{where}: invalid JSON: {exc}") from None
+            triples.append(_prediction_triple(obj, where))
+    return triples
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     weights = TotalScoreWeights(alpha1=args.alpha1, alpha2=args.alpha2, alpha3=args.alpha3)
     reports = []
-    with open(args.predictions, encoding="utf-8") as fh:
-        triples = [json.loads(line) for line in fh if line.strip()]
+    triples = _read_predictions(args.predictions)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        for triple in triples:
-            report = evaluate(
-                triple["prediction"], triple["annotation"], triple.get("lyrics", ""), weights
-            )
+        for prediction, annotation, lyrics in triples:
+            report = evaluate(prediction, annotation, lyrics, weights)
             reports.append(report)
             out.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
         if reports:
-            n = len(reports)
-            aggregate = {
-                "aggregate": True,
-                "n": n,
-                "rouge1": sum(r.rouge1 for r in reports) / n,
-                "cos_pred_annotation": sum(r.cos_pred_annotation for r in reports) / n,
-                "cos_pred_lyrics": sum(r.cos_pred_lyrics for r in reports) / n,
-                "total_score": sum(r.total_score for r in reports) / n,
-            }
+            aggregate = {"aggregate": True, "n": len(reports), **mean_report(reports).to_dict()}
             out.write(json.dumps(aggregate, sort_keys=True) + "\n")
     finally:
         if args.out:

@@ -18,15 +18,30 @@ Conventions, pinned by tests:
 * Beam scores are raw summed log probs, no length normalization. The
   no-repeat constraint bans any continuation that would repeat an
   n-gram already present in prompt + hypothesis.
+
+Memo contract. What a step derives from a distribution array depends on
+that array and on the config alone: the sampling strategies search a
+cumulative array (softmax at the temperature, then the top-k or top-p
+filter, then a cumsum), and beam search walks the array's descending
+order. A caller whose model returns the same read-only array for the
+same context may pass one plain dict as ``memo`` to :func:`decode`, and
+to every call that shares its model, so that each derivation runs once
+per distinct array. Its key is ``id(log_probs)`` plus the derivation and
+its parameters, and its value ``(log_probs, derived)``, so the array
+stays alive and its ``id()`` cannot be reused while the memo lives. The
+caller owns the memo's scope and drops it to free the memory; the
+experiment grid keeps one per combination. ``memo=None`` derives every
+step afresh and stores nothing. A memo never skips a ``model.next`` call.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 from enum import Enum
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -115,7 +130,7 @@ def _softmax(log_probs: np.ndarray, temperature: float) -> np.ndarray:
 
 def _descending_order(probs: np.ndarray) -> np.ndarray:
     """Token ids sorted by probability descending, ties toward lower id."""
-    return np.lexsort((np.arange(len(probs)), -probs))
+    return np.argsort(-probs, kind="stable")
 
 
 def _filter_top_k(probs: np.ndarray, k: int) -> np.ndarray:
@@ -144,10 +159,33 @@ def _filter_top_p(probs: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _draw(probs: np.ndarray, rng: SplitMix64) -> int:
-    cumulative = np.cumsum(probs)
+def _sampling_cdf(
+    log_probs: np.ndarray, temperature: float, filter_kind: Optional[Strategy], k: int, p: float
+) -> np.ndarray:
+    """The cumulative array a sampling step searches."""
+    probs = _softmax(log_probs, temperature)
+    if filter_kind == Strategy.TOP_K:
+        probs = _filter_top_k(probs, k)
+    elif filter_kind == Strategy.TOP_P:
+        probs = _filter_top_p(probs, p)
+    return np.cumsum(probs)
+
+
+def _draw(cumulative: np.ndarray, rng: SplitMix64) -> int:
     target = rng.random() * cumulative[-1]
-    return int(np.searchsorted(cumulative, target, side="right"))
+    # The method skips np.searchsorted's dispatch wrapper on this per-step path.
+    return int(cumulative.searchsorted(target, side="right"))
+
+
+def _derive(memo: Optional[dict], log_probs: np.ndarray, fn: Callable, *params) -> np.ndarray:
+    """``fn(log_probs, *params)``, computed once per array while ``memo`` lives."""
+    if memo is None:
+        return fn(log_probs, *params)
+    key = (id(log_probs), fn, params)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (log_probs, fn(log_probs, *params))
+    return hit[1]
 
 
 def _sampling_loop(
@@ -155,6 +193,7 @@ def _sampling_loop(
     prompt_ids: Sequence[int],
     cfg: DecodeConfig,
     filter_kind: Optional[Strategy],
+    memo: Optional[dict],
 ) -> Generation:
     eos = model.vocabulary().eos_id
     rng = SplitMix64(cfg.seed)
@@ -163,12 +202,8 @@ def _sampling_loop(
     log_prob = 0.0
     for _ in range(cfg.max_new_tokens):
         raw = model.next(context).log_probs
-        probs = _softmax(raw, cfg.temperature)
-        if filter_kind == Strategy.TOP_K:
-            probs = _filter_top_k(probs, cfg.k)
-        elif filter_kind == Strategy.TOP_P:
-            probs = _filter_top_p(probs, cfg.p)
-        token = _draw(probs, rng)
+        cumulative = _derive(memo, raw, _sampling_cdf, cfg.temperature, filter_kind, cfg.k, cfg.p)
+        token = _draw(cumulative, rng)
         log_prob += float(raw[token])
         if token == eos:
             return Generation(tuple(emitted), log_prob, FinishReason.EOS)
@@ -194,41 +229,49 @@ def greedy(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -
     return Generation(tuple(emitted), log_prob, FinishReason.MAX_LEN)
 
 
-def sample(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -> Generation:
+def sample(
+    model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
+) -> Generation:
     """Draw each token from the temperature-rescaled distribution."""
-    return _sampling_loop(model, prompt_ids, cfg, None)
+    return _sampling_loop(model, prompt_ids, cfg, None, memo)
 
 
-def top_k_sample(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -> Generation:
+def top_k_sample(
+    model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
+) -> Generation:
     """Sampling restricted to the k most probable tokens per step."""
-    return _sampling_loop(model, prompt_ids, cfg, Strategy.TOP_K)
+    return _sampling_loop(model, prompt_ids, cfg, Strategy.TOP_K, memo)
 
 
-def top_p_sample(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -> Generation:
+def top_p_sample(
+    model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
+) -> Generation:
     """Sampling restricted to the smallest prefix with cumulative mass >= p."""
-    return _sampling_loop(model, prompt_ids, cfg, Strategy.TOP_P)
+    return _sampling_loop(model, prompt_ids, cfg, Strategy.TOP_P, memo)
 
 
 def _banned_tokens(sequence: Sequence[int], ngram_size: int) -> set[int]:
     """Tokens whose emission would repeat an ngram_size-gram of sequence."""
     if ngram_size < 1 or len(sequence) < ngram_size - 1:
         return set()
-    prefix = tuple(sequence[len(sequence) - ngram_size + 1 :]) if ngram_size > 1 else ()
-    banned = set()
-    for start in range(len(sequence) - ngram_size + 1):
-        if tuple(sequence[start : start + ngram_size - 1]) == prefix:
-            banned.add(sequence[start + ngram_size - 1])
-    return banned
+    prefix = tuple(sequence[len(sequence) - ngram_size + 1 :])
+    grams = zip(*(sequence[i:] for i in range(ngram_size)))
+    return {gram[-1] for gram in grams if gram[:-1] == prefix}
 
 
-@dataclass(order=True)
-class _Hypothesis:
+class _Hypothesis(NamedTuple):
     neg_score: float
     ids: tuple[int, ...]
-    score: float = field(compare=False)
+    score: float
 
 
-def beam_search(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -> Generation:
+# Best first: highest score, then the lexicographically smallest ids.
+_rank = attrgetter("neg_score", "ids")
+
+
+def beam_search(
+    model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
+) -> Generation:
     """Width-limited best-first search over summed log probabilities.
 
     At each step every running hypothesis is expanded and the candidates
@@ -244,36 +287,42 @@ def beam_search(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConf
     vocab = model.vocabulary()
     eos = vocab.eos_id
     prompt = tuple(prompt_ids)
+    width = cfg.num_beams + 1
     running: list[_Hypothesis] = [_Hypothesis(0.0, (), 0.0)]
     finished: list[_Hypothesis] = []
     finished_count = 0
 
     for _ in range(cfg.max_new_tokens):
-        candidates: list[tuple[_Hypothesis, int]] = []
+        candidates: list[_Hypothesis] = []
         for hyp in running:
-            raw = model.next(prompt + hyp.ids).log_probs
-            banned = _banned_tokens(prompt + hyp.ids, cfg.no_repeat_ngram_size)
-            scores = raw if not banned else raw.copy()
-            if banned:
-                scores[list(banned)] = -math.inf
-            if not np.isfinite(scores).any():
-                finished.append(hyp)
-                finished_count += 1
-                continue
+            context = prompt + hyp.ids
+            raw = model.next(context).log_probs
+            banned = _banned_tokens(context, cfg.no_repeat_ngram_size)
             # A candidate can matter only if it ranks within the global
             # top num_beams, hence within its own hypothesis's top
-            # num_beams; one extra slot cannot hurt.
-            order = _descending_order(scores)[: cfg.num_beams + 1]
-            for token in order:
+            # num_beams; one extra slot cannot hurt. Finite ids sort
+            # before every -inf one, so the walk stops at the first
+            # non-finite id it meets.
+            expanded = 0
+            for token in _derive(memo, raw, _descending_order):
                 token = int(token)
-                if not math.isfinite(scores[token]):
+                if token in banned:
                     continue
-                score = hyp.score + float(raw[token])
-                candidates.append((_Hypothesis(-score, hyp.ids + (token,), score), token))
-        candidates.sort(key=lambda item: item[0])
+                step = float(raw[token])
+                if not math.isfinite(step):
+                    break
+                score = hyp.score + step
+                candidates.append(_Hypothesis(-score, hyp.ids + (token,), score))
+                expanded += 1
+                if expanded == width:
+                    break
+            if not expanded:
+                finished.append(hyp)
+                finished_count += 1
+        candidates.sort(key=_rank)
         new_running: list[_Hypothesis] = []
-        for rank, (candidate, token) in enumerate(candidates):
-            if token == eos:
+        for rank, candidate in enumerate(candidates):
+            if candidate.ids[-1] == eos:
                 if rank < cfg.num_beams:
                     finished.append(_Hypothesis(candidate.neg_score, candidate.ids[:-1], candidate.score))
                     finished_count += 1
@@ -288,21 +337,26 @@ def beam_search(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConf
             break
 
     pool = finished if finished else running
-    best = min(pool)
+    best = min(pool, key=_rank)
     reason = FinishReason.EOS if finished else FinishReason.MAX_LEN
     return Generation(best.ids, best.score, reason)
 
 
-def decode(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -> Generation:
-    """Single dispatch entry point used by the experiment harness."""
+def decode(
+    model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
+) -> Generation:
+    """Single dispatch entry point used by the experiment harness.
+
+    ``memo`` follows the module's memo contract; greedy needs none.
+    """
     if cfg.strategy == Strategy.GREEDY:
         return greedy(model, prompt_ids, cfg)
     if cfg.strategy == Strategy.BEAM:
-        return beam_search(model, prompt_ids, cfg)
+        return beam_search(model, prompt_ids, cfg, memo)
     if cfg.strategy == Strategy.SAMPLING:
-        return sample(model, prompt_ids, cfg)
+        return sample(model, prompt_ids, cfg, memo)
     if cfg.strategy == Strategy.TOP_K:
-        return top_k_sample(model, prompt_ids, cfg)
+        return top_k_sample(model, prompt_ids, cfg, memo)
     if cfg.strategy == Strategy.TOP_P:
-        return top_p_sample(model, prompt_ids, cfg)
+        return top_p_sample(model, prompt_ids, cfg, memo)
     raise ValueError(f"unhandled strategy {cfg.strategy!r}")

@@ -22,7 +22,7 @@ from . import __version__
 from .corpus import Sample, clean_corpus, flatten, load_corpus, split
 from .decoding import DecodeConfig, Strategy, decode
 from .lm import LanguageModel, NGramModel, TrainingTexts, fit_ngram
-from .metrics import MetricReport, TotalScoreWeights, evaluate
+from .metrics import MetricReport, TotalScoreWeights, evaluate, mean_report
 from .prompts import PromptSpec, extract_generation, render, render_with_target
 from .rng import derive_seed
 from .wire import RemoteLM, WireError
@@ -301,16 +301,6 @@ def _resolve_eval_samples(
     return [s for _, s in ranked[: grid.eval_count]]
 
 
-def _mean_report(reports: Sequence[MetricReport]) -> MetricReport:
-    n = len(reports)
-    return MetricReport(
-        rouge1=sum(r.rouge1 for r in reports) / n,
-        cos_pred_annotation=sum(r.cos_pred_annotation for r in reports) / n,
-        cos_pred_lyrics=sum(r.cos_pred_lyrics for r in reports) / n,
-        total_score=sum(r.total_score for r in reports) / n,
-    )
-
-
 def _run_combination(
     handle: _ModelHandle,
     prompt_spec: PromptSpec,
@@ -326,6 +316,11 @@ def _run_combination(
     try:
         model = handle.get()
         vocab = model.vocabulary()
+        # An n-gram model hands back one cached read-only array per context,
+        # so what decoding derives from it is shared by the combination's
+        # rows. A remote model builds a fresh array every step: a memo
+        # would only hold memory. Dropped when the combination ends.
+        memo: Optional[dict] = {} if isinstance(model, NGramModel) else None
         rows = []
         for sample in eval_samples:
             rendered = render(prompt_spec, sample)
@@ -333,7 +328,7 @@ def _run_combination(
             row_seed = derive_seed(
                 base_seed, model_id, prompt_id, decoder_id, sample.sample_id, str(cfg.seed)
             )
-            generation = decode(model, prompt_ids, replace(cfg, seed=row_seed))
+            generation = decode(model, prompt_ids, replace(cfg, seed=row_seed), memo=memo)
             continuation = vocab.decode_text(generation.ids)
             full_output = rendered.text + (" " + continuation if continuation else "")
             prediction = extract_generation(full_output, rendered)
@@ -348,7 +343,7 @@ def _run_combination(
                     report=report,
                 )
             )
-        mean = CombinationMean(model_id, prompt_id, decoder_id, len(rows), _mean_report([r.report for r in rows]))
+        mean = CombinationMean(model_id, prompt_id, decoder_id, len(rows), mean_report([r.report for r in rows]))
         return rows, mean
     except (WireError, ValueError) as exc:
         return GridFailure(model_id, prompt_id, decoder_id, type(exc).__name__, str(exc))

@@ -104,8 +104,11 @@ class LanguageModel(Protocol):
     """Behavioral contract the decoders rely on.
 
     ``next`` must be deterministic: the same context always yields the
-    same distribution. Implementations must be safe for concurrent
-    read-only use once constructed.
+    same distribution. A model may return the same array for the same
+    context, as :class:`NGramModel` does, and must never mutate an array
+    it has returned: decoders may keep what they derived from it (see
+    :mod:`lyricsense.decoding`). Implementations must be safe for
+    concurrent read-only use once constructed.
     """
 
     def vocabulary(self) -> Vocabulary: ...

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -70,15 +72,22 @@ def bag_of_words(text: str) -> Counter:
     return Counter(tokenize_for_metrics(text))
 
 
-def rouge1(prediction: str, reference: str) -> float:
-    """Unigram F1 with clipped counts.
+# Distinct reference texts a run keeps bags for; a grid scores against a
+# few dozen annotations and lyrics, so this bounds memory, not reuse.
+_REFERENCE_BAGS = 256
 
-    overlap = sum over words of min(pred count, ref count);
-    P = overlap/|pred|, R = overlap/|ref|, F1 = 2PR/(P+R). Two empty
-    texts score 1.0; exactly one empty scores 0.0.
+
+@lru_cache(maxsize=_REFERENCE_BAGS)
+def _reference_bag(text: str) -> Counter:
+    """Shared bag of an annotation or lyrics text; callers never mutate it.
+
+    Indexing a ``Counter`` on a missing word returns 0 without inserting
+    it, so the formulas below only read the cached bag.
     """
-    pred = bag_of_words(prediction)
-    ref = bag_of_words(reference)
+    return bag_of_words(text)
+
+
+def _rouge1_bags(pred: Counter, ref: Counter) -> float:
     pred_total = sum(pred.values())
     ref_total = sum(ref.values())
     if pred_total == 0 and ref_total == 0:
@@ -93,15 +102,7 @@ def rouge1(prediction: str, reference: str) -> float:
     return 2 * precision * recall / (precision + recall)
 
 
-def cosine_bow(a: str, b: str) -> float:
-    """Cosine of the word-count vectors of two texts; 0.0 if either is empty.
-
-    The result is clamped into [0, 1]; with integer counts the true value
-    always lies there, so only float rounding is ever clipped. Identical
-    texts score exactly 1.0.
-    """
-    bag_a = bag_of_words(a)
-    bag_b = bag_of_words(b)
+def _cosine_bags(bag_a: Counter, bag_b: Counter) -> float:
     if not bag_a or not bag_b:
         return 0.0
     dot = sum(count * bag_b[word] for word, count in bag_a.items())
@@ -109,6 +110,26 @@ def cosine_bow(a: str, b: str) -> float:
     norm_sq_b = sum(c * c for c in bag_b.values())
     value = dot / math.sqrt(norm_sq_a * norm_sq_b)
     return min(1.0, max(0.0, value))
+
+
+def rouge1(prediction: str, reference: str) -> float:
+    """Unigram F1 with clipped counts.
+
+    overlap = sum over words of min(pred count, ref count);
+    P = overlap/|pred|, R = overlap/|ref|, F1 = 2PR/(P+R). Two empty
+    texts score 1.0; exactly one empty scores 0.0.
+    """
+    return _rouge1_bags(bag_of_words(prediction), bag_of_words(reference))
+
+
+def cosine_bow(a: str, b: str) -> float:
+    """Cosine of the word-count vectors of two texts; 0.0 if either is empty.
+
+    The result is clamped into [0, 1]; with integer counts the true value
+    always lies there, so only float rounding is ever clipped. Identical
+    texts score exactly 1.0.
+    """
+    return _cosine_bags(bag_of_words(a), bag_of_words(b))
 
 
 def total_score(
@@ -139,13 +160,31 @@ def evaluate(
     lyrics: str,
     weights: TotalScoreWeights = TotalScoreWeights(),
 ) -> MetricReport:
-    """Full metric report for one generated meaning."""
-    r = rouge1(prediction, annotation)
-    cs_pa = cosine_bow(prediction, annotation)
-    cs_pl = cosine_bow(prediction, lyrics)
+    """Full metric report for one generated meaning.
+
+    The prediction is tokenized once per call; the annotation and lyrics
+    bags are kept across calls, since a grid scores every row of a sample
+    against the same two texts.
+    """
+    pred = bag_of_words(prediction)
+    annotation_bag = _reference_bag(annotation)
+    r = _rouge1_bags(pred, annotation_bag)
+    cs_pa = _cosine_bags(pred, annotation_bag)
+    cs_pl = _cosine_bags(pred, _reference_bag(lyrics))
     return MetricReport(
         rouge1=r,
         cos_pred_annotation=cs_pa,
         cos_pred_lyrics=cs_pl,
         total_score=total_score(r, cs_pa, cs_pl, weights),
+    )
+
+
+def mean_report(reports: Sequence[MetricReport]) -> MetricReport:
+    """Field-wise mean of a non-empty sequence of reports."""
+    n = len(reports)
+    return MetricReport(
+        rouge1=sum(r.rouge1 for r in reports) / n,
+        cos_pred_annotation=sum(r.cos_pred_annotation for r in reports) / n,
+        cos_pred_lyrics=sum(r.cos_pred_lyrics for r in reports) / n,
+        total_score=sum(r.total_score for r in reports) / n,
     )

@@ -152,6 +152,34 @@ def test_evaluate_emits_reports_and_aggregate(tmp_path, capsys):
     assert lines[2]["total_score"] == pytest.approx(0.5)
 
 
+def _evaluate_error(tmp_path, capsys, bad_line):
+    predictions = tmp_path / "preds.jsonl"
+    good = {"prediction": "pure joy", "annotation": "pure joy", "lyrics": "rain rain"}
+    predictions.write_text(json.dumps(good) + "\n\n" + bad_line + "\n")
+    assert run_cli("evaluate", "--predictions", str(predictions)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"{predictions}:3:" in lines[0]
+    return lines[0]
+
+
+def test_evaluate_line_without_annotation_is_a_typed_error(tmp_path, capsys):
+    message = _evaluate_error(tmp_path, capsys, json.dumps({"prediction": "joy", "lyrics": "rain"}))
+    assert "'annotation'" in message and "missing" in message
+
+
+def test_evaluate_non_string_annotation_is_a_typed_error(tmp_path, capsys):
+    message = _evaluate_error(tmp_path, capsys, json.dumps({"prediction": "joy", "annotation": 3}))
+    assert "'annotation'" in message and "string" in message
+
+
+def test_evaluate_array_line_is_a_typed_error(tmp_path, capsys):
+    message = _evaluate_error(tmp_path, capsys, json.dumps(["joy", "pure joy", "rain"]))
+    assert "JSON object" in message and "list" in message
+
+
 def test_grid_cli_with_config(mini_corpus_path, tmp_path, capsys):
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({

@@ -1,9 +1,12 @@
 import math
 import random
 from collections import Counter
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     StubLM,
@@ -27,6 +30,7 @@ from lyricsense.decoding import (
     top_p_sample,
 )
 from lyricsense.lm import Vocabulary, fit_ngram, sequence_log_prob
+from lyricsense.rng import SplitMix64
 
 
 def cfg(strategy=Strategy.GREEDY, **kwargs):
@@ -404,3 +408,190 @@ def test_generation_is_frozen_value_object():
     assert generation == Generation((1, 2), -1.5, FinishReason.EOS)
     with pytest.raises(AttributeError):
         generation.ids = ()
+
+
+# ------------------------------------------------- straight-line oracle
+#
+# The decoders as they were before per-distribution memos: every step
+# recomputes its softmax, filter and cumsum, orders tokens with a full
+# lexsort, and masks banned beam tokens on a copy of the distribution.
+
+
+def oracle_softmax(log_probs, temperature):
+    scaled = log_probs / max(temperature, 1e-4)
+    finite = scaled[np.isfinite(scaled)]
+    if finite.size == 0:
+        raise ValueError("distribution has no finite entries")
+    probs = np.exp(scaled - finite.max())
+    return probs / probs.sum()
+
+
+def oracle_order(probs):
+    return np.lexsort((np.arange(len(probs)), -probs))
+
+
+def oracle_filter(probs, c):
+    if c.strategy == Strategy.TOP_K and c.k < len(probs):
+        keep = oracle_order(probs)[: c.k]
+    elif c.strategy == Strategy.TOP_P and c.p < 1.0:
+        order = oracle_order(probs)
+        cut = int(np.searchsorted(np.cumsum(probs[order]), c.p, side="left"))
+        if cut >= len(probs):
+            return probs
+        keep = order[: cut + 1]
+    else:
+        return probs
+    out = np.zeros_like(probs)
+    out[keep] = probs[keep]
+    return out
+
+
+def oracle_sampling(model, prompt, c):
+    eos = model.vocabulary().eos_id
+    rng = SplitMix64(c.seed)
+    context, emitted, log_prob = list(prompt), [], 0.0
+    for _ in range(c.max_new_tokens):
+        raw = model.next(context).log_probs
+        cumulative = np.cumsum(oracle_filter(oracle_softmax(raw, c.temperature), c))
+        token = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
+        log_prob += float(raw[token])
+        if token == eos:
+            return Generation(tuple(emitted), log_prob, FinishReason.EOS)
+        emitted.append(token)
+        context.append(token)
+    return Generation(tuple(emitted), log_prob, FinishReason.MAX_LEN)
+
+
+def oracle_banned(sequence, n):
+    if n < 1 or len(sequence) < n - 1:
+        return set()
+    prefix = tuple(sequence[len(sequence) - n + 1 :]) if n > 1 else ()
+    banned = set()
+    for start in range(len(sequence) - n + 1):
+        if tuple(sequence[start : start + n - 1]) == prefix:
+            banned.add(sequence[start + n - 1])
+    return banned
+
+
+@dataclass(order=True)
+class OracleHypothesis:
+    neg_score: float
+    ids: tuple
+    score: float = field(compare=False)
+
+
+def oracle_beam(model, prompt_ids, c):
+    eos = model.vocabulary().eos_id
+    prompt = tuple(prompt_ids)
+    running, finished, finished_count = [OracleHypothesis(0.0, (), 0.0)], [], 0
+    for _ in range(c.max_new_tokens):
+        candidates = []
+        for hyp in running:
+            raw = model.next(prompt + hyp.ids).log_probs
+            banned = oracle_banned(prompt + hyp.ids, c.no_repeat_ngram_size)
+            scores = raw.copy()
+            scores[list(banned)] = -math.inf
+            if not np.isfinite(scores).any():
+                finished.append(hyp)
+                finished_count += 1
+                continue
+            for token in oracle_order(scores)[: c.num_beams + 1]:
+                token = int(token)
+                if math.isfinite(scores[token]):
+                    score = hyp.score + float(raw[token])
+                    candidates.append((OracleHypothesis(-score, hyp.ids + (token,), score), token))
+        candidates.sort(key=lambda item: item[0])
+        new_running = []
+        for rank, (candidate, token) in enumerate(candidates):
+            if token == eos:
+                if rank < c.num_beams:
+                    finished.append(OracleHypothesis(candidate.neg_score, candidate.ids[:-1], candidate.score))
+                    finished_count += 1
+            elif len(new_running) < c.num_beams:
+                new_running.append(candidate)
+            if len(new_running) == c.num_beams and rank + 1 >= c.num_beams:
+                break
+        running = new_running
+        if not running or (c.early_stopping and finished_count >= c.num_beams):
+            break
+    best = min(finished or running)
+    return Generation(best.ids, best.score, FinishReason.EOS if finished else FinishReason.MAX_LEN)
+
+
+def oracle_decode(model, prompt, c):
+    if c.strategy == Strategy.BEAM:
+        return oracle_beam(model, prompt, c)
+    if c.strategy == Strategy.GREEDY:
+        return greedy(model, prompt, c)  # takes no memo
+    return oracle_sampling(model, prompt, c)
+
+
+POOL_VOCAB = Vocabulary.build(["a", "b", "c", "d", "e", "f"])
+
+
+@st.composite
+def pooled_models(draw):
+    """A StubLM that serves a few shared read-only arrays by last token.
+
+    Weights 0-3 give -inf entries and tied floors (many equal weights).
+    """
+    size = len(POOL_VOCAB)
+    pool = []
+    for _ in range(draw(st.integers(1, 4))):
+        weights = np.array(draw(st.lists(st.integers(0, 3), min_size=size, max_size=size)), dtype=float)
+        if not weights.any():
+            weights[draw(st.integers(0, size - 1))] = 1.0
+        with np.errstate(divide="ignore"):
+            logp = np.log(weights / weights.sum())
+        logp.setflags(write=False)
+        pool.append(logp)
+    table = draw(st.lists(st.integers(0, len(pool) - 1), min_size=size + 1, max_size=size + 1))
+    model = StubLM(POOL_VOCAB, lambda ctx: pool[table[ctx[-1] if ctx else size]])
+    return model, pool
+
+
+decoder_params = st.tuples(
+    st.sampled_from(list(Strategy)),
+    st.sampled_from([0.05, 0.5, 0.95, 1.0, 2.5]),
+    st.integers(1, len(POOL_VOCAB) + 2),
+    st.sampled_from([0.05, 0.3, 0.62, 0.92, 1.0]),
+)
+
+
+@given(
+    pooled=pooled_models(),
+    prompt=st.lists(st.integers(0, len(POOL_VOCAB) - 1), max_size=4),
+    decoders=st.lists(decoder_params, min_size=1, max_size=3),
+    num_beams=st.integers(1, 4),
+    no_repeat=st.integers(0, 3),
+    early_stopping=st.booleans(),
+    max_new_tokens=st.integers(1, 10),
+    seeds=st.lists(st.integers(0, 2**32), min_size=1, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_memo_and_fresh_decoders_match_straight_line_oracle(
+    pooled, prompt, decoders, num_beams, no_repeat, early_stopping, max_new_tokens, seeds
+):
+    model, pool = pooled
+    memo = {}  # shared by every decoder and row, so keys must tell them apart
+    for strategy, temperature, k, p in decoders:
+        for seed in seeds:
+            c = cfg(
+                strategy,
+                temperature=temperature,
+                k=k,
+                p=p,
+                num_beams=num_beams,
+                no_repeat_ngram_size=no_repeat,
+                early_stopping=early_stopping,
+                max_new_tokens=max_new_tokens,
+                seed=seed,
+            )
+            expected = oracle_decode(model, prompt, c)
+            for got in (decode(model, prompt, c, memo=memo), decode(model, prompt, c, memo=None)):
+                assert got.ids == expected.ids
+                assert got.log_prob.hex() == expected.log_prob.hex()
+                assert got.finish_reason == expected.finish_reason
+    # At most one derivation per distinct array and decoder, each holding its array.
+    assert len(memo) <= len(pool) * len(decoders)
+    assert all(any(held is array for array in pool) for held, _derived in memo.values())

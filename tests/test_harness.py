@@ -335,3 +335,71 @@ def test_grid_renders_training_texts_once_for_all_ngram_orders(mini_corpus_path,
     samples = flatten(clean_corpus(load_corpus(mini_corpus_path).records))
     train, _validation, _test = split(samples, grid.split_ratios, grid.seed)
     assert len(calls) == 7 * len(train)
+
+
+def test_memo_per_ngram_combination_none_for_remote(mini_corpus_path, tmp_path, monkeypatch):
+    import lyricsense.harness as harness
+    from lyricsense.lm import NGramModel
+    from lyricsense.wire import LMServer
+
+    samples = flatten(clean_corpus(load_corpus(mini_corpus_path).records))
+    train, _, _ = split(samples, (0.8, 0.1, 0.1), seed=0)
+    served = fit_ngram(training_texts(train), order=2, k=0.1, vocab_cap=400)
+    server = LMServer(served)
+    server.start_background()
+
+    next_calls = []
+    real_next = NGramModel.next
+
+    def counting_next(self, context):
+        next_calls.append(1)
+        return real_next(self, context)
+
+    monkeypatch.setattr(NGramModel, "next", counting_next)
+    real_decode = harness.decode
+    seen = []  # holding each memo keeps its id() from being reused
+
+    def recording_decode(model, prompt_ids, cfg, memo=None):
+        seen.append((isinstance(model, NGramModel), memo))
+        return real_decode(model, prompt_ids, cfg, memo=memo)
+
+    def memoless_decode(model, prompt_ids, cfg, memo=None):
+        return real_decode(model, prompt_ids, cfg, memo=None)
+
+    grid = small_grid(
+        models=[
+            {"id": "local", "type": "ngram", "order": 2},
+            {"id": "remote", "type": "remote", "endpoint": server.endpoint},
+        ],
+        prompts=["lyrics_meaning", "none"],
+        decoders="all",
+    )
+    try:
+        monkeypatch.setattr(harness, "decode", recording_decode)
+        with_memo = run_grid(grid, mini_corpus_path, str(tmp_path / "memo"))
+        calls_with_memo = len(next_calls)
+        next_calls.clear()
+        monkeypatch.setattr(harness, "decode", memoless_decode)
+        without = run_grid(grid, mini_corpus_path, str(tmp_path / "none"))
+    finally:
+        server.shutdown()
+        server.server_close()
+
+    assert not with_memo.failures and with_memo.rows == without.rows
+    assert (tmp_path / "memo" / "grid.jsonl").read_bytes() == (tmp_path / "none" / "grid.jsonl").read_bytes()
+    assert calls_with_memo == len(next_calls) > 0
+
+    per_combination = 3  # eval samples
+    combinations = [seen[i : i + per_combination] for i in range(0, len(seen), per_combination)]
+    assert len(combinations) == grid.combination_count()
+    local_memos = []
+    for combination in combinations:
+        is_local = combination[0][0]
+        memos = [memo for _local, memo in combination]
+        if is_local:
+            assert isinstance(memos[0], dict) and all(memo is memos[0] for memo in memos)
+            local_memos.append(memos[0])
+        else:
+            assert memos == [None] * per_combination
+    assert len(local_memos) == len(grid.prompts) * len(grid.decoders)
+    assert len({id(memo) for memo in local_memos}) == len(local_memos)
