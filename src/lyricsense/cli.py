@@ -30,12 +30,20 @@ from .corpus import (
     load_corpus,
     split,
 )
-from .decoding import DecodeConfig, Strategy, decode
-from .harness import ExperimentGrid, ModelSpec, default_grid, emit_report, run_grid, training_texts
+from .decoding import DecodeConfig, Strategy
+from .harness import (
+    ExperimentGrid,
+    ModelSpec,
+    default_grid,
+    emit_report,
+    generate_meaning,
+    run_grid,
+    training_texts,
+)
 from .lm import NGramModel, fit_ngram
 from .metrics import TotalScoreWeights, evaluate, mean_report
-from .prompts import PromptSpec, extract_generation, render
-from .wire import LMServer, WireError, serve_stdio
+from .prompts import PromptSpec
+from .wire import LMServer, RemoteLM, WireError, serve_stdio
 
 
 def _parse_ratios(text: str) -> tuple[float, float, float]:
@@ -108,14 +116,6 @@ def _cmd_fit_lm(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_model(args: argparse.Namespace):
-    if getattr(args, "endpoint", None):
-        from .wire import RemoteLM
-
-        return RemoteLM(args.endpoint)
-    return NGramModel.load(args.model)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.sample_id:
         if not args.corpus:
@@ -154,13 +154,12 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             max_new_tokens=args.max_new_tokens,
             seed=args.seed,
         )
-    model = _load_model(args)
-    rendered = render(spec, sample)
-    vocab = model.vocabulary()
-    generation = decode(model, vocab.encode_text(rendered.text), cfg)
-    continuation = vocab.decode_text(generation.ids)
-    full_output = rendered.text + (" " + continuation if continuation else "")
-    print(extract_generation(full_output, rendered))
+    if args.endpoint:
+        with RemoteLM(args.endpoint) as model:
+            meaning = generate_meaning(model, spec, sample, cfg)
+    else:
+        meaning = generate_meaning(NGramModel.load(args.model), spec, sample, cfg)
+    print(meaning)
     return 0
 
 
@@ -229,7 +228,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         f"grid complete: {len(result.means)} combinations, {len(result.rows)} rows, "
         f"{len(result.failures)} failures"
     )
-    for path in paths:
+    for path in [os.path.join(args.out, "grid.jsonl"), *paths]:
         print(f"wrote {path}")
     if result.failures:
         print(f"warning: {len(result.failures)} combinations failed", file=sys.stderr)
@@ -315,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--out", required=True, help="output directory")
     p_grid.add_argument("--config", help="ExperimentGrid JSON file (default: built-in grid)")
     p_grid.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_grid.add_argument("--workers", type=int, default=1)
+    p_grid.add_argument("--workers", type=int, default=1,
+                        help="accepted and ignored: the grid runs serially")
     p_grid.add_argument("--endpoint", help="run against this remote model only")
     p_grid.set_defaults(func=_cmd_grid)
 

@@ -2,10 +2,12 @@
 
 Every (model, prompt, decoder, sample) row renders the prompt, decodes a
 continuation, and scores it against the gold annotation and the full
-song lyrics. Rows stream to ``grid.jsonl`` as combinations complete, so
-an interrupted run loses at most one combination. Per-row sampler seeds
-are derived from the grid seed and the full combination key, making the
-output independent of execution order and byte-reproducible.
+song lyrics. The grid runs serially, one combination after another in
+combination order. ``run_grid`` streams rows to ``grid.jsonl`` as each
+combination completes, so an interrupted run loses at most one
+combination; ``emit_report`` writes ``summary.csv`` and ``plotdata.json``.
+Per-row sampler seeds are derived from the grid seed and the full
+combination key, making the output byte-reproducible.
 """
 
 from __future__ import annotations
@@ -13,9 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import Optional, Sequence, Union
 
 from . import __version__
@@ -28,6 +29,17 @@ from .rng import derive_seed
 from .wire import RemoteLM, WireError
 
 METRIC_FIELDS = ("rouge1", "cos_pred_annotation", "cos_pred_lyrics", "total_score")
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
+
+
+def _typed(value, kind: type, where: str):
+    """``value`` if it has the JSON type ``kind`` (a ``float`` field takes any number, no field a bool).
+
+    Raises a ``ValueError`` naming the config path ``where`` otherwise.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{where}: expected {_KIND_NAMES[kind]}, got {type(value).__name__}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -59,19 +71,28 @@ class ModelSpec:
         return obj
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "ModelSpec":
+    def from_dict(cls, obj: dict, where: str = "model") -> "ModelSpec":
+        """Read a model spec; errors name the config path ``where``, such as ``models[0]``."""
+        _typed(obj, dict, where)
         if "id" not in obj:
-            raise ValueError("model spec needs an 'id' field")
-        kind = obj.get("type", "ngram")
-        return cls(
-            model_id=obj["id"],
-            kind=kind,
-            order=obj.get("order", 2),
-            k=obj.get("k", 0.1),
-            vocab_cap=obj.get("vocab_cap", 5000),
-            path=obj.get("path"),
-            endpoint=obj.get("endpoint"),
+            raise ValueError(f"{where}: model spec needs an 'id' field")
+
+        def field(name: str, kind: type, default):
+            return _typed(obj[name], kind, f"{where}.{name}") if name in obj else default
+
+        fields = dict(
+            model_id=field("id", str, None),
+            kind=field("type", str, "ngram"),
+            order=field("order", int, 2),
+            k=field("k", float, 0.1),
+            vocab_cap=field("vocab_cap", int, 5000),
+            path=field("path", str, None),
+            endpoint=field("endpoint", str, None),
         )
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 def default_decoders() -> list[tuple[str, DecodeConfig]]:
@@ -122,31 +143,41 @@ class ExperimentGrid:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentGrid":
-        models = tuple(ModelSpec.from_dict(m) for m in obj.get("models", _default_model_dicts()))
-        raw_prompts = obj.get("prompts", "all")
-        prompts = (
-            tuple(PromptSpec.all_variants())
-            if raw_prompts == "all"
-            else tuple(PromptSpec.from_id(p) for p in raw_prompts)
-        )
-        raw_decoders = obj.get("decoders", "all")
-        if raw_decoders == "all":
+        """Read a grid config; a malformed one is a ``ValueError`` naming its config path."""
+        _typed(obj, dict, "grid config")
+
+        def items(name: str, default, kind: type) -> list:
+            """The list field ``name``, each item checked to be a ``kind``."""
+            values = _typed(obj.get(name, default), list, name)
+            return [_typed(v, kind, f"{name}[{i}]") for i, v in enumerate(values)]
+
+        raw_models = items("models", _default_model_dicts(), dict)
+        models = tuple(ModelSpec.from_dict(m, f"models[{i}]") for i, m in enumerate(raw_models))
+        if obj.get("prompts", "all") == "all":
+            prompts = tuple(PromptSpec.all_variants())
+        else:
+            prompts = tuple(PromptSpec.from_id(p) for p in items("prompts", None, str))
+        if obj.get("decoders", "all") == "all":
             decoders = tuple(default_decoders())
         else:
-            decoders = tuple(
-                (
-                    d.get("id", d.get("strategy", "")),
-                    DecodeConfig.from_dict({k: v for k, v in d.items() if k != "id"}),
-                )
-                for d in raw_decoders
-            )
+            decoders = tuple(_decoder(d, f"decoders[{i}]") for i, d in enumerate(items("decoders", None, dict)))
         raw_eval = obj.get("eval_samples", {"top_page_views": 10})
         if isinstance(raw_eval, dict):
-            eval_samples, eval_count = None, int(raw_eval.get("top_page_views", 10))
+            eval_samples = None
+            eval_count = _typed(raw_eval.get("top_page_views", 10), int, "eval_samples.top_page_views")
+        elif isinstance(raw_eval, list):
+            eval_samples = tuple(items("eval_samples", None, str))
+            eval_count = len(eval_samples)
         else:
-            eval_samples, eval_count = tuple(raw_eval), len(raw_eval)
-        weights = TotalScoreWeights(**obj.get("weights", {}))
-        ratios = tuple(obj.get("split_ratios", (0.8, 0.1, 0.1)))
+            raise ValueError(f"eval_samples: expected a list or an object, got {type(raw_eval).__name__}")
+        raw_weights = _typed(obj.get("weights", {}), dict, "weights")
+        unknown = sorted(set(raw_weights) - {"alpha1", "alpha2", "alpha3"})
+        if unknown:
+            raise ValueError(f"weights: unknown fields {unknown}")
+        weights = TotalScoreWeights(**{k: _typed(v, float, f"weights.{k}") for k, v in raw_weights.items()})
+        ratios = tuple(items("split_ratios", [0.8, 0.1, 0.1], float))
+        if len(ratios) != 3:
+            raise ValueError(f"split_ratios: expected 3 ratios, got {len(ratios)}")
         return cls(
             models=models,
             prompts=prompts,
@@ -155,8 +186,17 @@ class ExperimentGrid:
             eval_count=eval_count,
             weights=weights,
             split_ratios=ratios,  # type: ignore[arg-type]
-            seed=int(obj.get("seed", 0)),
+            seed=_typed(obj.get("seed", 0), int, "seed"),
         )
+
+
+def _decoder(obj: dict, where: str) -> tuple[str, DecodeConfig]:
+    """One ``decoders`` entry: its id (default: the strategy) and its config."""
+    try:
+        cfg = DecodeConfig.from_dict({k: v for k, v in obj.items() if k != "id"})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    return _typed(obj.get("id", obj.get("strategy")), str, f"{where}.id"), cfg
 
 
 def _default_model_dicts() -> list[dict]:
@@ -220,13 +260,6 @@ class GridResult:
     means: list[CombinationMean]
     failures: list[GridFailure]
     provenance: dict
-    # Rows and failure markers in combination order, exactly as streamed
-    # to grid.jsonl during the run.
-    events: list[Union[GridRow, GridFailure]] = None  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.events is None:
-            self.events = [*self.rows, *self.failures]
 
 
 def training_texts(samples: Sequence[Sample]) -> list[str]:
@@ -238,49 +271,22 @@ def training_texts(samples: Sequence[Sample]) -> list[str]:
     ]
 
 
-class _ModelHandle:
-    """Lazily provides a LanguageModel; remote models get one client per worker."""
+def _local_models(models: Sequence[ModelSpec], train: Sequence[Sample]) -> dict[str, Optional[LanguageModel]]:
+    """Each spec's fitted or loaded model; a ``remote`` spec maps to None until it connects.
 
-    def __init__(self, spec: ModelSpec, train_texts: Optional[TrainingTexts]) -> None:
-        """``train_texts`` is the training set every ``ngram`` spec of a grid shares."""
-        self.spec = spec
-        self._local = threading.local()
-        self._clients: list[RemoteLM] = []
-        self._lock = threading.Lock()
-        if spec.kind == "ngram":
-            self._shared: Optional[LanguageModel] = fit_ngram(
-                train_texts, order=spec.order, k=spec.k, vocab_cap=spec.vocab_cap
-            )
-        elif spec.kind == "ngram_file":
-            self._shared = NGramModel.load(spec.path)
-        else:
-            self._shared = None
-
-    def get(self) -> LanguageModel:
-        if self._shared is not None:
-            return self._shared
-        client = getattr(self._local, "client", None)
-        if client is None:
-            client = RemoteLM(self.spec.endpoint)
-            self._local.client = client
-            with self._lock:
-                self._clients.append(client)
-        return client
-
-    def close(self) -> None:
-        with self._lock:
-            for client in self._clients:
-                client.close()
-            self._clients.clear()
-
-
-def _model_handles(models: Sequence[ModelSpec], train: Sequence[Sample]) -> dict[str, _ModelHandle]:
-    """One handle per model; the ``ngram`` specs share one rendering of the train split.
-
-    The rendering and its tokens are dropped once the models are fit.
+    The ``ngram`` specs share one rendering of the train split, dropped
+    once the models are fit.
     """
     texts = TrainingTexts(training_texts(train)) if any(m.kind == "ngram" for m in models) else None
-    return {spec.model_id: _ModelHandle(spec, texts) for spec in models}
+    loaded: dict[str, Optional[LanguageModel]] = {}
+    for spec in models:
+        if spec.kind == "ngram":
+            loaded[spec.model_id] = fit_ngram(texts, order=spec.order, k=spec.k, vocab_cap=spec.vocab_cap)
+        elif spec.kind == "ngram_file":
+            loaded[spec.model_id] = NGramModel.load(spec.path)
+        else:
+            loaded[spec.model_id] = None
+    return loaded
 
 
 def _resolve_eval_samples(
@@ -301,8 +307,21 @@ def _resolve_eval_samples(
     return [s for _, s in ranked[: grid.eval_count]]
 
 
+def generate_meaning(
+    model: LanguageModel, spec: PromptSpec, sample: Sample, cfg: DecodeConfig, memo: Optional[dict] = None
+) -> str:
+    """Render ``sample`` under ``spec``, decode a continuation and return the generated meaning."""
+    rendered = render(spec, sample)
+    vocab = model.vocabulary()
+    generation = decode(model, vocab.encode_text(rendered.text), cfg, memo=memo)
+    continuation = vocab.decode_text(generation.ids)
+    full_output = rendered.text + (" " + continuation if continuation else "")
+    return extract_generation(full_output, rendered)
+
+
 def _run_combination(
-    handle: _ModelHandle,
+    models: dict[str, Optional[LanguageModel]],
+    model_spec: ModelSpec,
     prompt_spec: PromptSpec,
     decoder_id: str,
     cfg: DecodeConfig,
@@ -311,11 +330,17 @@ def _run_combination(
     weights: TotalScoreWeights,
     base_seed: int,
 ) -> Union[tuple[list[GridRow], CombinationMean], GridFailure]:
-    model_id = handle.spec.model_id
+    """One combination's rows and mean, or its failure.
+
+    A remote model connects on its first combination and is stored in
+    ``models`` for the rest; a failed connect is retried by the next one.
+    """
+    model_id = model_spec.model_id
     prompt_id = prompt_spec.spec_id
     try:
-        model = handle.get()
-        vocab = model.vocabulary()
+        model = models[model_id]
+        if model is None:
+            model = models[model_id] = RemoteLM(model_spec.endpoint)
         # An n-gram model hands back one cached read-only array per context,
         # so what decoding derives from it is shared by the combination's
         # rows. A remote model builds a fresh array every step: a memo
@@ -323,15 +348,10 @@ def _run_combination(
         memo: Optional[dict] = {} if isinstance(model, NGramModel) else None
         rows = []
         for sample in eval_samples:
-            rendered = render(prompt_spec, sample)
-            prompt_ids = vocab.encode_text(rendered.text)
             row_seed = derive_seed(
                 base_seed, model_id, prompt_id, decoder_id, sample.sample_id, str(cfg.seed)
             )
-            generation = decode(model, prompt_ids, replace(cfg, seed=row_seed), memo=memo)
-            continuation = vocab.decode_text(generation.ids)
-            full_output = rendered.text + (" " + continuation if continuation else "")
-            prediction = extract_generation(full_output, rendered)
+            prediction = generate_meaning(model, prompt_spec, sample, replace(cfg, seed=row_seed), memo=memo)
             report = evaluate(prediction, sample.annotation, lyrics_by_song[sample.song_id], weights)
             rows.append(
                 GridRow(
@@ -367,10 +387,13 @@ def run_grid(
 ) -> GridResult:
     """Execute the full grid, streaming rows to ``out_dir/grid.jsonl``.
 
-    A combination that raises a wire error or a ``ValueError`` (a bad
-    prompt, a model's invalid distribution) is recorded as a failure and
-    the grid continues; two runs with the same seed, config and corpus
-    produce byte-identical output.
+    Combinations run one after another in the calling thread;
+    ``workers`` is accepted so existing callers keep working, and is
+    ignored. A combination that raises a wire error or a ``ValueError``
+    (an unreachable endpoint, a bad prompt, a model's invalid
+    distribution) is recorded as a failure and the grid continues; two
+    runs with the same seed, config and corpus produce byte-identical
+    output.
     """
     loaded = load_corpus(corpus_path)
     records = clean_corpus(loaded.records)
@@ -380,58 +403,36 @@ def run_grid(
     views_by_song = {r.song_id: r.page_views or 0 for r in records}
     eval_samples = _resolve_eval_samples(grid, test, views_by_song)
 
-    handles = _model_handles(grid.models, train)
+    models = _local_models(grid.models, train)
     provenance = _provenance(grid, corpus_path)
-    combos = [
-        (model_spec, prompt_spec, decoder_id, cfg)
-        for model_spec in grid.models
-        for prompt_spec in grid.prompts
-        for decoder_id, cfg in grid.decoders
-    ]
 
     rows: list[GridRow] = []
     means: list[CombinationMean] = []
     failures: list[GridFailure] = []
-    events: list[Union[GridRow, GridFailure]] = []
     os.makedirs(out_dir, exist_ok=True)
-    grid_path = os.path.join(out_dir, "grid.jsonl")
     try:
-        with open(grid_path, "w", encoding="utf-8") as fh:
+        with open(os.path.join(out_dir, "grid.jsonl"), "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"provenance": provenance}, sort_keys=True) + "\n")
-            with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-                futures = [
-                    pool.submit(
-                        _run_combination,
-                        handles[model_spec.model_id],
-                        prompt_spec,
-                        decoder_id,
-                        cfg,
-                        eval_samples,
-                        lyrics_by_song,
-                        grid.weights,
-                        grid.seed,
-                    )
-                    for model_spec, prompt_spec, decoder_id, cfg in combos
-                ]
-                # Consume in submission order so the output file is deterministic.
-                for future in futures:
-                    outcome = future.result()
-                    if isinstance(outcome, GridFailure):
-                        failures.append(outcome)
-                        events.append(outcome)
-                        fh.write(json.dumps(outcome.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
-                    else:
-                        combo_rows, mean = outcome
-                        rows.extend(combo_rows)
-                        means.append(mean)
-                        events.extend(combo_rows)
-                        for row in combo_rows:
-                            fh.write(json.dumps(row.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
-                    fh.flush()
+            for model_spec, prompt_spec, (decoder_id, cfg) in product(grid.models, grid.prompts, grid.decoders):
+                outcome = _run_combination(
+                    models, model_spec, prompt_spec, decoder_id, cfg,
+                    eval_samples, lyrics_by_song, grid.weights, grid.seed,
+                )
+                if isinstance(outcome, GridFailure):
+                    failures.append(outcome)
+                    lines: Sequence[Union[GridRow, GridFailure]] = [outcome]
+                else:
+                    lines, mean = outcome
+                    rows.extend(lines)
+                    means.append(mean)
+                for line in lines:
+                    fh.write(json.dumps(line.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+                fh.flush()
     finally:
-        for handle in handles.values():
-            handle.close()
-    return GridResult(rows=rows, means=means, failures=failures, provenance=provenance, events=events)
+        for model in models.values():
+            if isinstance(model, RemoteLM):
+                model.close()
+    return GridResult(rows=rows, means=means, failures=failures, provenance=provenance)
 
 
 def rank_combinations(result: GridResult, metric: str = "total_score") -> list[CombinationMean]:
@@ -455,15 +456,12 @@ def _group_total_scores(means: Sequence[CombinationMean], key_attr: str) -> dict
 
 
 def emit_report(result: GridResult, out_dir: str) -> list[str]:
-    """Write grid.jsonl, summary.csv and plotdata.json; returns the paths."""
+    """Write summary.csv and plotdata.json; returns the paths.
+
+    ``grid.jsonl`` is written by ``run_grid`` alone.
+    """
     os.makedirs(out_dir, exist_ok=True)
     provenance_line = json.dumps({"provenance": result.provenance}, sort_keys=True)
-
-    grid_path = os.path.join(out_dir, "grid.jsonl")
-    with open(grid_path, "w", encoding="utf-8") as fh:
-        fh.write(provenance_line + "\n")
-        for event in result.events:
-            fh.write(json.dumps(event.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
 
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
@@ -489,4 +487,4 @@ def emit_report(result: GridResult, out_dir: str) -> list[str]:
         json.dump(plotdata, fh, ensure_ascii=False, sort_keys=True, indent=2)
         fh.write("\n")
 
-    return [grid_path, summary_path, plot_path]
+    return [summary_path, plot_path]

@@ -184,7 +184,12 @@ class RemoteLM:
             raise TransportError(f"cannot connect to {endpoint}: {exc}") from exc
         self._stream = self._sock.makefile("rwb")
         self.proto = 1
-        self._vocab = self._handshake()
+        try:
+            self._vocab = self._handshake()
+        except BaseException:
+            # The caller never gets this object, so nothing else can close it.
+            self.close()
+            raise
 
     def _exchange(self, request: dict) -> dict:
         try:

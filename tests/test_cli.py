@@ -198,6 +198,34 @@ def test_grid_cli_with_config(mini_corpus_path, tmp_path, capsys):
     assert len(summary) == 1 + 35
 
 
+@pytest.mark.parametrize(
+    "config, where",
+    [
+        ({"models": 5}, "models"),
+        ({"models": [5]}, "models[0]"),
+        ({"decoders": ["greedy"]}, "decoders[0]"),
+        ({"models": [{"id": "a", "order": "x"}]}, "models[0].order"),
+        ({"eval_samples": 7}, "eval_samples"),
+        ({"split_ratios": 5}, "split_ratios"),
+        ([], "grid config"),
+        ({"prompts": [5]}, "prompts[0]"),
+        ({"decoders": [{"strategy": "greedy", "k": "x"}]}, "decoders[0]"),
+        ({"weights": {"alpha1": "x"}}, "weights.alpha1"),
+        ({"seed": [1]}, "seed"),
+    ],
+)
+def test_grid_cli_malformed_config_is_a_typed_error(mini_corpus_path, tmp_path, capsys, config, where):
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert run_cli("grid", "--corpus", mini_corpus_path, "--out", str(out), "--config", str(path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {where}: ")
+    assert not out.exists()
+
+
 def test_grid_cli_against_remote_endpoint(mini_corpus_path, tmp_path, capsys):
     from lyricsense.corpus import clean_corpus, flatten, load_corpus, split
     from lyricsense.harness import training_texts
@@ -227,6 +255,33 @@ def test_grid_cli_against_remote_endpoint(mini_corpus_path, tmp_path, capsys):
     assert "1 combinations, 2 rows" in capsys.readouterr().out
     rows = [json.loads(l) for l in (out / "grid.jsonl").read_text().splitlines()[1:]]
     assert {r["model"] for r in rows} == {"remote0"}
+
+
+def test_generate_against_endpoint_closes_its_client(tmp_path, capsys, monkeypatch):
+    from lyricsense.wire import LMServer
+
+    model_path = str(tmp_path / "toy.json")
+    server = LMServer(toy_chain_model_file(model_path))
+    server.start_background()
+    closed = []
+    real_close = RemoteLM.close
+
+    def recording_close(self):
+        closed.append(self)
+        real_close(self)
+
+    monkeypatch.setattr(RemoteLM, "close", recording_close)
+    try:
+        code = run_cli(
+            "generate", "--endpoint", server.endpoint, "--fragment", "x",
+            "--prompt", "none", "--strategy", "greedy",
+        )
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert code == 0
+    assert capsys.readouterr().out == "y z\n"
+    assert len(closed) == 1
 
 
 def test_serve_mock_subprocess_speaks_protocol(tmp_path):

@@ -197,8 +197,8 @@ def test_emit_report_empty_result(tmp_path):
     assert csv_lines[0].startswith("# provenance:")
     assert csv_lines[1] == "model,prompt,decoder,n_samples,rouge1,cos_pred_annotation,cos_pred_lyrics,total_score,status"
     assert len(csv_lines) == 2
-    grid_lines = (tmp_path / "grid.jsonl").read_text().splitlines()
-    assert len(grid_lines) == 1
+    assert paths == [str(tmp_path / "summary.csv"), str(tmp_path / "plotdata.json")]
+    assert not (tmp_path / "grid.jsonl").exists()
     plot = json.loads((tmp_path / "plotdata.json").read_text())
     assert plot["total_score_by_prompt"] == {"mean": {}, "best": {}}
 
@@ -403,3 +403,38 @@ def test_memo_per_ngram_combination_none_for_remote(mini_corpus_path, tmp_path, 
             assert memos == [None] * per_combination
     assert len(local_memos) == len(grid.prompts) * len(grid.decoders)
     assert len({id(memo) for memo in local_memos}) == len(local_memos)
+
+
+def test_one_connection_per_remote_model_closed_before_run_grid_returns(mini_corpus_path, tmp_path, monkeypatch):
+    import lyricsense.harness as harness
+    from lyricsense.wire import LMServer, RemoteLM
+
+    samples = flatten(clean_corpus(load_corpus(mini_corpus_path).records))
+    train, _, _ = split(samples, (0.8, 0.1, 0.1), seed=0)
+    server = LMServer(fit_ngram(training_texts(train), order=2, k=0.1, vocab_cap=400))
+    server.start_background()
+    opened, closed = [], []
+
+    class RecordingRemoteLM(RemoteLM):
+        def __init__(self, endpoint):
+            super().__init__(endpoint)
+            opened.append(self)
+
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    monkeypatch.setattr(harness, "RemoteLM", RecordingRemoteLM)
+    grid = small_grid(
+        models=[{"id": f"remote{i}", "type": "remote", "endpoint": server.endpoint} for i in (1, 2)],
+        prompts=["lyrics_meaning", "none"],
+        decoders="all",
+    )
+    try:
+        result = run_grid(grid, mini_corpus_path, str(tmp_path), workers=4)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert not result.failures and len(result.rows) == 2 * 2 * 5 * 3
+    assert len(opened) == len(grid.models)
+    assert sorted(map(id, closed)) == sorted(map(id, opened))

@@ -112,6 +112,35 @@ def test_bad_endpoint_string():
         RemoteLM("nonsense")
 
 
+def test_failed_handshake_closes_the_socket():
+    listener = socket.create_server(("127.0.0.1", 0))
+    eof = threading.Event()
+
+    def serve():
+        conn, _ = listener.accept()
+        conn.settimeout(10)
+        with conn, conn.makefile("rwb") as stream:
+            stream.readline()
+            stream.write(b'{"op": "dist", "logp": []}\n')
+            stream.flush()
+            if stream.readline() == b"":
+                eof.set()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()[:2]
+    try:
+        with pytest.raises(ProtocolError, match="expected vocab frame") as exc_info:
+            RemoteLM(f"{host}:{port}")
+        # exc_info keeps the traceback, and with it the half-built client, alive.
+        assert eof.wait(timeout=5), "the server saw no EOF: the client socket is still open"
+        assert exc_info.value is not None
+    finally:
+        listener.close()
+        thread.join(timeout=15)
+    assert not thread.is_alive()
+
+
 class _ScriptedServer(socketserver.ThreadingTCPServer):
     """Replies the handshake honestly, then runs a scripted step behavior."""
 
