@@ -40,6 +40,7 @@ from .harness import (
     run_grid,
     training_texts,
 )
+from .jsonfields import required, typed
 from .lm import NGramModel, fit_ngram
 from .metrics import TotalScoreWeights, evaluate, mean_report
 from .prompts import PromptSpec
@@ -143,7 +144,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     spec = PromptSpec.from_id(args.prompt)
     if args.decode_config:
         with open(args.decode_config, encoding="utf-8") as fh:
-            cfg = DecodeConfig.from_dict(json.load(fh))
+            cfg = DecodeConfig.from_dict(json.load(fh), args.decode_config)
     else:
         cfg = DecodeConfig(
             strategy=Strategy(args.strategy),
@@ -165,16 +166,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _prediction_triple(obj: object, where: str) -> tuple[str, str, str]:
     """The prediction, annotation and lyrics (default empty) of one predictions line."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
-    for name in ("prediction", "annotation"):
-        if name not in obj:
-            raise ValueError(f"{where}: missing field {name!r}")
-    triple = (obj["prediction"], obj["annotation"], obj.get("lyrics", ""))
-    for name, value in zip(("prediction", "annotation", "lyrics"), triple):
-        if not isinstance(value, str):
-            raise ValueError(f"{where}: field {name!r} must be a string, got {type(value).__name__}")
-    return triple
+    typed(obj, dict, where)
+    prediction, annotation = (required(obj, name, where, str) for name in ("prediction", "annotation"))
+    return prediction, annotation, typed(obj.get("lyrics", ""), str, f"{where}: field 'lyrics'")
 
 
 def _read_predictions(path: str) -> list[tuple[str, str, str]]:
@@ -186,7 +180,7 @@ def _read_predictions(path: str) -> list[tuple[str, str, str]]:
             where = f"{path}:{line_number}"
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValueError(f"{where}: invalid JSON: {exc}") from None
             triples.append(_prediction_triple(obj, where))
     return triples

@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
+from .jsonfields import required, typed
 from .metrics import tokenize_for_metrics
 from .rng import SplitMix64
 
@@ -99,46 +100,25 @@ class CorpusStats:
         }
 
 
-def _parse_record(obj: dict) -> SongRecord:
-    if not isinstance(obj, dict):
-        raise ValueError("record is not a JSON object")
-    for key in ("song_id", "title", "artist", "lyrics", "fragments"):
-        if key not in obj:
-            raise ValueError(f"missing key {key!r}")
-    song_id = obj["song_id"]
-    if not isinstance(song_id, str) or not song_id:
-        raise ValueError("song_id must be a non-empty string")
-    for key in ("title", "artist", "lyrics"):
-        if not isinstance(obj[key], str):
-            raise ValueError(f"{key} must be a string")
+def _parse_record(obj: object) -> SongRecord:
+    typed(obj, dict, "record")
+    texts = {name: required(obj, name, "record", str) for name in ("song_id", "title", "artist", "lyrics")}
+    if not texts["song_id"]:
+        raise ValueError("record: field 'song_id': expected a non-empty string")
     genre = obj.get("genre")
     if genre is None:
         genre = "other"
     elif genre not in GENRES:
-        raise ValueError(f"unknown genre {genre!r}")
+        raise ValueError(f"record: field 'genre': unknown genre {genre!r}")
     page_views = obj.get("page_views")
-    if page_views is not None:
-        if not isinstance(page_views, int) or isinstance(page_views, bool) or page_views < 0:
-            raise ValueError("page_views must be a non-negative integer")
-    raw_fragments = obj["fragments"]
-    if not isinstance(raw_fragments, list):
-        raise ValueError("fragments must be a list")
+    if page_views is not None and typed(page_views, int, "record: field 'page_views'") < 0:
+        raise ValueError("record: field 'page_views': expected a non-negative integer")
     fragments = []
-    for i, frag in enumerate(raw_fragments):
-        if not isinstance(frag, dict) or "fragment" not in frag or "annotation" not in frag:
-            raise ValueError(f"fragment {i} must have 'fragment' and 'annotation' keys")
-        if not isinstance(frag["fragment"], str) or not isinstance(frag["annotation"], str):
-            raise ValueError(f"fragment {i} fields must be strings")
-        fragments.append(AnnotatedFragment(frag["fragment"], frag["annotation"]))
-    return SongRecord(
-        song_id=song_id,
-        title=obj["title"],
-        artist=obj["artist"],
-        genre=genre,
-        lyrics=obj["lyrics"],
-        page_views=page_views,
-        fragments=fragments,
-    )
+    for i, frag in enumerate(required(obj, "fragments", "record", list)):
+        at = f"fragments[{i}]"
+        fields = (required(typed(frag, dict, at), name, at, str) for name in ("fragment", "annotation"))
+        fragments.append(AnnotatedFragment(*fields))
+    return SongRecord(genre=genre, page_views=page_views, fragments=fragments, **texts)
 
 
 def load_corpus(path: str, schema_version: int = 1) -> LoadResult:
@@ -159,15 +139,11 @@ def load_corpus(path: str, schema_version: int = 1) -> LoadResult:
         return LoadResult([], [])
 
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"line 1: invalid schema header: {exc}") from exc
-    if not isinstance(header, dict) or SCHEMA_KEY not in header:
-        raise CorpusError(f"line 1: missing {SCHEMA_KEY!r} header")
-    if header[SCHEMA_KEY] != schema_version:
-        raise CorpusError(
-            f"schema version mismatch: file declares {header[SCHEMA_KEY]}, expected {schema_version}"
-        )
+        version = required(typed(json.loads(lines[0]), dict, "line 1"), SCHEMA_KEY, "line 1")
+    except (ValueError, RecursionError) as exc:
+        raise CorpusError(f"invalid schema header: {exc}") from exc
+    if version != schema_version:
+        raise CorpusError(f"schema version mismatch: file declares {version}, expected {schema_version}")
 
     records: list[SongRecord] = []
     errors: list[LoadError] = []
@@ -177,7 +153,7 @@ def load_corpus(path: str, schema_version: int = 1) -> LoadResult:
             continue
         try:
             record = _parse_record(json.loads(line))
-        except (json.JSONDecodeError, ValueError) as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
             errors.append(LoadError(line_number, str(exc)))
             continue
         if record.song_id in seen_ids:

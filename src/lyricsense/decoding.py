@@ -45,6 +45,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .jsonfields import required, typed
 from .lm import LanguageModel
 from .rng import SplitMix64
 
@@ -101,14 +102,19 @@ class DecodeConfig:
         return cls.from_dict(json.loads(text))
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "DecodeConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(obj) - known
+    def from_dict(cls, obj: dict, where: str = "decode config") -> "DecodeConfig":
+        """Read a decode config; a malformed one is a ``ValueError`` naming ``where`` and its field."""
+        typed(obj, dict, where)
+        unknown = set(obj) - set(cls.__dataclass_fields__)
         if unknown:
-            raise ValueError(f"unknown decode config fields: {sorted(unknown)}")
-        if "strategy" not in obj:
-            raise ValueError("decode config needs a 'strategy' field")
-        return cls(**obj)
+            raise ValueError(f"{where}: unknown fields {sorted(unknown)}")
+        required(obj, "strategy", where)
+        kinds = {"strategy": str, "early_stopping": bool, "temperature": float, "p": float}  # the rest are int
+        fields = {name: required(obj, name, where, kinds.get(name, int)) for name in obj}
+        try:
+            return cls(**fields)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)

@@ -17,11 +17,12 @@ import json
 import os
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from . import __version__
 from .corpus import Sample, clean_corpus, flatten, load_corpus, split
 from .decoding import DecodeConfig, Strategy, decode
+from .jsonfields import required, typed
 from .lm import LanguageModel, NGramModel, TrainingTexts, fit_ngram
 from .metrics import MetricReport, TotalScoreWeights, evaluate, mean_report
 from .prompts import PromptSpec, extract_generation, render, render_with_target
@@ -29,17 +30,6 @@ from .rng import derive_seed
 from .wire import RemoteLM, WireError
 
 METRIC_FIELDS = ("rouge1", "cos_pred_annotation", "cos_pred_lyrics", "total_score")
-_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number"}
-
-
-def _typed(value, kind: type, where: str):
-    """``value`` if it has the JSON type ``kind`` (a ``float`` field takes any number, no field a bool).
-
-    Raises a ``ValueError`` naming the config path ``where`` otherwise.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ValueError(f"{where}: expected {_KIND_NAMES[kind]}, got {type(value).__name__}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -59,6 +49,8 @@ class ModelSpec:
             raise ValueError("ngram_file model needs a path")
         if self.kind == "remote" and not self.endpoint:
             raise ValueError("remote model needs an endpoint")
+        if self.kind == "ngram" and not (self.order >= 1 and self.k > 0 and self.vocab_cap >= 3):
+            raise ValueError("ngram model needs order >= 1, k > 0 and vocab_cap >= 3")
 
     def to_dict(self) -> dict:
         obj: dict = {"id": self.model_id, "type": self.kind}
@@ -73,12 +65,11 @@ class ModelSpec:
     @classmethod
     def from_dict(cls, obj: dict, where: str = "model") -> "ModelSpec":
         """Read a model spec; errors name the config path ``where``, such as ``models[0]``."""
-        _typed(obj, dict, where)
-        if "id" not in obj:
-            raise ValueError(f"{where}: model spec needs an 'id' field")
+        typed(obj, dict, where)
+        required(obj, "id", where)
 
         def field(name: str, kind: type, default):
-            return _typed(obj[name], kind, f"{where}.{name}") if name in obj else default
+            return typed(obj[name], kind, f"{where}.{name}") if name in obj else default
 
         fields = dict(
             model_id=field("id", str, None),
@@ -144,38 +135,39 @@ class ExperimentGrid:
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentGrid":
         """Read a grid config; a malformed one is a ``ValueError`` naming its config path."""
-        _typed(obj, dict, "grid config")
+        typed(obj, dict, "grid config")
 
-        def items(name: str, default, kind: type) -> list:
-            """The list field ``name``, each item checked to be a ``kind``."""
-            values = _typed(obj.get(name, default), list, name)
-            return [_typed(v, kind, f"{name}[{i}]") for i, v in enumerate(values)]
+        def items(name: str, default, kind: type, read: Callable = lambda item, where: item) -> tuple:
+            """The list field ``name``: each item checked to be a ``kind``, then ``read(item, where)``."""
+            values = typed(obj.get(name, default), list, name)
+            return tuple(read(typed(v, kind, f"{name}[{i}]"), f"{name}[{i}]") for i, v in enumerate(values))
 
-        raw_models = items("models", _default_model_dicts(), dict)
-        models = tuple(ModelSpec.from_dict(m, f"models[{i}]") for i, m in enumerate(raw_models))
+        models = items("models", _default_model_dicts(), dict, ModelSpec.from_dict)
         if obj.get("prompts", "all") == "all":
             prompts = tuple(PromptSpec.all_variants())
         else:
-            prompts = tuple(PromptSpec.from_id(p) for p in items("prompts", None, str))
+            prompts = items("prompts", None, str, PromptSpec.from_id)
         if obj.get("decoders", "all") == "all":
             decoders = tuple(default_decoders())
         else:
-            decoders = tuple(_decoder(d, f"decoders[{i}]") for i, d in enumerate(items("decoders", None, dict)))
+            decoders = items("decoders", None, dict, _decoder)
         raw_eval = obj.get("eval_samples", {"top_page_views": 10})
         if isinstance(raw_eval, dict):
             eval_samples = None
-            eval_count = _typed(raw_eval.get("top_page_views", 10), int, "eval_samples.top_page_views")
+            eval_count = typed(raw_eval.get("top_page_views", 10), int, "eval_samples.top_page_views")
         elif isinstance(raw_eval, list):
-            eval_samples = tuple(items("eval_samples", None, str))
+            eval_samples = items("eval_samples", None, str)
             eval_count = len(eval_samples)
         else:
             raise ValueError(f"eval_samples: expected a list or an object, got {type(raw_eval).__name__}")
-        raw_weights = _typed(obj.get("weights", {}), dict, "weights")
+        if eval_count < 1:
+            raise ValueError("eval_samples: expected at least one evaluation sample")
+        raw_weights = typed(obj.get("weights", {}), dict, "weights")
         unknown = sorted(set(raw_weights) - {"alpha1", "alpha2", "alpha3"})
         if unknown:
             raise ValueError(f"weights: unknown fields {unknown}")
-        weights = TotalScoreWeights(**{k: _typed(v, float, f"weights.{k}") for k, v in raw_weights.items()})
-        ratios = tuple(items("split_ratios", [0.8, 0.1, 0.1], float))
+        weights = TotalScoreWeights(**{k: typed(v, float, f"weights.{k}") for k, v in raw_weights.items()})
+        ratios = items("split_ratios", [0.8, 0.1, 0.1], float)
         if len(ratios) != 3:
             raise ValueError(f"split_ratios: expected 3 ratios, got {len(ratios)}")
         return cls(
@@ -186,17 +178,14 @@ class ExperimentGrid:
             eval_count=eval_count,
             weights=weights,
             split_ratios=ratios,  # type: ignore[arg-type]
-            seed=_typed(obj.get("seed", 0), int, "seed"),
+            seed=typed(obj.get("seed", 0), int, "seed"),
         )
 
 
 def _decoder(obj: dict, where: str) -> tuple[str, DecodeConfig]:
     """One ``decoders`` entry: its id (default: the strategy) and its config."""
-    try:
-        cfg = DecodeConfig.from_dict({k: v for k, v in obj.items() if k != "id"})
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from None
-    return _typed(obj.get("id", obj.get("strategy")), str, f"{where}.id"), cfg
+    cfg = DecodeConfig.from_dict({k: v for k, v in obj.items() if k != "id"}, where)
+    return typed(obj.get("id", obj.get("strategy")), str, f"{where}.id"), cfg
 
 
 def _default_model_dicts() -> list[dict]:

@@ -26,6 +26,8 @@ from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
+from .jsonfields import required, typed
+
 BOS = "<bos>"
 EOS = "<eos>"
 UNK = "<unk>"
@@ -75,6 +77,12 @@ class Vocabulary:
 
     def decode_text(self, ids: Sequence[int]) -> str:
         return " ".join(self.decode(ids))
+
+    @classmethod
+    def read(cls, obj: dict, where: str, id_fields: Sequence[str]) -> "Vocabulary":
+        """The vocabulary in ``obj``'s ``tokens`` list and its bos, eos and unk ``id_fields``."""
+        tokens = tuple(typed(t, str, f"{where}: field 'tokens'") for t in required(obj, "tokens", where, list))
+        return cls(tokens, *(required(obj, name, where, int) for name in id_fields))
 
     @classmethod
     def build(cls, content_tokens: Sequence[str]) -> "Vocabulary":
@@ -196,27 +204,26 @@ class NGramModel:
             json.dump(self.to_dict(), fh, ensure_ascii=False, sort_keys=True)
 
     @classmethod
-    def from_dict(cls, obj: dict) -> "NGramModel":
+    def from_dict(cls, obj: dict, where: str = "model") -> "NGramModel":
+        """Read a saved model; a malformed one is a ``ValueError`` naming ``where`` and its field."""
+        typed(obj, dict, where)
         if obj.get("format") != "lyricsense-ngram" or obj.get("version") != 1:
-            raise ValueError("not a recognized model file")
-        vocab = Vocabulary(
-            tokens=tuple(obj["tokens"]),
-            bos_id=obj["bos_id"],
-            eos_id=obj["eos_id"],
-            unk_id=obj["unk_id"],
-        )
-        counts = {
-            tuple(int(x) for x in ctx.split()) if ctx else (): Counter(
-                {int(t): c for t, c in counter.items()}
-            )
-            for ctx, counter in obj["counts"].items()
-        }
-        return cls(order=obj["order"], k=obj["k"], vocab=vocab, counts=counts)
+            raise ValueError(f"{where}: not a recognized model file")
+        vocab = Vocabulary.read(obj, where, ("bos_id", "eos_id", "unk_id"))
+        order, k = required(obj, "order", where, int), required(obj, "k", where, float)
+        at = f"{where}: field 'counts'"
+        counts = {}
+        for ctx, counter in required(obj, "counts", where, dict).items():
+            if not all(t.isdecimal() and int(t) < len(vocab) for t in (*ctx.split(), *typed(counter, dict, at))):
+                raise ValueError(f"{at}: expected token ids below {len(vocab)}")
+            next_counts = {int(t): typed(c, int, at) for t, c in counter.items()}
+            counts[tuple(map(int, ctx.split()))] = Counter(next_counts)
+        return cls(order=order, k=k, vocab=vocab, counts=counts)
 
     @classmethod
     def load(cls, path: str) -> "NGramModel":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            return cls.from_dict(json.load(fh), path)
 
 
 class TrainingTexts(tuple):

@@ -39,14 +39,13 @@ class PromptSpec:
         return f"{self.kind.value}{suffix}"
 
     @classmethod
-    def from_id(cls, spec_id: str) -> "PromptSpec":
+    def from_id(cls, spec_id: str, where: str = "prompt") -> "PromptSpec":
         with_metadata = spec_id.endswith("_meta")
         kind_value = spec_id[: -len("_meta")] if with_metadata else spec_id
         try:
-            kind = PromptKind(kind_value)
+            return cls(PromptKind(kind_value), with_metadata)
         except ValueError:
-            raise ValueError(f"unknown prompt spec {spec_id!r}") from None
-        return cls(kind, with_metadata)
+            raise ValueError(f"{where}: unknown prompt spec {spec_id!r}") from None
 
     @classmethod
     def all_variants(cls) -> list["PromptSpec"]:

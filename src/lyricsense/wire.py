@@ -215,14 +215,9 @@ class RemoteLM:
         if response.get("proto") == 2:
             self.proto = 2
         try:
-            return Vocabulary(
-                tokens=tuple(response["tokens"]),
-                bos_id=response["bos"],
-                eos_id=response["eos"],
-                unk_id=response["unk"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"invalid vocab frame: {exc}") from exc
+            return Vocabulary.read(response, "vocab frame", ("bos", "eos", "unk"))
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
 
     def vocabulary(self) -> Vocabulary:
         return self._vocab

@@ -118,6 +118,63 @@ def test_generate_accepts_decode_config_file(tmp_path, capsys):
     assert capsys.readouterr().out == "y\n"  # length cap from the file applied
 
 
+def _single_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "config, field",
+    [
+        ({"strategy": "greedy", "k": "x"}, "'k'"),
+        ({"strategy": "greedy", "max_new_tokens": 2.5}, "'max_new_tokens'"),
+        ({"strategy": "greedy", "early_stopping": "no"}, "'early_stopping'"),
+    ],
+)
+def test_generate_malformed_decode_config_is_a_typed_error(tmp_path, capsys, config, field):
+    model_path = str(tmp_path / "toy.json")
+    toy_chain_model_file(model_path)
+    path = tmp_path / "decode.json"
+    path.write_text(json.dumps(config))
+    code = run_cli(
+        "generate", "--model", model_path, "--fragment", "x",
+        "--prompt", "none", "--decode-config", str(path),
+    )
+    assert code == 1
+    assert field in _single_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda m: {k: v for k, v in m.items() if k != "tokens"}, "'tokens'"),
+        (lambda m: {**m, "order": "2"}, "'order'"),
+        (lambda m: {**m, "counts": {"3": {"99": 1}}}, "'counts'"),
+        (lambda m: {**m, "counts": {"3": {"4": "1"}}}, "'counts'"),
+        (lambda m: [1], "JSON object"),
+    ],
+    ids=["no_tokens", "string_order", "id_out_of_range", "string_count", "not_an_object"],
+)
+def test_malformed_model_file_is_a_typed_error(mini_corpus_path, tmp_path, capsys, edit, field):
+    model_path = tmp_path / "toy.json"
+    toy_chain_model_file(str(model_path))
+    model_path.write_text(json.dumps(edit(json.loads(model_path.read_text()))))
+    grid_config = tmp_path / "grid.json"
+    grid_config.write_text(json.dumps({"models": [{"id": "f", "type": "ngram_file", "path": str(model_path)}]}))
+    commands = [
+        ["generate", "--model", str(model_path), "--fragment", "x", "--prompt", "none"],
+        ["serve-mock", "--model", str(model_path), "--stdio"],
+        ["grid", "--corpus", mini_corpus_path, "--out", str(tmp_path / "out"), "--config", str(grid_config)],
+    ]
+    for argv in commands:
+        assert run_cli(*argv) == 1
+        message = _single_error_line(capsys)
+        assert message.startswith(f"error: {model_path}: ") and field in message
+
+
 def test_serve_mock_stdio_subprocess(tmp_path):
     model_path = str(tmp_path / "toy.json")
     local = toy_chain_model_file(model_path)
@@ -212,6 +269,11 @@ def test_grid_cli_with_config(mini_corpus_path, tmp_path, capsys):
         ({"decoders": [{"strategy": "greedy", "k": "x"}]}, "decoders[0]"),
         ({"weights": {"alpha1": "x"}}, "weights.alpha1"),
         ({"seed": [1]}, "seed"),
+        ({"eval_samples": {"top_page_views": 0}}, "eval_samples"),
+        ({"eval_samples": {"top_page_views": -3}}, "eval_samples"),
+        ({"eval_samples": []}, "eval_samples"),
+        ({"prompts": ["bogus"]}, "prompts[0]"),
+        ({"models": [{"id": "a", "order": 0}]}, "models[0]"),
     ],
 )
 def test_grid_cli_malformed_config_is_a_typed_error(mini_corpus_path, tmp_path, capsys, config, where):

@@ -379,6 +379,26 @@ def test_v2_client_falls_back_when_vocab_frame_has_no_proto():
         assert len(srv.requests) == 2  # one hello, one step
 
 
+@pytest.mark.parametrize(
+    "frame, field",
+    [
+        ({**_vocab_frame(_AB), "tokens": "abcde"}, "'tokens'"),
+        ({**_vocab_frame(_AB), "tokens": ["a", 2, "c"]}, "'tokens'"),
+        ({k: v for k, v in _vocab_frame(_AB).items() if k != "bos"}, "'bos'"),
+        ({**_vocab_frame(_AB), "eos": True}, "'eos'"),
+        ({**_vocab_frame(_AB), "unk": 2.0}, "'unk'"),
+    ],
+    ids=["string_tokens", "non_string_token", "no_bos", "bool_eos", "float_unk"],
+)
+def test_malformed_vocab_frame_is_a_protocol_error(frame, field):
+    def replies(request):
+        return frame if request["op"] == "hello" else {"op": "dist", "logp": _UNIFORM.tolist()}
+
+    with _running(replies) as (_srv, endpoint):
+        with pytest.raises(ProtocolError, match=f"vocab frame: .*{field}"):
+            RemoteLM(endpoint)
+
+
 def test_v1_client_is_answered_with_v1_frames(server, model):
     host, port = server.endpoint.rsplit(":", 1)
     with socket.create_connection((host, int(port))) as sock:
