@@ -40,7 +40,7 @@ from .harness import (
     run_grid,
     training_texts,
 )
-from .jsonfields import required, typed
+from .jsonfields import load_json, required, typed
 from .lm import NGramModel, fit_ngram
 from .metrics import TotalScoreWeights, evaluate, mean_report
 from .prompts import PromptSpec
@@ -143,8 +143,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
     spec = PromptSpec.from_id(args.prompt)
     if args.decode_config:
-        with open(args.decode_config, encoding="utf-8") as fh:
-            cfg = DecodeConfig.from_dict(json.load(fh), args.decode_config)
+        cfg = DecodeConfig.from_dict(load_json(args.decode_config), args.decode_config)
     else:
         cfg = DecodeConfig(
             strategy=Strategy(args.strategy),
@@ -207,8 +206,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 def _cmd_grid(args: argparse.Namespace) -> int:
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            grid = ExperimentGrid.from_dict(json.load(fh))
+        grid = ExperimentGrid.from_dict(load_json(args.config))
     else:
         grid = default_grid()
     if args.seed is not None:
@@ -272,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=_cmd_fit_lm)
 
     p_gen = sub.add_parser("generate", help="decode one sample with one prompt and one decoder")
-    p_gen.add_argument("--model", help="saved n-gram model file")
-    p_gen.add_argument("--endpoint", help="host:port of a remote model server")
+    p_gen_source = p_gen.add_mutually_exclusive_group(required=True)
+    p_gen_source.add_argument("--model", help="saved n-gram model file")
+    p_gen_source.add_argument("--endpoint", help="host:port of a remote model server")
     p_gen.add_argument("--corpus", help="corpus file (for --sample-id)")
     p_gen.add_argument("--sample-id", help="evaluate this corpus sample")
     p_gen.add_argument("--fragment", help="ad-hoc lyric fragment")

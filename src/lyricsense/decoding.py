@@ -46,7 +46,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .jsonfields import required, typed
-from .lm import LanguageModel
+from .lm import LanguageModel, NextTokenDistribution
 from .rng import SplitMix64
 
 _MIN_TEMPERATURE = 1e-4
@@ -265,6 +265,14 @@ def _banned_tokens(sequence: Sequence[int], ngram_size: int) -> set[int]:
     return {gram[-1] for gram in grams if gram[:-1] == prefix}
 
 
+def _next_many(model: LanguageModel, contexts: list[tuple[int, ...]]) -> list[NextTokenDistribution]:
+    """The model's distribution for each context: one ``next_many`` call if it has one."""
+    next_many = getattr(model, "next_many", None)
+    if next_many is None:
+        return [model.next(context) for context in contexts]
+    return next_many(contexts)
+
+
 class _Hypothesis(NamedTuple):
     neg_score: float
     ids: tuple[int, ...]
@@ -280,7 +288,9 @@ def beam_search(
 ) -> Generation:
     """Width-limited best-first search over summed log probabilities.
 
-    At each step every running hypothesis is expanded and the candidates
+    At each step every running hypothesis is expanded (their
+    distributions come from one ``next_many`` call when the model offers
+    one, see :class:`~lyricsense.lm.LanguageModel`) and the candidates
     are ranked globally; an EOS candidate finishes its hypothesis (with
     the EOS log prob added to the score) only when it ranks within the
     top ``num_beams``, and the best ``num_beams`` non-EOS candidates form
@@ -300,9 +310,9 @@ def beam_search(
 
     for _ in range(cfg.max_new_tokens):
         candidates: list[_Hypothesis] = []
-        for hyp in running:
-            context = prompt + hyp.ids
-            raw = model.next(context).log_probs
+        contexts = [prompt + hyp.ids for hyp in running]
+        for hyp, context, dist in zip(running, contexts, _next_many(model, contexts)):
+            raw = dist.log_probs
             banned = _banned_tokens(context, cfg.no_repeat_ngram_size)
             # A candidate can matter only if it ranks within the global
             # top num_beams, hence within its own hypothesis's top

@@ -23,7 +23,7 @@ from . import __version__
 from .corpus import Sample, clean_corpus, flatten, load_corpus, split
 from .decoding import DecodeConfig, Strategy, decode
 from .jsonfields import required, typed
-from .lm import LanguageModel, NGramModel, TrainingTexts, fit_ngram
+from .lm import MAX_ORDER, LanguageModel, NGramModel, TrainingTexts, fit_ngram
 from .metrics import MetricReport, TotalScoreWeights, evaluate, mean_report
 from .prompts import PromptSpec, extract_generation, render, render_with_target
 from .rng import derive_seed
@@ -49,8 +49,8 @@ class ModelSpec:
             raise ValueError("ngram_file model needs a path")
         if self.kind == "remote" and not self.endpoint:
             raise ValueError("remote model needs an endpoint")
-        if self.kind == "ngram" and not (self.order >= 1 and self.k > 0 and self.vocab_cap >= 3):
-            raise ValueError("ngram model needs order >= 1, k > 0 and vocab_cap >= 3")
+        if self.kind == "ngram" and not (1 <= self.order <= MAX_ORDER and self.k > 0 and self.vocab_cap >= 3):
+            raise ValueError(f"ngram model needs 1 <= order <= {MAX_ORDER}, k > 0 and vocab_cap >= 3")
 
     def to_dict(self) -> dict:
         obj: dict = {"id": self.model_id, "type": self.kind}

@@ -5,6 +5,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 
 _KIND_NAMES = {
@@ -31,3 +32,12 @@ def required(obj: dict, name: str, where: str, kind: type | None = None):
     if name not in obj:
         raise ValueError(f"{where}: missing field {name!r}")
     return obj[name] if kind is None else typed(obj[name], kind, f"{where}: field {name!r}")
+
+
+def load_json(path: str):
+    """The JSON value in the file at ``path``; bad or too deeply nested JSON is a ``ValueError`` naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None

@@ -26,8 +26,10 @@ from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .jsonfields import required, typed
+from .jsonfields import load_json, required, typed
 
+MAX_ORDER = 64  # far past any useful n-gram order, and small enough to pad with BOS
+SUM_TOLERANCE = 1e-6  # how far from 1 a distribution's probabilities may sum
 BOS = "<bos>"
 EOS = "<eos>"
 UNK = "<unk>"
@@ -98,7 +100,7 @@ class NextTokenDistribution:
     def __init__(self, log_probs: np.ndarray) -> None:
         self.log_probs = log_probs
 
-    def validate(self, tolerance: float = 1e-6) -> None:
+    def validate(self, tolerance: float = SUM_TOLERANCE) -> None:
         lp = self.log_probs
         if np.isnan(lp).any() or (lp == np.inf).any():
             raise ValueError("log probabilities must be finite or -inf")
@@ -117,6 +119,11 @@ class LanguageModel(Protocol):
     it has returned: decoders may keep what they derived from it (see
     :mod:`lyricsense.decoding`). Implementations must be safe for
     concurrent read-only use once constructed.
+
+    A model may also offer ``next_many(contexts)``, the list of
+    ``next(context)`` for each context in order, when answering several
+    contexts at once is cheaper, as it is over the wire. Beam search uses
+    it when present; a model with ``next`` alone works unchanged.
     """
 
     def vocabulary(self) -> Vocabulary: ...
@@ -140,10 +147,7 @@ class NGramModel:
         vocab: Vocabulary,
         counts: dict[tuple[int, ...], Counter],
     ) -> None:
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if k <= 0:
-            raise ValueError("smoothing constant k must be positive")
+        _check_order_and_k(order, k)
         self.order = order
         self.k = k
         self._vocab = vocab
@@ -182,6 +186,9 @@ class NGramModel:
             self._cache[tail] = cached
         return NextTokenDistribution(cached)
 
+    def next_many(self, contexts: Iterable[Sequence[int]]) -> list[NextTokenDistribution]:
+        return [self.next(context) for context in contexts]
+
     def to_dict(self) -> dict:
         vocab = self._vocab
         return {
@@ -218,12 +225,21 @@ class NGramModel:
                 raise ValueError(f"{at}: expected token ids below {len(vocab)}")
             next_counts = {int(t): typed(c, int, at) for t, c in counter.items()}
             counts[tuple(map(int, ctx.split()))] = Counter(next_counts)
-        return cls(order=order, k=k, vocab=vocab, counts=counts)
+        try:
+            return cls(order=order, k=k, vocab=vocab, counts=counts)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
     @classmethod
     def load(cls, path: str) -> "NGramModel":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh), path)
+        return cls.from_dict(load_json(path), path)
+
+
+def _check_order_and_k(order: int, k: float) -> None:
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be in 1..{MAX_ORDER}")
+    if k <= 0:
+        raise ValueError("smoothing constant k must be positive")
 
 
 class TrainingTexts(tuple):
@@ -272,10 +288,7 @@ def fit_ngram(texts: Iterable[str], order: int, k: float = 0.1, vocab_cap: int =
     tokenizing the texts again. The fitted model caches at most one
     distribution per context in its counts.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    if k <= 0:
-        raise ValueError("smoothing constant k must be positive")
+    _check_order_and_k(order, k)
     if vocab_cap < 3:
         raise ValueError("vocab_cap must be >= 3")
     if not isinstance(texts, TrainingTexts):

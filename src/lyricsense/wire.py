@@ -1,17 +1,25 @@
 """Line-delimited JSON protocol for serving language models over TCP or stdio.
 
-Each message is one JSON object on one ``\\n``-terminated UTF-8 line.
+Each message is one JSON object on one ``\\n``-terminated UTF-8 line, except
+the binary payload that follows a ``dists`` header.
 
 Handshake::
 
-    client  {"op": "hello", "proto": 2}
-    server  {"op": "vocab", "tokens": [...], "bos": i, "eos": j, "unk": k, "proto": 2}
+    client  {"op": "hello", "proto": 2, "batch": true}
+    server  {"op": "vocab", "tokens": [...], "bos": i, "eos": j, "unk": k, "proto": 2, "batch": 64}
 
 Step::
 
     client  {"op": "next", "ctx": [token ids]}
     server  {"op": "dist", "logp_b64": "<base64>"}          (protocol 2)
     server  {"op": "dist", "logp": [|V| floats]}            (protocol 1)
+
+Batched step (protocol 2 with the batch capability)::
+
+    client  {"op": "next_batch", "ctxs": [[token ids], ...]}
+    server  {"op": "dists", "count": k}
+            followed by exactly k * |V| * 8 bytes: k rows of |V| little-endian
+            IEEE-754 float64 values, in the order of ``ctxs``
 
 Errors::
 
@@ -24,12 +32,26 @@ crosses the wire bit for bit. In protocol 1, log probabilities are finite
 JSON numbers or the string ``"-inf"``; a protocol 1 server whose model
 returns NaN or ``+inf`` answers ``internal`` instead of a ``dist`` frame.
 
-Fallback works in both directions. A client opens with ``proto: 2``; if the
-server answers ``err``/``bad_proto`` the client repeats ``hello`` with
-``proto: 1`` on the same connection, and if the ``vocab`` frame carries no
-``"proto": 2`` the client reads protocol 1 frames. The server answers a
-``proto: 1`` hello (or a session without any hello) with protocol 1 frames,
-exactly as a protocol 1 server does.
+The batch capability. A protocol 2 hello with ``"batch": true`` asks for
+it; the server grants it by adding ``"batch": MAX_BATCH`` to its ``vocab``
+frame, and the client then sends every step, single ones included, as
+``next_batch`` with 1 to ``MAX_BATCH`` contexts. A ``dists`` reply is
+therefore never longer than one header line plus ``MAX_BATCH`` * |V| * 8
+bytes. The server computes every distribution before it writes anything,
+so a batch with a bad context gets one ``err`` line and no payload; a
+``ctxs`` that is not a list of 1 to ``MAX_BATCH`` contexts gets
+``bad_frame``. A hello without ``"batch": true`` gets the same frames as
+before the capability existed, and ``next_batch`` outside a batch session
+gets ``bad_op``.
+
+Fallback works in both directions. A client opens with ``proto: 2`` and
+``batch: true``; if the server answers ``err``/``bad_proto`` the client
+repeats ``hello`` with ``proto: 1`` on the same connection, if the
+``vocab`` frame carries no ``"proto": 2`` the client reads protocol 1
+frames, and if it carries no ``"batch"`` the client sends one ``next``
+frame per context. The server answers a ``proto: 1`` hello (or a session
+without any hello) with protocol 1 frames, exactly as a protocol 1 server
+does.
 
 The server answers every request line with exactly one frame. Requests the
 model cannot serve get ``bad_context`` (a ``ValueError`` from the model) or
@@ -38,9 +60,9 @@ line longer than ``MAX_REQUEST_BYTES`` gets one ``bad_frame`` error, after
 which the server closes the session.
 
 The default per-step timeout is 10 seconds. Failures are distinguishable
-by exception type: transport problems (connect, timeout, closed socket)
-are retryable; protocol violations (malformed frames, wrong-length
-distributions) are not.
+by exception type: transport problems (connect, timeout, closed socket,
+a payload cut short) are retryable; protocol violations (malformed
+frames, wrong counts, wrong-length or invalid distributions) are not.
 """
 
 from __future__ import annotations
@@ -57,11 +79,13 @@ from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
-from .lm import LanguageModel, NextTokenDistribution, Vocabulary
+from .jsonfields import typed
+from .lm import SUM_TOLERANCE, LanguageModel, NextTokenDistribution, Vocabulary
 
 PROTO_VERSIONS = (1, 2)
 DEFAULT_TIMEOUT = 10.0
 MAX_REQUEST_BYTES = 1 << 20
+MAX_BATCH = 64
 
 
 class WireError(Exception):
@@ -106,15 +130,26 @@ def _encode_logp_b64(values: np.ndarray) -> str:
     return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
+def _checked_rows(logp: np.ndarray) -> np.ndarray:
+    """``logp``, a (k, |V|) array, if every row is finite or ``-inf`` and sums to 1."""
+    for row, total in enumerate(np.exp(logp).sum(axis=1).tolist()):
+        # A NaN or +inf entry makes its row's total NaN or +inf, which
+        # fails this test too, so a good array costs one pass; only a bad
+        # row is searched for the cause.
+        if not abs(total - 1.0) <= SUM_TOLERANCE:
+            if not (logp[row] < math.inf).all():
+                raise ProtocolError("logp entries must be finite or -inf")
+            raise ProtocolError(f"invalid distribution: row {row} sums to {total}, not 1")
+    return logp
+
+
 def _checked_logp(logp: np.ndarray, expected_len: int) -> np.ndarray:
-    """The length, NaN and ``+inf`` checks every decoded distribution passes."""
+    """The checks every distribution of a ``dist`` frame passes: its length, then ``_checked_rows``."""
     if len(logp) != expected_len:
         raise VocabularyMismatch(
             f"distribution has {len(logp)} entries, vocabulary has {expected_len}"
         )
-    if np.isnan(logp).any() or (logp == math.inf).any():
-        raise ProtocolError("logp entries must be finite or -inf")
-    return logp
+    return _checked_rows(logp[np.newaxis])[0]
 
 
 def _decode_logp(values: list, expected_len: int) -> np.ndarray:
@@ -146,10 +181,12 @@ def _decode_logp_b64(text: str, expected_len: int) -> np.ndarray:
     return _checked_logp(np.frombuffer(raw, dtype="<f8"), expected_len)
 
 
-def _send(stream: BinaryIO, obj: dict) -> None:
+def _send(stream: BinaryIO, obj: dict, payload: bytes = b"") -> None:
     # backslashreplace turns a lone surrogate (say, in a model's error
     # message) into a JSON escape instead of failing the whole frame.
-    stream.write(json.dumps(obj, ensure_ascii=False).encode("utf-8", "backslashreplace") + b"\n")
+    line = json.dumps(obj, ensure_ascii=False).encode("utf-8", "backslashreplace")
+    # One write per frame: a header and its payload leave in the same segment.
+    stream.write(line + b"\n" + payload)
     stream.flush()
 
 
@@ -184,6 +221,7 @@ class RemoteLM:
             raise TransportError(f"cannot connect to {endpoint}: {exc}") from exc
         self._stream = self._sock.makefile("rwb")
         self.proto = 1
+        self.batch = 0  # contexts per next_batch frame; 0 when the server has no batch capability
         try:
             self._vocab = self._handshake()
         except BaseException:
@@ -191,30 +229,39 @@ class RemoteLM:
             self.close()
             raise
 
-    def _exchange(self, request: dict) -> dict:
+    def _transport_error(self, exc: OSError) -> TransportError:
+        if isinstance(exc, socket.timeout):
+            return StepTimeout(f"no response from {self.endpoint} in time")
+        return TransportError(f"transport failure: {exc}")
+
+    def _exchange(self, request: dict, reply_op: str) -> dict:
         try:
             _send(self._stream, request)
             response = _recv(self._stream)
-        except socket.timeout as exc:
-            raise StepTimeout(f"no response from {self.endpoint} in time") from exc
         except OSError as exc:
-            raise TransportError(f"transport failure: {exc}") from exc
-        if response.get("op") == "err":
+            raise self._transport_error(exc) from exc
+        op = response.get("op")
+        if op == "err":
             raise ServerReported(str(response.get("code", "unknown")), str(response.get("msg", "")))
+        if op != reply_op:
+            raise ProtocolError(f"expected {reply_op} frame, got op={op!r}")
         return response
 
     def _handshake(self) -> Vocabulary:
         try:
-            response = self._exchange({"op": "hello", "proto": 2})
+            response = self._exchange({"op": "hello", "proto": 2, "batch": True}, "vocab")
         except ServerReported as exc:
             if exc.code != "bad_proto":
                 raise
-            response = self._exchange({"op": "hello", "proto": 1})
-        if response.get("op") != "vocab":
-            raise ProtocolError(f"expected vocab frame, got op={response.get('op')!r}")
-        if response.get("proto") == 2:
-            self.proto = 2
+            response = self._exchange({"op": "hello", "proto": 1}, "vocab")
         try:
+            if response.get("proto") == 2:
+                self.proto = 2
+                if "batch" in response:
+                    batch = typed(response["batch"], int, "vocab frame: field 'batch'")
+                    if batch < 1:
+                        raise ValueError("vocab frame: field 'batch': expected a positive integer")
+                    self.batch = min(batch, MAX_BATCH)
             return Vocabulary.read(response, "vocab frame", ("bos", "eos", "unk"))
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc
@@ -223,19 +270,41 @@ class RemoteLM:
         return self._vocab
 
     def next(self, context: Sequence[int]) -> NextTokenDistribution:
-        response = self._exchange({"op": "next", "ctx": [int(i) for i in context]})
-        if response.get("op") != "dist":
-            raise ProtocolError(f"expected dist frame, got op={response.get('op')!r}")
+        return self.next_many([context])[0]
+
+    def next_many(self, contexts: Sequence[Sequence[int]]) -> list[NextTokenDistribution]:
+        """``next`` of each context, in order.
+
+        With the batch capability the contexts travel in ``next_batch``
+        frames of up to ``self.batch`` each; without it, one ``next`` frame each.
+        """
+        ctxs = [list(map(int, context)) for context in contexts]
+        if not self.batch:
+            return [NextTokenDistribution(self._next_frame(ctx)) for ctx in ctxs]
+        dists = []
+        for start in range(0, len(ctxs), self.batch):
+            dists.extend(map(NextTokenDistribution, self._next_batch_frame(ctxs[start:start + self.batch])))
+        return dists
+
+    def _next_frame(self, ctx: list[int]) -> np.ndarray:
+        response = self._exchange({"op": "next", "ctx": ctx}, "dist")
         if self.proto == 2:
-            logp = _decode_logp_b64(response.get("logp_b64"), len(self._vocab))
-        else:
-            logp = _decode_logp(response.get("logp"), len(self._vocab))
-        dist = NextTokenDistribution(logp)
+            return _decode_logp_b64(response.get("logp_b64"), len(self._vocab))
+        return _decode_logp(response.get("logp"), len(self._vocab))
+
+    def _next_batch_frame(self, ctxs: list[list[int]]) -> np.ndarray:
+        response = self._exchange({"op": "next_batch", "ctxs": ctxs}, "dists")
+        count = response.get("count")
+        if type(count) is not int or count != len(ctxs):
+            raise ProtocolError(f"dists frame has count {count!r} for {len(ctxs)} contexts")
+        size = count * len(self._vocab) * 8
         try:
-            dist.validate()
-        except ValueError as exc:
-            raise ProtocolError(f"invalid distribution: {exc}") from exc
-        return dist
+            payload = self._stream.read(size)
+        except OSError as exc:
+            raise self._transport_error(exc) from exc
+        if len(payload) != size:
+            raise TransportError(f"dists payload cut short: {len(payload)} of {size} bytes")
+        return _checked_rows(np.frombuffer(payload, dtype="<f8").reshape(count, len(self._vocab)))
 
     def close(self) -> None:
         try:
@@ -251,13 +320,21 @@ class RemoteLM:
         self.close()
 
 
-def _build_reply(model: LanguageModel, vocab: Vocabulary, request: dict, proto: int) -> dict:
+def _is_context(ctx: object) -> bool:
+    # One type pass: a JSON bool is a bool, not an int, so it fails too.
+    return isinstance(ctx, list) and set(map(type, ctx)) <= {int}
+
+
+def _build_reply(
+    model: LanguageModel, vocab: Vocabulary, request: dict, proto: int, batch: bool
+) -> tuple[dict, bytes]:
+    """The reply frame to one request: its JSON header and the payload that follows it."""
     op = request.get("op")
     if op == "hello":
         requested = request.get("proto")
         if requested not in PROTO_VERSIONS:
             return {"op": "err", "code": "bad_proto",
-                    "msg": f"unsupported protocol {requested!r}"}
+                    "msg": f"unsupported protocol {requested!r}"}, b""
         reply = {
             "op": "vocab",
             "tokens": list(vocab.tokens),
@@ -267,31 +344,50 @@ def _build_reply(model: LanguageModel, vocab: Vocabulary, request: dict, proto: 
         }
         if requested == 2:
             reply["proto"] = 2
-        return reply
+            if request.get("batch") is True:
+                reply["batch"] = MAX_BATCH
+        return reply, b""
     if op == "next":
         ctx = request.get("ctx")
-        if not isinstance(ctx, list) or not all(
-            isinstance(i, int) and not isinstance(i, bool) for i in ctx
-        ):
-            return {"op": "err", "code": "bad_context", "msg": "ctx must be a list of ids"}
+        if not _is_context(ctx):
+            return {"op": "err", "code": "bad_context", "msg": "ctx must be a list of ids"}, b""
         try:
             dist = model.next(ctx)
         except ValueError as exc:
-            return {"op": "err", "code": "bad_context", "msg": str(exc)}
+            return {"op": "err", "code": "bad_context", "msg": str(exc)}, b""
         if proto == 2:
-            return {"op": "dist", "logp_b64": _encode_logp_b64(dist.log_probs)}
-        return {"op": "dist", "logp": _encode_logp(dist.log_probs)}
-    return {"op": "err", "code": "bad_op", "msg": f"unknown op {op!r}"}
+            return {"op": "dist", "logp_b64": _encode_logp_b64(dist.log_probs)}, b""
+        return {"op": "dist", "logp": _encode_logp(dist.log_probs)}, b""
+    if op == "next_batch" and batch:
+        ctxs = request.get("ctxs")
+        if not isinstance(ctxs, list) or not 1 <= len(ctxs) <= MAX_BATCH:
+            return {"op": "err", "code": "bad_frame",
+                    "msg": f"ctxs must be a list of 1 to {MAX_BATCH} contexts"}, b""
+        rows = []
+        for i, ctx in enumerate(ctxs):
+            if not _is_context(ctx):
+                return {"op": "err", "code": "bad_context", "msg": f"ctxs[{i}] must be a list of ids"}, b""
+            try:
+                rows.append(model.next(ctx).log_probs)
+            except ValueError as exc:
+                return {"op": "err", "code": "bad_context", "msg": f"ctxs[{i}]: {exc}"}, b""
+            if len(rows[-1]) != len(vocab):
+                # A short or long row would shift every byte after it.
+                return {"op": "err", "code": "internal",
+                        "msg": f"model returned {len(rows[-1])} entries for |V|={len(vocab)}"}, b""
+        return {"op": "dists", "count": len(rows)}, np.concatenate(rows).astype("<f8", copy=False).tobytes()
+    return {"op": "err", "code": "bad_op", "msg": f"unknown op {op!r}"}, b""
 
 
 def serve_session(model: LanguageModel, reader: BinaryIO, writer: BinaryIO) -> None:
     """Answer protocol requests on a stream pair until it closes.
 
     Every request line gets exactly one reply frame; the session speaks
-    protocol 1 until a ``hello`` selects another version.
+    protocol 1, without the batch capability, until a ``hello`` selects
+    another version.
     """
     vocab = model.vocabulary()
-    proto = 1
+    proto, batch = 1, False
     while True:
         try:
             line = reader.readline(MAX_REQUEST_BYTES)
@@ -299,22 +395,23 @@ def serve_session(model: LanguageModel, reader: BinaryIO, writer: BinaryIO) -> N
             return
         if not line:
             return
+        payload = b""
         too_long = len(line) == MAX_REQUEST_BYTES and not line.endswith(b"\n")
         if too_long:
             reply = {"op": "err", "code": "bad_frame",
                      "msg": f"request line exceeds {MAX_REQUEST_BYTES} bytes"}
         else:
             try:
-                reply = _build_reply(model, vocab, _parse(line), proto)
+                reply, payload = _build_reply(model, vocab, _parse(line), proto, batch)
             except ProtocolError as exc:
                 reply = {"op": "err", "code": "bad_frame", "msg": str(exc)}
             except Exception as exc:  # the model or encoder failed; report it and keep serving
                 traceback.print_exc(file=sys.stderr)
                 reply = {"op": "err", "code": "internal", "msg": repr(exc)}
             if reply["op"] == "vocab":
-                proto = reply.get("proto", 1)
+                proto, batch = reply.get("proto", 1), "batch" in reply
         try:
-            _send(writer, reply)
+            _send(writer, reply, payload)
         except OSError:
             return
         if too_long:

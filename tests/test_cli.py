@@ -147,6 +147,24 @@ def test_generate_malformed_decode_config_is_a_typed_error(tmp_path, capsys, con
     assert field in _single_error_line(capsys)
 
 
+@pytest.mark.parametrize("flag", ["--config", "--decode-config", "--model"])
+@pytest.mark.parametrize(
+    "text", ['{"seed": 0,', "[" * 100_000 + "]" * 100_000], ids=["syntax_error", "deeply_nested"]
+)
+def test_unreadable_json_file_is_a_typed_error(mini_corpus_path, tmp_path, capsys, flag, text):
+    model_path = str(tmp_path / "toy.json")
+    toy_chain_model_file(model_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = {
+        "--config": ["grid", "--corpus", mini_corpus_path, "--out", str(tmp_path / "out"), "--config", str(bad)],
+        "--decode-config": ["generate", "--model", model_path, "--fragment", "x", "--decode-config", str(bad)],
+        "--model": ["generate", "--model", str(bad), "--fragment", "x"],
+    }[flag]
+    assert run_cli(*argv) == 1
+    assert _single_error_line(capsys).startswith(f"error: {bad}: ")
+
+
 @pytest.mark.parametrize(
     "edit, field",
     [
@@ -274,6 +292,7 @@ def test_grid_cli_with_config(mini_corpus_path, tmp_path, capsys):
         ({"eval_samples": []}, "eval_samples"),
         ({"prompts": ["bogus"]}, "prompts[0]"),
         ({"models": [{"id": "a", "order": 0}]}, "models[0]"),
+        ({"models": [{"id": "a", "order": 10**21}]}, "models[0]"),
     ],
 )
 def test_grid_cli_malformed_config_is_a_typed_error(mini_corpus_path, tmp_path, capsys, config, where):
@@ -386,3 +405,11 @@ def test_generate_requires_input(capsys, tmp_path):
     toy_chain_model_file(model_path)
     assert run_cli("generate", "--model", model_path) == 1
     assert "provide --sample-id or --fragment" in capsys.readouterr().err
+
+
+def test_generate_without_model_or_endpoint_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc_info:
+        run_cli("generate", "--fragment", "x")
+    assert exc_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and "--model" in err and "--endpoint" in err

@@ -222,6 +222,34 @@ def test_beam_early_stopping_consistency():
     assert without.log_prob >= with_stop.log_prob - 1e-12
 
 
+
+class _NextManyOnly:
+    """Offers ``next_many`` alone over ``model`` and records the size of each call."""
+
+    def __init__(self, model):
+        self._model = model
+        self.batches = []
+
+    def vocabulary(self):
+        return self._model.vocabulary()
+
+    def next_many(self, contexts):
+        self.batches.append(len(contexts))
+        return [self._model.next(list(context)) for context in contexts]
+
+
+def test_beam_asks_for_all_running_hypotheses_in_one_next_many_call():
+    for seed in range(10):
+        model = random_ngram_model(random.Random(seed))
+        next_only = StubLM(model.vocabulary(), lambda ctx: model.next(list(ctx)).log_probs)
+        batched = _NextManyOnly(model)
+        prompt = [seed % len(model.vocabulary())]
+        config = cfg(Strategy.BEAM, num_beams=3, max_new_tokens=6)
+        assert beam_search(batched, prompt, config) == beam_search(next_only, prompt, config), seed
+        assert batched.batches[0] == 1 and all(1 <= n <= 3 for n in batched.batches), seed
+        assert len(batched.batches) <= config.max_new_tokens
+
+
 # ------------------------------------------------------------------- sampling
 
 def test_sampling_fixed_seed_reproducible():

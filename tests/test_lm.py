@@ -13,6 +13,7 @@ from lyricsense.lm import (
     BOS,
     EOS,
     UNK,
+    MAX_ORDER,
     NGramModel,
     TrainingTexts,
     Vocabulary,
@@ -316,3 +317,23 @@ def test_unseen_contexts_share_one_uniform_vector_and_stay_uncached():
     assert not uniform.flags.writeable and not seen.flags.writeable
     expected = np.full(size, math.log(0.7) - math.log(0 + 0.7 * size))
     assert uniform.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 10**21])
+def test_order_is_bounded_from_above(order):
+    with pytest.raises(ValueError, match="order"):
+        fit_ngram(["a b"], order=order)
+    with pytest.raises(ValueError, match="order"):
+        NGramModel(order=order, k=0.1, vocab=Vocabulary.build(["a"]), counts={})
+    saved = {**fit_ngram(["a b"], order=2).to_dict(), "order": order}
+    with pytest.raises(ValueError, match="^m.json: order"):
+        NGramModel.from_dict(saved, "m.json")
+    assert fit_ngram(["a b"], order=MAX_ORDER).order == MAX_ORDER
+
+
+def test_next_many_is_next_of_each_context():
+    model = fit_ngram(["a b c a b", "c a b"], order=2, k=0.1, vocab_cap=10)
+    contexts = [[], [3], [4, 3], [0, 1, 2]]
+    many = model.next_many(contexts)
+    assert len(many) == len(contexts)
+    assert all(d.log_probs is model.next(c).log_probs for d, c in zip(many, contexts))

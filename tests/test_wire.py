@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import const_model
 from lyricsense.lm import NextTokenDistribution, Vocabulary, fit_ngram
 from lyricsense.wire import (
+    MAX_BATCH,
     MAX_REQUEST_BYTES,
     LMServer,
     ProtocolError,
@@ -541,3 +542,197 @@ def test_every_request_line_gets_exactly_one_reply(model, proto, lines):
         elif reply["op"] == "dist":
             assert set(reply) == {"op", "logp_b64" if session_proto == 2 else "logp"}
     assert replies[0] == _vocab_frame(model.vocabulary(), **({"proto": 2} if proto == 2 else {}))
+
+
+# ------------------------------------------------------ the batch capability
+
+
+@pytest.fixture(scope="module")
+def batch_server(model):
+    srv = LMServer(model)
+    srv.start_background()
+    yield srv
+    srv.shutdown()
+    srv.server_close()
+
+
+def _frames(raw, size):
+    """A session's output as (header, payload) pairs: a ``dists`` header takes count * size * 8 bytes."""
+    stream = io.BytesIO(raw)
+    frames = []
+    for line in iter(stream.readline, b""):
+        header = json.loads(line)
+        payload = stream.read(header["count"] * size * 8) if header["op"] == "dists" else b""
+        frames.append((header, payload))
+    return frames
+
+
+def _batch_session(model, lines):
+    out = io.BytesIO()
+    hello = b'{"op": "hello", "proto": 2, "batch": true}'
+    serve_session(model, io.BytesIO(b"".join(line + b"\n" for line in [hello, *lines])), out)
+    return _frames(out.getvalue(), len(model.vocabulary()))
+
+
+_ctx_lists = st.lists(st.lists(st.integers(0, 5), max_size=5), min_size=1, max_size=2 * MAX_BATCH + 1)
+
+
+@given(contexts=_ctx_lists)
+@settings(max_examples=40, deadline=None)
+def test_next_many_is_bit_identical_to_local_next(batch_server, model, contexts):
+    with RemoteLM(batch_server.endpoint) as client:
+        assert client.batch == MAX_BATCH
+        remote = client.next_many(contexts)
+    assert len(remote) == len(contexts)
+    for dist, ctx in zip(remote, contexts):
+        assert dist.log_probs.tobytes() == model.next(ctx).log_probs.astype("<f8").tobytes()
+
+
+_batch_lines = st.one_of(
+    st.fixed_dictionaries({"op": st.just("next_batch"), "ctxs": st.lists(st.lists(_ids, max_size=4), max_size=4)}),
+    st.fixed_dictionaries({"op": st.just("next_batch"), "ctxs": _json_values}),
+    st.just({"op": "next_batch", "ctxs": [[]] * (MAX_BATCH + 1)}),
+    st.fixed_dictionaries({"op": st.just("next"), "ctx": st.lists(_ids, max_size=4)}),
+).map(lambda obj: json.dumps(obj).encode())
+
+
+@given(lines=st.lists(_batch_lines | st.binary(max_size=30).map(lambda raw: raw.replace(b"\n", b"")), max_size=10))
+@settings(max_examples=60, deadline=None)
+def test_every_batch_request_line_gets_exactly_one_frame(model, lines):
+    frames = _batch_session(_Exploding(model), lines)
+    assert len(frames) == 1 + len(lines)
+    assert frames[0] == (_vocab_frame(model.vocabulary(), proto=2, batch=MAX_BATCH), b"")
+    size = len(model.vocabulary())
+    for line, (header, payload) in zip(lines, frames[1:]):
+        assert header["op"] in ("dist", "dists", "err")
+        if header["op"] == "dists":
+            ctxs = json.loads(line)["ctxs"]
+            assert header == {"op": "dists", "count": len(ctxs)} and 1 <= len(ctxs) <= MAX_BATCH
+            expected = b"".join(model.next(ctx).log_probs.astype("<f8").tobytes() for ctx in ctxs)
+            assert payload == expected and len(payload) <= MAX_BATCH * size * 8
+        else:
+            assert payload == b""
+
+
+def test_batch_with_one_bad_context_gets_one_error_and_no_payload(model):
+    frames = _batch_session(_Exploding(model), [
+        b'{"op": "next_batch", "ctxs": [[3], [5], [3]]}',
+        b'{"op": "next_batch", "ctxs": [[3], [4]]}',
+        b'{"op": "next_batch", "ctxs": [[3], [true]]}',
+        b'{"op": "next_batch", "ctxs": [[3]]}',
+    ])
+    assert [(h["op"], h.get("code")) for h, _ in frames[1:]] == [
+        ("err", "bad_context"), ("err", "internal"), ("err", "bad_context"), ("dists", None),
+    ]
+    assert [p for _, p in frames[1:4]] == [b"", b"", b""]
+
+
+class _ShortRows:
+    """Over _AB, every context gets a 2-entry array."""
+
+    def vocabulary(self):
+        return _AB
+
+    def next(self, context):
+        return NextTokenDistribution(np.log([0.5, 0.5]))
+
+
+def test_batch_row_of_the_wrong_length_is_an_internal_error():
+    frames = _batch_session(_ShortRows(), [b'{"op": "next_batch", "ctxs": [[3]]}'])
+    assert frames[1] == ({"op": "err", "code": "internal", "msg": "model returned 2 entries for |V|=5"}, b"")
+
+
+@pytest.mark.parametrize("ctxs", [[[3]] * (MAX_BATCH + 1), [], "3", None])
+def test_batch_outside_one_to_max_batch_contexts_is_an_error(model, ctxs):
+    frames = _batch_session(model, [json.dumps({"op": "next_batch", "ctxs": ctxs}).encode()])
+    assert frames[1] == ({"op": "err", "code": "bad_frame",
+                          "msg": f"ctxs must be a list of 1 to {MAX_BATCH} contexts"}, b"")
+
+
+def test_next_batch_needs_the_batch_capability(model):
+    replies = _session(model, [b'{"op": "hello", "proto": 2}', b'{"op": "next_batch", "ctxs": [[3]]}'])
+    assert replies[0] == _vocab_frame(model.vocabulary(), proto=2)
+    assert replies[1] == {"op": "err", "code": "bad_op", "msg": "unknown op 'next_batch'"}
+    # The capability needs protocol 2.
+    replies = _session(model, [b'{"op": "hello", "proto": 1, "batch": true}'])
+    assert replies[0] == _vocab_frame(model.vocabulary())
+
+
+def test_client_without_server_capability_sends_next_frames(model):
+    def v2_only(request):
+        if request["op"] == "hello":
+            return _vocab_frame(model.vocabulary(), proto=2)
+        return {"op": "dist", "logp_b64": _b64(model.next(request["ctx"]).log_probs)}
+
+    contexts = [[], [3], [4, 3]]
+    with _running(v2_only) as (srv, endpoint), RemoteLM(endpoint) as client:
+        assert (client.proto, client.batch) == (2, 0)
+        remote = client.next_many(contexts)
+    assert srv.requests[0] == {"op": "hello", "proto": 2, "batch": True}
+    assert srv.requests[1:] == [{"op": "next", "ctx": ctx} for ctx in contexts]
+    assert all(d.log_probs.tobytes() == model.next(c).log_probs.tobytes() for d, c in zip(remote, contexts))
+
+
+class _BatchReplyServer(socketserver.ThreadingTCPServer):
+    """Grants the batch capability over _AB and answers each step with the bytes ``reply_fn(request)``.
+
+    With ``close_after_reply`` it closes the connection after its first
+    step reply, as a server that dies mid-payload would.
+    """
+
+    allow_reuse_address = True
+    daemon_threads = True
+
+    def __init__(self, reply_fn, close_after_reply=False):
+        class Handler(socketserver.StreamRequestHandler):
+            def handle(handler):  # noqa: N805
+                for line in handler.rfile:
+                    request = json.loads(line)
+                    if request["op"] == "hello":
+                        frame = json.dumps(_vocab_frame(_AB, proto=2, batch=MAX_BATCH)).encode() + b"\n"
+                    else:
+                        frame = reply_fn(request)
+                    handler.wfile.write(frame)
+                    handler.wfile.flush()
+                    if close_after_reply and request["op"] != "hello":
+                        return
+
+        super().__init__(("127.0.0.1", 0), Handler)
+
+
+def _dists(count, rows):
+    return json.dumps({"op": "dists", "count": count}).encode() + b"\n" + np.asarray(rows, dtype="<f8").tobytes()
+
+
+def _with_entry(value):
+    """_UNIFORM with entry 3 replaced by ``value``."""
+    return np.where(np.arange(len(_AB)) == 3, value, _UNIFORM)
+
+
+@pytest.mark.parametrize(
+    "reply_fn, error",
+    [
+        (lambda req: _dists(len(req["ctxs"]), [_UNIFORM] * len(req["ctxs"]))[:-8], TransportError),
+        (lambda req: _dists(len(req["ctxs"]) + 1, [_UNIFORM] * (len(req["ctxs"]) + 1)), ProtocolError),
+        (lambda req: _dists(True, [_UNIFORM]), ProtocolError),
+        (lambda req: _dists(len(req["ctxs"]), [_UNIFORM, _with_entry(math.nan)]), ProtocolError),
+        (lambda req: _dists(len(req["ctxs"]), [_with_entry(math.inf), _UNIFORM]), ProtocolError),
+        (lambda req: _dists(len(req["ctxs"]), [_UNIFORM, _with_entry(0.0)]), ProtocolError),
+        (lambda req: (json.dumps({"op": "dist", "logp_b64": _b64(_UNIFORM)}) + "\n").encode(), ProtocolError),
+    ],
+    ids=["truncated", "wrong_count", "bool_count", "nan", "pos_inf", "sum_off", "wrong_op"],
+)
+def test_bad_batch_replies_raise_typed_errors(reply_fn, error):
+    srv = _BatchReplyServer(reply_fn, close_after_reply=error is TransportError)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    host, port = srv.server_address[:2]
+    try:
+        with RemoteLM(f"{host}:{port}", timeout=5) as client:
+            assert client.batch == MAX_BATCH
+            with pytest.raises(error) as exc_info:
+                client.next_many([[3], [4]])
+        assert exc_info.value.retryable == (error is TransportError)
+        assert not isinstance(exc_info.value, StepTimeout)
+    finally:
+        srv.shutdown()
+        srv.server_close()
