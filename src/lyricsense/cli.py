@@ -156,9 +156,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         )
     if args.endpoint:
         with RemoteLM(args.endpoint) as model:
-            meaning = generate_meaning(model, spec, sample, cfg)
+            (meaning,) = generate_meaning(model, spec, [sample], [cfg])
     else:
-        meaning = generate_meaning(NGramModel.load(args.model), spec, sample, cfg)
+        (meaning,) = generate_meaning(NGramModel.load(args.model), spec, [sample], [cfg])
     print(meaning)
     return 0
 

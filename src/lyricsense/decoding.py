@@ -19,19 +19,31 @@ Conventions, pinned by tests:
   no-repeat constraint bans any continuation that would repeat an
   n-gram already present in prompt + hypothesis.
 
+Lockstep. Each strategy is a step generator for one row: it yields the
+contexts it needs (one, or one per running beam hypothesis), is sent
+their log-prob arrays, and returns its :class:`Generation`.
+:func:`decode_many` advances every live row of a batch together and asks
+the model once per round for all of their contexts, through
+``next_many`` when the model has it and ``next`` per context when it
+does not. A row's generation depends on its own prompt and config alone,
+so it is the same whether decoded alone or in any batch; ``decode`` and
+the five strategy functions are one-row calls of the same driver.
+
 Memo contract. What a step derives from a distribution array depends on
 that array and on the config alone: the sampling strategies search a
 cumulative array (softmax at the temperature, then the top-k or top-p
 filter, then a cumsum), and beam search walks the array's descending
 order. A caller whose model returns the same read-only array for the
-same context may pass one plain dict as ``memo`` to :func:`decode`, and
-to every call that shares its model, so that each derivation runs once
-per distinct array. Its key is ``id(log_probs)`` plus the derivation and
-its parameters, and its value ``(log_probs, derived)``, so the array
-stays alive and its ``id()`` cannot be reused while the memo lives. The
-caller owns the memo's scope and drops it to free the memory; the
-experiment grid keeps one per combination. ``memo=None`` derives every
-step afresh and stores nothing. A memo never skips a ``model.next`` call.
+same context may pass one plain dict as ``memo`` to one
+:func:`decode_many` call (or to :func:`decode`, and to every call that
+shares its model), so that each derivation runs once per distinct array,
+whichever row asked for it. Its key is ``id(log_probs)`` plus the
+derivation and its parameters, and its value ``(log_probs, derived)``,
+so the array stays alive and its ``id()`` cannot be reused while the
+memo lives. The caller owns the memo's scope and drops it to free the
+memory; the experiment grid passes one per combination to its one
+``decode_many`` call. ``memo=None`` derives every step afresh and stores
+nothing. A memo never skips a ``model.next`` call.
 """
 
 from __future__ import annotations
@@ -40,13 +52,14 @@ import json
 import math
 from dataclasses import dataclass, asdict
 from enum import Enum
+from functools import partial
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .jsonfields import required, typed
-from .lm import LanguageModel, NextTokenDistribution
+from .lm import LanguageModel
 from .rng import SplitMix64
 
 _MIN_TEMPERATURE = 1e-4
@@ -124,6 +137,11 @@ class Generation:
     finish_reason: FinishReason
 
 
+# A decoder's steps for one row: it yields the contexts it needs, is sent
+# their log-prob arrays in the same order, and returns its Generation.
+_Steps = Generator[Sequence[Sequence[int]], list, Generation]
+
+
 def _softmax(log_probs: np.ndarray, temperature: float) -> np.ndarray:
     scaled = log_probs / max(temperature, _MIN_TEMPERATURE)
     finite = scaled[np.isfinite(scaled)]
@@ -194,20 +212,15 @@ def _derive(memo: Optional[dict], log_probs: np.ndarray, fn: Callable, *params) 
     return hit[1]
 
 
-def _sampling_loop(
-    model: LanguageModel,
-    prompt_ids: Sequence[int],
-    cfg: DecodeConfig,
-    filter_kind: Optional[Strategy],
-    memo: Optional[dict],
-) -> Generation:
-    eos = model.vocabulary().eos_id
+def _sampling_steps(
+    filter_kind: Optional[Strategy], eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]
+) -> _Steps:
     rng = SplitMix64(cfg.seed)
     context = list(prompt_ids)
     emitted: list[int] = []
     log_prob = 0.0
     for _ in range(cfg.max_new_tokens):
-        raw = model.next(context).log_probs
+        (raw,) = yield (context,)
         cumulative = _derive(memo, raw, _sampling_cdf, cfg.temperature, filter_kind, cfg.k, cfg.p)
         token = _draw(cumulative, rng)
         log_prob += float(raw[token])
@@ -218,14 +231,12 @@ def _sampling_loop(
     return Generation(tuple(emitted), log_prob, FinishReason.MAX_LEN)
 
 
-def greedy(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -> Generation:
-    """Emit the argmax token at every step; deterministic, seed-free."""
-    eos = model.vocabulary().eos_id
+def _greedy_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]) -> _Steps:
     context = list(prompt_ids)
     emitted: list[int] = []
     log_prob = 0.0
     for _ in range(cfg.max_new_tokens):
-        raw = model.next(context).log_probs
+        (raw,) = yield (context,)
         token = int(np.argmax(raw))  # argmax takes the lowest id on ties
         log_prob += float(raw[token])
         if token == eos:
@@ -235,25 +246,30 @@ def greedy(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -
     return Generation(tuple(emitted), log_prob, FinishReason.MAX_LEN)
 
 
+def greedy(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -> Generation:
+    """Emit the argmax token at every step; deterministic, seed-free."""
+    return _decode_one(model, Strategy.GREEDY, prompt_ids, cfg, None)
+
+
 def sample(
     model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
 ) -> Generation:
     """Draw each token from the temperature-rescaled distribution."""
-    return _sampling_loop(model, prompt_ids, cfg, None, memo)
+    return _decode_one(model, Strategy.SAMPLING, prompt_ids, cfg, memo)
 
 
 def top_k_sample(
     model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
 ) -> Generation:
     """Sampling restricted to the k most probable tokens per step."""
-    return _sampling_loop(model, prompt_ids, cfg, Strategy.TOP_K, memo)
+    return _decode_one(model, Strategy.TOP_K, prompt_ids, cfg, memo)
 
 
 def top_p_sample(
     model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
 ) -> Generation:
     """Sampling restricted to the smallest prefix with cumulative mass >= p."""
-    return _sampling_loop(model, prompt_ids, cfg, Strategy.TOP_P, memo)
+    return _decode_one(model, Strategy.TOP_P, prompt_ids, cfg, memo)
 
 
 def _banned_tokens(sequence: Sequence[int], ngram_size: int) -> set[int]:
@@ -263,14 +279,6 @@ def _banned_tokens(sequence: Sequence[int], ngram_size: int) -> set[int]:
     prefix = tuple(sequence[len(sequence) - ngram_size + 1 :])
     grams = zip(*(sequence[i:] for i in range(ngram_size)))
     return {gram[-1] for gram in grams if gram[:-1] == prefix}
-
-
-def _next_many(model: LanguageModel, contexts: list[tuple[int, ...]]) -> list[NextTokenDistribution]:
-    """The model's distribution for each context: one ``next_many`` call if it has one."""
-    next_many = getattr(model, "next_many", None)
-    if next_many is None:
-        return [model.next(context) for context in contexts]
-    return next_many(contexts)
 
 
 class _Hypothesis(NamedTuple):
@@ -283,25 +291,8 @@ class _Hypothesis(NamedTuple):
 _rank = attrgetter("neg_score", "ids")
 
 
-def beam_search(
-    model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
-) -> Generation:
-    """Width-limited best-first search over summed log probabilities.
-
-    At each step every running hypothesis is expanded (their
-    distributions come from one ``next_many`` call when the model offers
-    one, see :class:`~lyricsense.lm.LanguageModel`) and the candidates
-    are ranked globally; an EOS candidate finishes its hypothesis (with
-    the EOS log prob added to the score) only when it ranks within the
-    top ``num_beams``, and the best ``num_beams`` non-EOS candidates form
-    the next running set. With ``early_stopping`` the search ends once
-    ``num_beams`` hypotheses have finished. The best finished hypothesis
-    wins; only if nothing finished does the best running one. If the
-    no-repeat constraint bans every continuation of a hypothesis, that
-    hypothesis is finished as-is (degenerate forced stop).
-    """
-    vocab = model.vocabulary()
-    eos = vocab.eos_id
+def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]) -> _Steps:
+    """Beam search of one row; see :func:`beam_search`."""
     prompt = tuple(prompt_ids)
     width = cfg.num_beams + 1
     running: list[_Hypothesis] = [_Hypothesis(0.0, (), 0.0)]
@@ -311,8 +302,8 @@ def beam_search(
     for _ in range(cfg.max_new_tokens):
         candidates: list[_Hypothesis] = []
         contexts = [prompt + hyp.ids for hyp in running]
-        for hyp, context, dist in zip(running, contexts, _next_many(model, contexts)):
-            raw = dist.log_probs
+        rows = yield contexts
+        for hyp, context, raw in zip(running, contexts, rows):
             banned = _banned_tokens(context, cfg.no_repeat_ngram_size)
             # A candidate can matter only if it ranks within the global
             # top num_beams, hence within its own hypothesis's top
@@ -358,21 +349,97 @@ def beam_search(
     return Generation(best.ids, best.score, reason)
 
 
+def beam_search(
+    model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
+) -> Generation:
+    """Width-limited best-first search over summed log probabilities.
+
+    At each step every running hypothesis is expanded (their
+    distributions come from one ``next_many`` call when the model offers
+    one, see :class:`~lyricsense.lm.LanguageModel`) and the candidates
+    are ranked globally; an EOS candidate finishes its hypothesis (with
+    the EOS log prob added to the score) only when it ranks within the
+    top ``num_beams``, and the best ``num_beams`` non-EOS candidates form
+    the next running set. With ``early_stopping`` the search ends once
+    ``num_beams`` hypotheses have finished. The best finished hypothesis
+    wins; only if nothing finished does the best running one. If the
+    no-repeat constraint bans every continuation of a hypothesis, that
+    hypothesis is finished as-is (degenerate forced stop).
+    """
+    return _decode_one(model, Strategy.BEAM, prompt_ids, cfg, memo)
+
+
+# Each strategy's step generator, called as (eos id, prompt ids, config, memo).
+_STEPS: dict[Strategy, Callable[..., _Steps]] = {
+    Strategy.GREEDY: _greedy_steps,
+    Strategy.BEAM: _beam_steps,
+    Strategy.SAMPLING: partial(_sampling_steps, None),
+    Strategy.TOP_K: partial(_sampling_steps, Strategy.TOP_K),
+    Strategy.TOP_P: partial(_sampling_steps, Strategy.TOP_P),
+}
+
+
+def _next_many(model: LanguageModel, contexts: list[Sequence[int]]) -> list[np.ndarray]:
+    """The model's log probs for each context: one ``next_many`` call if it has one, else ``next`` each."""
+    next_many = getattr(model, "next_many", None)
+    dists = [model.next(context) for context in contexts] if next_many is None else next_many(contexts)
+    if len(dists) != len(contexts):
+        raise ValueError(f"model answered {len(dists)} distributions for {len(contexts)} contexts")
+    return [dist.log_probs for dist in dists]
+
+
+def _lockstep(model: LanguageModel, rows: list[_Steps]) -> list[Generation]:
+    """Run the step generators ``rows`` together: one model round per step for every live row."""
+    generations: list[Optional[Generation]] = [None] * len(rows)
+    # Every step generator asks at least once, since max_new_tokens >= 1.
+    live = [(i, steps, next(steps)) for i, steps in enumerate(rows)]
+    while live:
+        answers = _next_many(model, [context for _i, _steps, asked in live for context in asked])
+        still_live = []
+        start = 0
+        for i, steps, asked in live:
+            end = start + len(asked)
+            try:
+                still_live.append((i, steps, steps.send(answers[start:end])))
+            except StopIteration as done:
+                generations[i] = done.value
+            start = end
+        live = still_live
+    return generations  # type: ignore[return-value]
+
+
+def _decode_one(
+    model: LanguageModel, strategy: Strategy, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]
+) -> Generation:
+    steps = _STEPS[strategy](model.vocabulary().eos_id, prompt_ids, cfg, memo)
+    return _lockstep(model, [steps])[0]
+
+
+def decode_many(
+    model: LanguageModel,
+    prompts: Sequence[Sequence[int]],
+    cfgs: Sequence[DecodeConfig],
+    memo: Optional[dict] = None,
+) -> list[Generation]:
+    """Decode each prompt under its config, all rows in lockstep.
+
+    Row i's generation is ``decode(model, prompts[i], cfgs[i])``, bit for
+    bit, but every round of the decode asks the model once for the
+    contexts of all live rows (see :func:`_next_many`), so a remote
+    model answers a whole grid combination's step in one round trip.
+    ``memo`` follows the module's memo contract and is shared by the rows.
+    """
+    if len(prompts) != len(cfgs):
+        raise ValueError(f"{len(prompts)} prompts but {len(cfgs)} configs")
+    eos = model.vocabulary().eos_id
+    return _lockstep(model, [_STEPS[cfg.strategy](eos, prompt, cfg, memo) for prompt, cfg in zip(prompts, cfgs)])
+
+
 def decode(
     model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
 ) -> Generation:
-    """Single dispatch entry point used by the experiment harness.
+    """Decode one prompt under ``cfg.strategy``: :func:`decode_many` of one row.
 
     ``memo`` follows the module's memo contract; greedy needs none.
     """
-    if cfg.strategy == Strategy.GREEDY:
-        return greedy(model, prompt_ids, cfg)
-    if cfg.strategy == Strategy.BEAM:
-        return beam_search(model, prompt_ids, cfg, memo)
-    if cfg.strategy == Strategy.SAMPLING:
-        return sample(model, prompt_ids, cfg, memo)
-    if cfg.strategy == Strategy.TOP_K:
-        return top_k_sample(model, prompt_ids, cfg, memo)
-    if cfg.strategy == Strategy.TOP_P:
-        return top_p_sample(model, prompt_ids, cfg, memo)
-    raise ValueError(f"unhandled strategy {cfg.strategy!r}")
+    return decode_many(model, [prompt_ids], [cfg], memo)[0]

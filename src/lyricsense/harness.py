@@ -2,10 +2,13 @@
 
 Every (model, prompt, decoder, sample) row renders the prompt, decodes a
 continuation, and scores it against the gold annotation and the full
-song lyrics. The grid runs serially, one combination after another in
-combination order. ``run_grid`` streams rows to ``grid.jsonl`` as each
-combination completes, so an interrupted run loses at most one
-combination; ``emit_report`` writes ``summary.csv`` and ``plotdata.json``.
+song lyrics. The rows of one combination decode in lockstep
+(``decoding.decode_many``), so the model is asked once per decode step
+for all of them: one round trip per step for a remote model. The grid
+runs serially, one combination after another in combination order.
+``run_grid`` streams rows to ``grid.jsonl`` as each combination
+completes, so an interrupted run loses at most one combination;
+``emit_report`` writes ``summary.csv`` and ``plotdata.json``.
 Per-row sampler seeds are derived from the grid seed and the full
 combination key, making the output byte-reproducible.
 """
@@ -21,7 +24,8 @@ from typing import Callable, Optional, Sequence, Union
 
 from . import __version__
 from .corpus import Sample, clean_corpus, flatten, load_corpus, split
-from .decoding import DecodeConfig, Strategy, decode
+# ``decode`` stays importable as ``harness.decode``: bench/tracing.py wraps it by name.
+from .decoding import DecodeConfig, Strategy, decode, decode_many  # noqa: F401
 from .jsonfields import required, typed
 from .lm import MAX_ORDER, LanguageModel, NGramModel, TrainingTexts, fit_ngram
 from .metrics import MetricReport, TotalScoreWeights, evaluate, mean_report
@@ -297,15 +301,26 @@ def _resolve_eval_samples(
 
 
 def generate_meaning(
-    model: LanguageModel, spec: PromptSpec, sample: Sample, cfg: DecodeConfig, memo: Optional[dict] = None
-) -> str:
-    """Render ``sample`` under ``spec``, decode a continuation and return the generated meaning."""
-    rendered = render(spec, sample)
+    model: LanguageModel,
+    spec: PromptSpec,
+    samples: Sequence[Sample],
+    cfgs: Sequence[DecodeConfig],
+    memo: Optional[dict] = None,
+) -> list[str]:
+    """Render each sample under ``spec``, decode all of them in lockstep and return each generated meaning.
+
+    ``cfgs[i]`` decodes ``samples[i]``; ``memo`` is shared by the rows
+    (see :mod:`lyricsense.decoding`).
+    """
     vocab = model.vocabulary()
-    generation = decode(model, vocab.encode_text(rendered.text), cfg, memo=memo)
-    continuation = vocab.decode_text(generation.ids)
-    full_output = rendered.text + (" " + continuation if continuation else "")
-    return extract_generation(full_output, rendered)
+    rendered = [render(spec, sample) for sample in samples]
+    generations = decode_many(model, [vocab.encode_text(r.text) for r in rendered], cfgs, memo=memo)
+    meanings = []
+    for prompt, generation in zip(rendered, generations):
+        continuation = vocab.decode_text(generation.ids)
+        full_output = prompt.text + (" " + continuation if continuation else "")
+        meanings.append(extract_generation(full_output, prompt))
+    return meanings
 
 
 def _run_combination(
@@ -321,41 +336,57 @@ def _run_combination(
 ) -> Union[tuple[list[GridRow], CombinationMean], GridFailure]:
     """One combination's rows and mean, or its failure.
 
-    A remote model connects on its first combination and is stored in
-    ``models`` for the rest; a failed connect is retried by the next one.
+    All rows decode in lockstep, each under its own seeded config. A
+    remote model connects on its first combination and is stored in
+    ``models`` for the rest. After any wire error the client is closed
+    and its entry reset, since a broken exchange may leave unread reply
+    bytes, so the next combination connects afresh; a retryable one (a
+    failed connect, a timeout, a closed connection) is retried once on a
+    new connection. Each row is a pure function of its seed, so a retry
+    gives the same rows.
     """
     model_id = model_spec.model_id
     prompt_id = prompt_spec.spec_id
-    try:
-        model = models[model_id]
-        if model is None:
-            model = models[model_id] = RemoteLM(model_spec.endpoint)
-        # An n-gram model hands back one cached read-only array per context,
-        # so what decoding derives from it is shared by the combination's
-        # rows. A remote model builds a fresh array every step: a memo
-        # would only hold memory. Dropped when the combination ends.
-        memo: Optional[dict] = {} if isinstance(model, NGramModel) else None
-        rows = []
-        for sample in eval_samples:
-            row_seed = derive_seed(
-                base_seed, model_id, prompt_id, decoder_id, sample.sample_id, str(cfg.seed)
-            )
-            prediction = generate_meaning(model, prompt_spec, sample, replace(cfg, seed=row_seed), memo=memo)
-            report = evaluate(prediction, sample.annotation, lyrics_by_song[sample.song_id], weights)
-            rows.append(
+    cfgs = [
+        replace(cfg, seed=derive_seed(base_seed, model_id, prompt_id, decoder_id, sample.sample_id, str(cfg.seed)))
+        for sample in eval_samples
+    ]
+    retried = False
+    while True:
+        try:
+            model = models[model_id]
+            if model is None:
+                model = models[model_id] = RemoteLM(model_spec.endpoint)
+            # An n-gram model hands back one cached read-only array per context,
+            # so what decoding derives from it is shared by the combination's
+            # rows. A remote model builds a fresh array every step: a memo
+            # would only hold memory. Dropped when the combination ends.
+            memo: Optional[dict] = {} if isinstance(model, NGramModel) else None
+            predictions = generate_meaning(model, prompt_spec, eval_samples, cfgs, memo=memo)
+            rows = [
                 GridRow(
                     model_id=model_id,
                     prompt_id=prompt_id,
                     decoder_id=decoder_id,
                     sample_id=sample.sample_id,
                     prediction=prediction,
-                    report=report,
+                    report=evaluate(prediction, sample.annotation, lyrics_by_song[sample.song_id], weights),
                 )
-            )
-        mean = CombinationMean(model_id, prompt_id, decoder_id, len(rows), mean_report([r.report for r in rows]))
-        return rows, mean
-    except (WireError, ValueError) as exc:
-        return GridFailure(model_id, prompt_id, decoder_id, type(exc).__name__, str(exc))
+                for sample, prediction in zip(eval_samples, predictions)
+            ]
+            mean = CombinationMean(model_id, prompt_id, decoder_id, len(rows), mean_report([r.report for r in rows]))
+            return rows, mean
+        except WireError as exc:
+            client = models[model_id]
+            if isinstance(client, RemoteLM):
+                client.close()
+                models[model_id] = None
+            if exc.retryable and not retried:
+                retried = True
+                continue
+            return GridFailure(model_id, prompt_id, decoder_id, type(exc).__name__, str(exc))
+        except ValueError as exc:
+            return GridFailure(model_id, prompt_id, decoder_id, type(exc).__name__, str(exc))
 
 
 def _provenance(grid: ExperimentGrid, corpus_path: str) -> dict:

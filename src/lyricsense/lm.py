@@ -122,8 +122,11 @@ class LanguageModel(Protocol):
 
     A model may also offer ``next_many(contexts)``, the list of
     ``next(context)`` for each context in order, when answering several
-    contexts at once is cheaper, as it is over the wire. Beam search uses
-    it when present; a model with ``next`` alone works unchanged.
+    contexts at once is cheaper, as it is over the wire. Decoding runs in
+    lockstep (:func:`lyricsense.decoding.decode_many`): each step makes
+    one ``next_many`` call for the contexts of every live row, all running
+    beam hypotheses included; a model with ``next`` alone is asked once
+    per context instead and works unchanged.
     """
 
     def vocabulary(self) -> Vocabulary: ...

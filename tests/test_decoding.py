@@ -24,6 +24,7 @@ from lyricsense.decoding import (
     Strategy,
     beam_search,
     decode,
+    decode_many,
     greedy,
     sample,
     top_k_sample,
@@ -623,3 +624,114 @@ def test_memo_and_fresh_decoders_match_straight_line_oracle(
     # At most one derivation per distinct array and decoder, each holding its array.
     assert len(memo) <= len(pool) * len(decoders)
     assert all(any(held is array for array in pool) for held, _derived in memo.values())
+
+
+# ------------------------------------------------------------------- lockstep
+
+class _Recorder:
+    """``model`` with ``next`` alone, recording every context asked."""
+
+    def __init__(self, model):
+        self._model = model
+        self.asked = []
+
+    def vocabulary(self):
+        return self._model.vocabulary()
+
+    def next(self, context):
+        self.asked.append(tuple(context))
+        return self._model.next(context)
+
+
+class _BatchRecorder(_Recorder):
+    """``_Recorder`` that also offers ``next_many`` and records the size of each call."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.batches = []
+
+    def next_many(self, contexts):
+        self.batches.append(len(contexts))
+        return [self.next(context) for context in contexts]
+
+
+lockstep_rows = st.lists(
+    st.tuples(
+        decoder_params,
+        st.lists(st.integers(0, len(POOL_VOCAB) - 1), max_size=4),
+        st.integers(0, 2**32),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(
+    pooled=pooled_models(),
+    rows=lockstep_rows,
+    num_beams=st.integers(1, 4),
+    no_repeat=st.integers(0, 3),
+    early_stopping=st.booleans(),
+    max_new_tokens=st.integers(1, 10),
+)
+@settings(max_examples=200, deadline=None)
+def test_decode_many_matches_per_row_decode(pooled, rows, num_beams, no_repeat, early_stopping, max_new_tokens):
+    model, _pool = pooled
+    prompts = [prompt for _params, prompt, _seed in rows]
+    cfgs = [
+        cfg(
+            strategy,
+            temperature=temperature,
+            k=k,
+            p=p,
+            num_beams=num_beams,
+            no_repeat_ngram_size=no_repeat,
+            early_stopping=early_stopping,
+            max_new_tokens=max_new_tokens,
+            seed=seed,
+        )
+        for (strategy, temperature, k, p), _prompt, seed in rows
+    ]
+    per_row = _Recorder(model)
+    expected = [decode(per_row, prompt, c) for prompt, c in zip(prompts, cfgs)]
+    for make in (_Recorder, _BatchRecorder):
+        for memo in ({}, None):
+            lockstep = make(model)
+            got = decode_many(lockstep, prompts, cfgs, memo=memo)
+            assert len(got) == len(expected)
+            for g, e in zip(got, expected):
+                assert g.ids == e.ids
+                assert g.log_prob.hex() == e.log_prob.hex()
+                assert g.finish_reason == e.finish_reason
+            assert Counter(lockstep.asked) == Counter(per_row.asked)
+            if make is _BatchRecorder:
+                # One model round per step, every live row in it.
+                assert len(lockstep.batches) <= max_new_tokens
+                assert lockstep.batches[0] == len(rows)
+
+
+def test_decode_many_of_one_row_is_each_strategy_function():
+    model = random_ngram_model(random.Random(4))
+    functions = {
+        Strategy.GREEDY: greedy,
+        Strategy.BEAM: beam_search,
+        Strategy.SAMPLING: sample,
+        Strategy.TOP_K: top_k_sample,
+        Strategy.TOP_P: top_p_sample,
+    }
+    for strategy, fn in functions.items():
+        config = cfg(strategy, seed=11, max_new_tokens=8)
+        assert decode_many(model, [[1]], [config]) == [fn(model, [1], config)]
+
+
+def test_decode_many_rejects_mismatched_rows_and_answers():
+    model = random_ngram_model(random.Random(5))
+    with pytest.raises(ValueError, match="2 prompts but 1 configs"):
+        decode_many(model, [[1], [2]], [cfg()])
+
+    class ShortAnswers(_BatchRecorder):
+        def next_many(self, contexts):
+            return super().next_many(contexts)[:-1]
+
+    with pytest.raises(ValueError, match="1 distributions for 2 contexts"):
+        decode_many(ShortAnswers(model), [[1], [2]], [cfg(), cfg()])

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import json
 
@@ -5,6 +6,7 @@ import pytest
 
 from lyricsense.corpus import clean_corpus, flatten, load_corpus, split
 from lyricsense.decoding import DecodeConfig, Strategy, decode
+from lyricsense import wire
 from lyricsense.harness import (
     CombinationMean,
     ExperimentGrid,
@@ -356,15 +358,15 @@ def test_memo_per_ngram_combination_none_for_remote(mini_corpus_path, tmp_path, 
         return real_next(self, context)
 
     monkeypatch.setattr(NGramModel, "next", counting_next)
-    real_decode = harness.decode
+    real_decode_many = harness.decode_many
     seen = []  # holding each memo keeps its id() from being reused
 
-    def recording_decode(model, prompt_ids, cfg, memo=None):
-        seen.append((isinstance(model, NGramModel), memo))
-        return real_decode(model, prompt_ids, cfg, memo=memo)
+    def recording_decode_many(model, prompts, cfgs, memo=None):
+        seen.append((isinstance(model, NGramModel), len(prompts), memo))
+        return real_decode_many(model, prompts, cfgs, memo=memo)
 
-    def memoless_decode(model, prompt_ids, cfg, memo=None):
-        return real_decode(model, prompt_ids, cfg, memo=None)
+    def memoless_decode_many(model, prompts, cfgs, memo=None):
+        return real_decode_many(model, prompts, cfgs, memo=None)
 
     grid = small_grid(
         models=[
@@ -375,11 +377,11 @@ def test_memo_per_ngram_combination_none_for_remote(mini_corpus_path, tmp_path, 
         decoders="all",
     )
     try:
-        monkeypatch.setattr(harness, "decode", recording_decode)
+        monkeypatch.setattr(harness, "decode_many", recording_decode_many)
         with_memo = run_grid(grid, mini_corpus_path, str(tmp_path / "memo"))
         calls_with_memo = len(next_calls)
         next_calls.clear()
-        monkeypatch.setattr(harness, "decode", memoless_decode)
+        monkeypatch.setattr(harness, "decode_many", memoless_decode_many)
         without = run_grid(grid, mini_corpus_path, str(tmp_path / "none"))
     finally:
         server.shutdown()
@@ -389,18 +391,16 @@ def test_memo_per_ngram_combination_none_for_remote(mini_corpus_path, tmp_path, 
     assert (tmp_path / "memo" / "grid.jsonl").read_bytes() == (tmp_path / "none" / "grid.jsonl").read_bytes()
     assert calls_with_memo == len(next_calls) > 0
 
-    per_combination = 3  # eval samples
-    combinations = [seen[i : i + per_combination] for i in range(0, len(seen), per_combination)]
-    assert len(combinations) == grid.combination_count()
+    # One decode_many call per combination, over all of its rows.
+    assert len(seen) == grid.combination_count()
     local_memos = []
-    for combination in combinations:
-        is_local = combination[0][0]
-        memos = [memo for _local, memo in combination]
+    for is_local, n_rows, memo in seen:
+        assert n_rows == 3  # eval samples
         if is_local:
-            assert isinstance(memos[0], dict) and all(memo is memos[0] for memo in memos)
-            local_memos.append(memos[0])
+            assert isinstance(memo, dict)
+            local_memos.append(memo)
         else:
-            assert memos == [None] * per_combination
+            assert memo is None
     assert len(local_memos) == len(grid.prompts) * len(grid.decoders)
     assert len({id(memo) for memo in local_memos}) == len(local_memos)
 
@@ -438,3 +438,118 @@ def test_one_connection_per_remote_model_closed_before_run_grid_returns(mini_cor
     assert not result.failures and len(result.rows) == 2 * 2 * 5 * 3
     assert len(opened) == len(grid.models)
     assert sorted(map(id, closed)) == sorted(map(id, opened))
+
+
+# ------------------------------------------------------- lockstep over the wire
+
+@pytest.fixture(scope="module")
+def served_model(mini_corpus_path):
+    samples = flatten(clean_corpus(load_corpus(mini_corpus_path).records))
+    train, _, _ = split(samples, (0.8, 0.1, 0.1), seed=0)
+    return fit_ngram(training_texts(train), order=2, k=0.1, vocab_cap=400)
+
+
+@contextlib.contextmanager
+def _serving(model):
+    server = wire.LMServer(model)
+    server.start_background()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _remote(server):
+    return [{"id": "remote", "type": "remote", "endpoint": server.endpoint}]
+
+
+@pytest.mark.parametrize("strategy", [s.value for s in Strategy])
+def test_lockstep_combination_sends_one_frame_per_step(mini_corpus_path, tmp_path, monkeypatch, served_model, strategy):
+    frames = []  # contexts per next_batch frame, counted by the server
+    real_reply = wire._build_reply
+
+    def recording_reply(model, vocab, request, proto, batch):
+        if request.get("op") == "next_batch":
+            frames.append(len(request["ctxs"]))
+        return real_reply(model, vocab, request, proto, batch)
+
+    monkeypatch.setattr(wire, "_build_reply", recording_reply)
+    max_new_tokens = 24
+    with _serving(served_model) as server:
+        grid = small_grid(
+            models=_remote(server),
+            decoders=[{"strategy": strategy, "max_new_tokens": max_new_tokens}],
+            eval_samples={"top_page_views": 10},
+        )
+        result = run_grid(grid, mini_corpus_path, str(tmp_path))
+    assert not result.failures and len(result.rows) == 10
+    assert frames[0] == 10  # every row's first context travels in the first frame
+    assert len(frames) <= max_new_tokens
+    assert max(frames) <= (10 * 3 if strategy == "beam" else 10)  # 3 beams per row
+
+
+class _LinesThenEOF:
+    """A request stream that ends after ``lines`` lines, as a cut connection does."""
+
+    def __init__(self, stream, lines):
+        self._stream = stream
+        self._lines = lines
+
+    def readline(self, size=-1):
+        if self._lines == 0:
+            return b""
+        self._lines -= 1
+        return self._stream.readline(size)
+
+
+def test_dropped_connection_is_retried_with_the_same_rows(mini_corpus_path, tmp_path, monkeypatch, served_model):
+    real_session = wire.serve_session
+    sessions = []
+
+    def first_session_cut(model, reader, writer):
+        sessions.append(reader)
+        real_session(model, _LinesThenEOF(reader, 40) if len(sessions) == 1 else reader, writer)
+
+    with _serving(served_model) as server:
+        grid = small_grid(models=_remote(server), prompts=["lyrics_meaning", "none"], decoders="all")
+        monkeypatch.setattr(wire, "serve_session", first_session_cut)
+        cut = run_grid(grid, mini_corpus_path, str(tmp_path / "cut"))
+        monkeypatch.setattr(wire, "serve_session", real_session)
+        whole = run_grid(grid, mini_corpus_path, str(tmp_path / "whole"))
+    assert len(sessions) == 2  # the cut session and the one its retry opened
+    assert not cut.failures and len(cut.rows) == grid.combination_count() * 3
+    assert (tmp_path / "cut" / "grid.jsonl").read_bytes() == (tmp_path / "whole" / "grid.jsonl").read_bytes()
+
+
+class _Refuses:
+    """Wraps a model; ``next`` raises ``ValueError`` for every context that starts with ``prefix``."""
+
+    def __init__(self, model, prefix):
+        self._model = model
+        self._prefix = prefix
+
+    def vocabulary(self):
+        return self._model.vocabulary()
+
+    def next(self, context):
+        if list(context[: len(self._prefix)]) == self._prefix:
+            raise ValueError("refused context")
+        return self._model.next(context)
+
+
+def test_value_error_of_one_row_in_a_lockstep_batch_fails_only_its_combination(
+    mini_corpus_path, tmp_path, served_model
+):
+    prompts = ["question_context", "lyrics_meaning"]
+    decoders = [{"id": "greedy", "strategy": "greedy", "max_new_tokens": 8}]
+    with _serving(served_model) as server:
+        whole = run_grid(small_grid(models=_remote(server), prompts=prompts, decoders=decoders), mini_corpus_path, str(tmp_path / "whole"))
+    samples = {s.sample_id: s for s in flatten(clean_corpus(load_corpus(mini_corpus_path).records))}
+    middle_row = samples[whole.rows[1].sample_id]  # neither first nor last in its batch
+    prefix = served_model.vocabulary().encode_text(render(PromptSpec.from_id(prompts[0]), middle_row).text)
+    with _serving(_Refuses(served_model, prefix)) as server:
+        result = run_grid(small_grid(models=_remote(server), prompts=prompts, decoders=decoders), mini_corpus_path, str(tmp_path / "bad"))
+    assert [(f.prompt_id, f.error_type) for f in result.failures] == [(prompts[0], "ServerReported")]
+    assert "bad_context" in result.failures[0].message and "ctxs[1]" in result.failures[0].message
+    assert result.rows == [row for row in whole.rows if row.prompt_id == prompts[1]]
