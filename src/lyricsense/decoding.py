@@ -183,14 +183,12 @@ def _filter_top_p(probs: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
-def _sampling_cdf(
-    log_probs: np.ndarray, temperature: float, filter_kind: Optional[Strategy], k: int, p: float
-) -> np.ndarray:
-    """The cumulative array a sampling step searches."""
+def _sampling_cdf(log_probs: np.ndarray, temperature: float, strategy: Strategy, k: int, p: float) -> np.ndarray:
+    """The cumulative array a step of the sampling ``strategy`` searches."""
     probs = _softmax(log_probs, temperature)
-    if filter_kind == Strategy.TOP_K:
+    if strategy == Strategy.TOP_K:
         probs = _filter_top_k(probs, k)
-    elif filter_kind == Strategy.TOP_P:
+    elif strategy == Strategy.TOP_P:
         probs = _filter_top_p(probs, p)
     return np.cumsum(probs)
 
@@ -212,32 +210,29 @@ def _derive(memo: Optional[dict], log_probs: np.ndarray, fn: Callable, *params) 
     return hit[1]
 
 
-def _sampling_steps(
-    filter_kind: Optional[Strategy], eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]
+def _argmax(raw: np.ndarray) -> int:
+    return int(raw.argmax())  # argmax takes the lowest id on ties
+
+
+def _token_steps(
+    strategy: Strategy, eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]
 ) -> _Steps:
-    rng = SplitMix64(cfg.seed)
+    """Greedy or sampling steps of one row; they differ only in how a token is picked, chosen once here."""
+    if strategy == Strategy.GREEDY:
+        pick = _argmax
+    else:
+        rng = SplitMix64(cfg.seed)
+        params = (cfg.temperature, strategy, cfg.k, cfg.p)
+
+        def pick(raw: np.ndarray) -> int:
+            return _draw(_derive(memo, raw, _sampling_cdf, *params), rng)
+
     context = list(prompt_ids)
     emitted: list[int] = []
     log_prob = 0.0
     for _ in range(cfg.max_new_tokens):
         (raw,) = yield (context,)
-        cumulative = _derive(memo, raw, _sampling_cdf, cfg.temperature, filter_kind, cfg.k, cfg.p)
-        token = _draw(cumulative, rng)
-        log_prob += float(raw[token])
-        if token == eos:
-            return Generation(tuple(emitted), log_prob, FinishReason.EOS)
-        emitted.append(token)
-        context.append(token)
-    return Generation(tuple(emitted), log_prob, FinishReason.MAX_LEN)
-
-
-def _greedy_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]) -> _Steps:
-    context = list(prompt_ids)
-    emitted: list[int] = []
-    log_prob = 0.0
-    for _ in range(cfg.max_new_tokens):
-        (raw,) = yield (context,)
-        token = int(np.argmax(raw))  # argmax takes the lowest id on ties
+        token = pick(raw)
         log_prob += float(raw[token])
         if token == eos:
             return Generation(tuple(emitted), log_prob, FinishReason.EOS)
@@ -297,7 +292,6 @@ def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Op
     width = cfg.num_beams + 1
     running: list[_Hypothesis] = [_Hypothesis(0.0, (), 0.0)]
     finished: list[_Hypothesis] = []
-    finished_count = 0
 
     for _ in range(cfg.max_new_tokens):
         candidates: list[_Hypothesis] = []
@@ -325,14 +319,12 @@ def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Op
                     break
             if not expanded:
                 finished.append(hyp)
-                finished_count += 1
         candidates.sort(key=_rank)
         new_running: list[_Hypothesis] = []
         for rank, candidate in enumerate(candidates):
             if candidate.ids[-1] == eos:
                 if rank < cfg.num_beams:
                     finished.append(_Hypothesis(candidate.neg_score, candidate.ids[:-1], candidate.score))
-                    finished_count += 1
             elif len(new_running) < cfg.num_beams:
                 new_running.append(candidate)
             if len(new_running) == cfg.num_beams and rank + 1 >= cfg.num_beams:
@@ -340,7 +332,7 @@ def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Op
         running = new_running
         if not running:
             break
-        if cfg.early_stopping and finished_count >= cfg.num_beams:
+        if cfg.early_stopping and len(finished) >= cfg.num_beams:
             break
 
     pool = finished if finished else running
@@ -371,11 +363,7 @@ def beam_search(
 
 # Each strategy's step generator, called as (eos id, prompt ids, config, memo).
 _STEPS: dict[Strategy, Callable[..., _Steps]] = {
-    Strategy.GREEDY: _greedy_steps,
-    Strategy.BEAM: _beam_steps,
-    Strategy.SAMPLING: partial(_sampling_steps, None),
-    Strategy.TOP_K: partial(_sampling_steps, Strategy.TOP_K),
-    Strategy.TOP_P: partial(_sampling_steps, Strategy.TOP_P),
+    s: _beam_steps if s == Strategy.BEAM else partial(_token_steps, s) for s in Strategy
 }
 
 
@@ -385,7 +373,7 @@ def _next_many(model: LanguageModel, contexts: list[Sequence[int]]) -> list[np.n
     dists = [model.next(context) for context in contexts] if next_many is None else next_many(contexts)
     if len(dists) != len(contexts):
         raise ValueError(f"model answered {len(dists)} distributions for {len(contexts)} contexts")
-    return [dist.log_probs for dist in dists]
+    return dists
 
 
 def _lockstep(model: LanguageModel, rows: list[_Steps]) -> list[Generation]:

@@ -324,7 +324,7 @@ def generate_meaning(
 
 
 def _run_combination(
-    models: dict[str, Optional[LanguageModel]],
+    models: dict[str, Union[LanguageModel, WireError, None]],
     model_spec: ModelSpec,
     prompt_spec: PromptSpec,
     decoder_id: str,
@@ -338,12 +338,14 @@ def _run_combination(
 
     All rows decode in lockstep, each under its own seeded config. A
     remote model connects on its first combination and is stored in
-    ``models`` for the rest. After any wire error the client is closed
-    and its entry reset, since a broken exchange may leave unread reply
-    bytes, so the next combination connects afresh; a retryable one (a
-    failed connect, a timeout, a closed connection) is retried once on a
-    new connection. Each row is a pure function of its seed, so a retry
-    gives the same rows.
+    ``models`` for the rest. A failed connect is stored in its place, so
+    every later combination of that model fails at once with the same
+    error type and message, and is never retried. After a wire error on
+    a connected client the client is closed and its entry reset, since a
+    broken exchange may leave unread reply bytes, so the next combination
+    connects afresh; a retryable one (a timeout, a closed connection) is
+    retried once on a new connection. Each row is a pure function of its
+    seed, so a retry gives the same rows.
     """
     model_id = model_spec.model_id
     prompt_id = prompt_spec.spec_id
@@ -353,8 +355,10 @@ def _run_combination(
     ]
     retried = False
     while True:
+        model = models[model_id]
+        if isinstance(model, WireError):
+            return GridFailure(model_id, prompt_id, decoder_id, type(model).__name__, str(model))
         try:
-            model = models[model_id]
             if model is None:
                 model = models[model_id] = RemoteLM(model_spec.endpoint)
             # An n-gram model hands back one cached read-only array per context,
@@ -378,12 +382,14 @@ def _run_combination(
             return rows, mean
         except WireError as exc:
             client = models[model_id]
-            if isinstance(client, RemoteLM):
+            if client is None:  # the connect failed
+                models[model_id] = exc
+            elif isinstance(client, RemoteLM):
                 client.close()
                 models[model_id] = None
-            if exc.retryable and not retried:
-                retried = True
-                continue
+                if exc.retryable and not retried:
+                    retried = True
+                    continue
             return GridFailure(model_id, prompt_id, decoder_id, type(exc).__name__, str(exc))
         except ValueError as exc:
             return GridFailure(model_id, prompt_id, decoder_id, type(exc).__name__, str(exc))

@@ -1,10 +1,11 @@
 """Conditional language-model contract plus the add-k n-gram reference model.
 
 Decoders consume anything satisfying :class:`LanguageModel`: a vocabulary
-and a deterministic ``next(context) -> NextTokenDistribution`` step. The
-bundled implementation is a word-level add-k smoothed n-gram model, small
-enough that every probability it produces can be checked by hand; larger
-models are reached over the wire protocol in :mod:`lyricsense.wire`.
+and a deterministic ``next(context)`` step that returns the next-token log
+probabilities as one read-only array. The bundled implementation is a
+word-level add-k smoothed n-gram model, small enough that every
+probability it produces can be checked by hand; larger models are reached
+over the wire protocol in :mod:`lyricsense.wire`.
 
 Models of several orders fitted on the same corpus share one
 :class:`TrainingTexts`: the texts are tokenized once, and each vocabulary
@@ -29,7 +30,6 @@ import numpy as np
 from .jsonfields import load_json, required, typed
 
 MAX_ORDER = 64  # far past any useful n-gram order, and small enough to pad with BOS
-SUM_TOLERANCE = 1e-6  # how far from 1 a distribution's probabilities may sum
 BOS = "<bos>"
 EOS = "<eos>"
 UNK = "<unk>"
@@ -92,32 +92,17 @@ class Vocabulary:
         return cls(tokens=(BOS, EOS, UNK, *content_tokens), bos_id=0, eos_id=1, unk_id=2)
 
 
-class NextTokenDistribution:
-    """Natural-log next-token probabilities over the whole vocabulary."""
-
-    __slots__ = ("log_probs",)
-
-    def __init__(self, log_probs: np.ndarray) -> None:
-        self.log_probs = log_probs
-
-    def validate(self, tolerance: float = SUM_TOLERANCE) -> None:
-        lp = self.log_probs
-        if np.isnan(lp).any() or (lp == np.inf).any():
-            raise ValueError("log probabilities must be finite or -inf")
-        total = float(np.exp(lp).sum())
-        if abs(total - 1.0) > tolerance:
-            raise ValueError(f"distribution sums to {total}, not 1")
-
-
 @runtime_checkable
 class LanguageModel(Protocol):
     """Behavioral contract the decoders rely on.
 
-    ``next`` must be deterministic: the same context always yields the
-    same distribution. A model may return the same array for the same
-    context, as :class:`NGramModel` does, and must never mutate an array
-    it has returned: decoders may keep what they derived from it (see
-    :mod:`lyricsense.decoding`). Implementations must be safe for
+    ``next(context)`` returns the natural-log next-token probabilities
+    after the ids ``context``: one float64 array over the vocabulary, each
+    entry finite or ``-inf``. It must be deterministic: the same context
+    always yields the same values. A model may return the same array for
+    the same context, as :class:`NGramModel` does, and must never mutate
+    an array it has returned: decoders may keep what they derived from it
+    (see :mod:`lyricsense.decoding`). Implementations must be safe for
     concurrent read-only use once constructed.
 
     A model may also offer ``next_many(contexts)``, the list of
@@ -131,7 +116,7 @@ class LanguageModel(Protocol):
 
     def vocabulary(self) -> Vocabulary: ...
 
-    def next(self, context: Sequence[int]) -> NextTokenDistribution: ...
+    def next(self, context: Sequence[int]) -> np.ndarray: ...
 
 
 class NGramModel:
@@ -165,7 +150,7 @@ class NGramModel:
     def vocabulary(self) -> Vocabulary:
         return self._vocab
 
-    def next(self, context: Sequence[int]) -> NextTokenDistribution:
+    def next(self, context: Sequence[int]) -> np.ndarray:
         # Every id is checked, not just the tail: one set lookup per id is
         # cheaper than a range comparison in Python on this per-step path.
         if not self._ids.issuperset(context):
@@ -179,7 +164,7 @@ class NGramModel:
         if cached is None:
             counter = self._counts.get(tail)
             if not counter:
-                return NextTokenDistribution(self._uniform)
+                return self._uniform
             size = len(self._vocab)
             denom = math.log(self._totals[tail] + self.k * size)
             cached = np.full(size, math.log(self.k) - denom)
@@ -187,10 +172,7 @@ class NGramModel:
                 cached[token_id] = math.log(count + self.k) - denom
             cached.setflags(write=False)
             self._cache[tail] = cached
-        return NextTokenDistribution(cached)
-
-    def next_many(self, contexts: Iterable[Sequence[int]]) -> list[NextTokenDistribution]:
-        return [self.next(context) for context in contexts]
+        return cached
 
     def to_dict(self) -> dict:
         vocab = self._vocab
@@ -319,8 +301,8 @@ def sequence_log_prob(model: LanguageModel, ids: Sequence[int]) -> float:
         raise ValueError("sequence must be non-empty")
     total = 0.0
     for t, token_id in enumerate(ids):
-        dist = model.next(ids[:t])
-        if not 0 <= token_id < len(dist.log_probs):
+        log_probs = model.next(ids[:t])
+        if not 0 <= token_id < len(log_probs):
             raise ValueError(f"token id {token_id} out of range")
-        total += float(dist.log_probs[token_id])
+        total += float(log_probs[token_id])
     return total

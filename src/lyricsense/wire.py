@@ -57,7 +57,8 @@ The server answers every request line with exactly one frame. Requests the
 model cannot serve get ``bad_context`` (a ``ValueError`` from the model) or
 ``internal`` (any other exception), and the session continues. A request
 line longer than ``MAX_REQUEST_BYTES`` gets one ``bad_frame`` error, after
-which the server closes the session.
+which the server closes the session. A reply line longer than
+``MAX_REPLY_BYTES`` is a ``ProtocolError`` on the client.
 
 The default per-step timeout is 10 seconds. Failures are distinguishable
 by exception type: transport problems (connect, timeout, closed socket,
@@ -80,12 +81,14 @@ from typing import BinaryIO, Optional, Sequence
 import numpy as np
 
 from .jsonfields import typed
-from .lm import SUM_TOLERANCE, LanguageModel, NextTokenDistribution, Vocabulary
+from .lm import LanguageModel, Vocabulary
 
 PROTO_VERSIONS = (1, 2)
 DEFAULT_TIMEOUT = 10.0
 MAX_REQUEST_BYTES = 1 << 20
+MAX_REPLY_BYTES = 16 << 20  # per reply line: room for the vocab frame of a 50k-token vocabulary
 MAX_BATCH = 64
+SUM_TOLERANCE = 1e-6  # how far from 1 a received distribution's probabilities may sum
 
 
 class WireError(Exception):
@@ -201,9 +204,11 @@ def _parse(line: bytes) -> dict:
 
 
 def _recv(stream: BinaryIO) -> dict:
-    line = stream.readline()
+    line = stream.readline(MAX_REPLY_BYTES)
     if not line:
         raise TransportError("connection closed by peer")
+    if len(line) == MAX_REPLY_BYTES and not line.endswith(b"\n"):
+        raise ProtocolError(f"reply line exceeds {MAX_REPLY_BYTES} bytes")
     return _parse(line)
 
 
@@ -269,10 +274,10 @@ class RemoteLM:
     def vocabulary(self) -> Vocabulary:
         return self._vocab
 
-    def next(self, context: Sequence[int]) -> NextTokenDistribution:
+    def next(self, context: Sequence[int]) -> np.ndarray:
         return self.next_many([context])[0]
 
-    def next_many(self, contexts: Sequence[Sequence[int]]) -> list[NextTokenDistribution]:
+    def next_many(self, contexts: Sequence[Sequence[int]]) -> list[np.ndarray]:
         """``next`` of each context, in order.
 
         With the batch capability the contexts travel in ``next_batch``
@@ -280,10 +285,10 @@ class RemoteLM:
         """
         ctxs = [list(map(int, context)) for context in contexts]
         if not self.batch:
-            return [NextTokenDistribution(self._next_frame(ctx)) for ctx in ctxs]
+            return [self._next_frame(ctx) for ctx in ctxs]
         dists = []
         for start in range(0, len(ctxs), self.batch):
-            dists.extend(map(NextTokenDistribution, self._next_batch_frame(ctxs[start:start + self.batch])))
+            dists.extend(self._next_batch_frame(ctxs[start:start + self.batch]))
         return dists
 
     def _next_frame(self, ctx: list[int]) -> np.ndarray:
@@ -352,12 +357,12 @@ def _build_reply(
         if not _is_context(ctx):
             return {"op": "err", "code": "bad_context", "msg": "ctx must be a list of ids"}, b""
         try:
-            dist = model.next(ctx)
+            logp = model.next(ctx)
         except ValueError as exc:
             return {"op": "err", "code": "bad_context", "msg": str(exc)}, b""
         if proto == 2:
-            return {"op": "dist", "logp_b64": _encode_logp_b64(dist.log_probs)}, b""
-        return {"op": "dist", "logp": _encode_logp(dist.log_probs)}, b""
+            return {"op": "dist", "logp_b64": _encode_logp_b64(logp)}, b""
+        return {"op": "dist", "logp": _encode_logp(logp)}, b""
     if op == "next_batch" and batch:
         ctxs = request.get("ctxs")
         if not isinstance(ctxs, list) or not 1 <= len(ctxs) <= MAX_BATCH:
@@ -368,7 +373,7 @@ def _build_reply(
             if not _is_context(ctx):
                 return {"op": "err", "code": "bad_context", "msg": f"ctxs[{i}] must be a list of ids"}, b""
             try:
-                rows.append(model.next(ctx).log_probs)
+                rows.append(model.next(ctx))
             except ValueError as exc:
                 return {"op": "err", "code": "bad_context", "msg": f"ctxs[{i}]: {exc}"}, b""
             if len(rows[-1]) != len(vocab):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from lyricsense.lm import NextTokenDistribution, Vocabulary, fit_ngram
+from lyricsense.lm import Vocabulary, fit_ngram
 
 MINI_CORPUS = "src/lyricsense/data/mini_corpus.jsonl"
 
@@ -28,7 +28,7 @@ class StubLM:
         return self._vocab
 
     def next(self, context):
-        return NextTokenDistribution(self._fn(tuple(context)))
+        return self._fn(tuple(context))
 
 
 def const_model(content_probs):
@@ -147,7 +147,7 @@ def brute_force_best_finished_log_prob(model, prompt_ids, max_new_tokens):
 
     def walk(prefix, score, depth):
         nonlocal best
-        logp = model.next(list(prompt_ids) + prefix).log_probs
+        logp = model.next(list(prompt_ids) + prefix)
         finished = score + float(logp[eos])
         if finished > best:
             best = finished

@@ -382,7 +382,7 @@ def test_serve_mock_subprocess_speaks_protocol(tmp_path):
             assert client.vocabulary().tokens == local.vocabulary().tokens
             import numpy as np
 
-            assert np.array_equal(client.next([3]).log_probs, local.next([3]).log_probs)
+            assert np.array_equal(client.next([3]), local.next([3]))
     finally:
         proc.terminate()
         proc.wait(timeout=5)

@@ -104,7 +104,7 @@ def test_greedy_tie_breaks_to_lowest_id():
     # symmetric counts => exact tie between the two continuations of "a"
     model = fit_ngram(["a b", "a c"], order=2, k=0.1, vocab_cap=10)
     vocab = model.vocabulary()
-    dist = model.next([vocab.id_of("a")]).log_probs
+    dist = model.next([vocab.id_of("a")])
     b, c = vocab.id_of("b"), vocab.id_of("c")
     assert dist[b] == dist[c]  # the tie is real
     generation = greedy(model, [vocab.id_of("a")], cfg(max_new_tokens=1))
@@ -242,7 +242,7 @@ class _NextManyOnly:
 def test_beam_asks_for_all_running_hypotheses_in_one_next_many_call():
     for seed in range(10):
         model = random_ngram_model(random.Random(seed))
-        next_only = StubLM(model.vocabulary(), lambda ctx: model.next(list(ctx)).log_probs)
+        next_only = StubLM(model.vocabulary(), lambda ctx: model.next(list(ctx)))
         batched = _NextManyOnly(model)
         prompt = [seed % len(model.vocabulary())]
         config = cfg(Strategy.BEAM, num_beams=3, max_new_tokens=6)
@@ -480,7 +480,7 @@ def oracle_sampling(model, prompt, c):
     rng = SplitMix64(c.seed)
     context, emitted, log_prob = list(prompt), [], 0.0
     for _ in range(c.max_new_tokens):
-        raw = model.next(context).log_probs
+        raw = model.next(context)
         cumulative = np.cumsum(oracle_filter(oracle_softmax(raw, c.temperature), c))
         token = int(np.searchsorted(cumulative, rng.random() * cumulative[-1], side="right"))
         log_prob += float(raw[token])
@@ -512,17 +512,16 @@ class OracleHypothesis:
 def oracle_beam(model, prompt_ids, c):
     eos = model.vocabulary().eos_id
     prompt = tuple(prompt_ids)
-    running, finished, finished_count = [OracleHypothesis(0.0, (), 0.0)], [], 0
+    running, finished = [OracleHypothesis(0.0, (), 0.0)], []
     for _ in range(c.max_new_tokens):
         candidates = []
         for hyp in running:
-            raw = model.next(prompt + hyp.ids).log_probs
+            raw = model.next(prompt + hyp.ids)
             banned = oracle_banned(prompt + hyp.ids, c.no_repeat_ngram_size)
             scores = raw.copy()
             scores[list(banned)] = -math.inf
             if not np.isfinite(scores).any():
                 finished.append(hyp)
-                finished_count += 1
                 continue
             for token in oracle_order(scores)[: c.num_beams + 1]:
                 token = int(token)
@@ -535,13 +534,12 @@ def oracle_beam(model, prompt_ids, c):
             if token == eos:
                 if rank < c.num_beams:
                     finished.append(OracleHypothesis(candidate.neg_score, candidate.ids[:-1], candidate.score))
-                    finished_count += 1
             elif len(new_running) < c.num_beams:
                 new_running.append(candidate)
             if len(new_running) == c.num_beams and rank + 1 >= c.num_beams:
                 break
         running = new_running
-        if not running or (c.early_stopping and finished_count >= c.num_beams):
+        if not running or (c.early_stopping and len(finished) >= c.num_beams):
             break
     best = min(finished or running)
     return Generation(best.ids, best.score, FinishReason.EOS if finished else FinishReason.MAX_LEN)

@@ -1,6 +1,8 @@
 import contextlib
 import csv
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -168,6 +170,18 @@ def test_workers_do_not_change_output(mini_corpus_path, tmp_path):
     assert (tmp_path / "a" / "grid.jsonl").read_bytes() == (tmp_path / "b" / "grid.jsonl").read_bytes()
 
 
+def test_default_grid_reports_match_golden_hashes(mini_corpus_path, tmp_path):
+    # The hashes pin the reports' bytes: a change that alters any output
+    # byte must say why and update tests/data/default_grid.sha256.
+    golden = os.path.join(os.path.dirname(__file__), "data", "default_grid.sha256")
+    with open(golden, encoding="ascii") as fh:
+        expected = {name: digest for digest, name in map(str.split, fh)}
+    emit_report(run_grid(default_grid(0), mini_corpus_path, str(tmp_path)), str(tmp_path))
+    actual = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
+    assert sorted(expected) == ["grid.jsonl", "plotdata.json", "summary.csv"]
+    assert actual == expected
+
+
 def test_rank_combinations_orders_and_breaks_ties():
     def mean_with(total, model="m", prompt="p", decoder="d"):
         return CombinationMean(model, prompt, decoder, 1, MetricReport(0.0, 0.0, 0.0, total))
@@ -262,6 +276,38 @@ def test_unreachable_remote_recorded_as_failure(mini_corpus_path, tmp_path):
     assert len(markers) == 1 and markers[0]["model"] == "gone"
     summary = (out / "summary.csv").read_text()
     assert "TransportError" in summary
+
+
+def test_failed_connect_is_remembered_for_the_rest_of_the_grid(mini_corpus_path, tmp_path, monkeypatch):
+    import socket
+
+    import lyricsense.harness as harness
+    from lyricsense.wire import RemoteLM
+
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        free_port = probe.getsockname()[1]
+    attempts = []
+
+    class CountingRemoteLM(RemoteLM):
+        def __init__(self, endpoint):
+            attempts.append(endpoint)
+            super().__init__(endpoint)
+
+    monkeypatch.setattr(harness, "RemoteLM", CountingRemoteLM)
+    grid = small_grid(
+        models=[{"id": "gone", "type": "remote", "endpoint": f"127.0.0.1:{free_port}"}],
+        prompts=["lyrics_meaning", "none"],
+        decoders="all",
+    )
+    result = run_grid(grid, mini_corpus_path, str(tmp_path))
+    assert grid.combination_count() == 10
+    assert len(attempts) == 1
+    assert not result.rows and len(result.failures) == 10
+    assert {(f.error_type, f.message) for f in result.failures} == {
+        ("TransportError", result.failures[0].message)
+    }
+    assert "cannot connect" in result.failures[0].message
 
 
 class _FailsAfter:

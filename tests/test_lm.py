@@ -70,22 +70,22 @@ def test_add_k_closed_form_bigram():
     a, b = vocab.id_of("a"), vocab.id_of("b")
     dist = model.next([a])
     expected_b = (2 + 0.1) / (2 + 0.1 * 5)  # (count + k) / (total + k|V|) = 0.84
-    assert abs(math.exp(dist.log_probs[b]) - expected_b) < 1e-12
-    assert abs(math.exp(dist.log_probs[a]) - 0.1 / 2.5) < 1e-12
+    assert abs(math.exp(dist[b]) - expected_b) < 1e-12
+    assert abs(math.exp(dist[a]) - 0.1 / 2.5) < 1e-12
 
 
 def test_add_k_limit_probability_one():
     model = fit_ngram(["a b", "a b"], order=2, k=1e-9, vocab_cap=10)
     vocab = model.vocabulary()
     dist = model.next([vocab.id_of("a")])
-    assert math.exp(dist.log_probs[vocab.id_of("b")]) == pytest.approx(1.0, abs=1e-6)
+    assert math.exp(dist[vocab.id_of("b")]) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_unigram_ignores_context():
     model = fit_ngram(["a b c a"], order=1, k=0.5, vocab_cap=10)
-    base = model.next([]).log_probs
+    base = model.next([])
     for ctx in ([0], [3], [4, 3], [2, 2, 2]):
-        assert np.array_equal(model.next(ctx).log_probs, base)
+        assert np.array_equal(model.next(ctx), base)
 
 
 def test_unseen_context_is_exactly_uniform():
@@ -93,7 +93,7 @@ def test_unseen_context_is_exactly_uniform():
     vocab = model.vocabulary()
     a, b = vocab.id_of("a"), vocab.id_of("b")
     dist = model.next([b, a])  # context (b, a) never observed
-    probs = np.exp(dist.log_probs)
+    probs = np.exp(dist)
     assert np.allclose(probs, 1.0 / len(vocab), atol=1e-12)
 
 
@@ -102,13 +102,13 @@ def test_peaked_context():
     vocab = model.vocabulary()
     a = vocab.id_of("a")
     dist = model.next([a])
-    assert int(np.argmax(dist.log_probs)) == a
+    assert int(np.argmax(dist)) == a
 
 
 def test_next_is_deterministic():
     model = fit_ngram(["x y z x y"], order=2, k=0.3, vocab_cap=10)
-    first = model.next([3]).log_probs
-    second = model.next([3]).log_probs
+    first = model.next([3])
+    second = model.next([3])
     assert np.array_equal(first, second)
 
 
@@ -119,8 +119,7 @@ def test_distributions_normalize():
     for _ in range(100):
         ctx = [rng.randrange(size) for _ in range(rng.randint(0, 5))]
         dist = model.next(ctx)
-        dist.validate(tolerance=1e-6)
-        assert abs(float(np.exp(dist.log_probs).sum()) - 1.0) < 1e-6
+        assert abs(float(np.exp(dist).sum()) - 1.0) < 1e-6
 
 
 @given(st.integers(0, 1000), st.integers(1, 3))
@@ -131,7 +130,7 @@ def test_context_truncation(seed, order):
     size = len(model.vocabulary())
     ctx = [rng.randrange(size) for _ in range(6)]
     truncated = ctx[-(model.order - 1):] if model.order > 1 else []
-    assert np.array_equal(model.next(ctx).log_probs, model.next(truncated).log_probs)
+    assert np.array_equal(model.next(ctx), model.next(truncated))
 
 
 def test_out_of_range_context_id():
@@ -164,13 +163,13 @@ def test_eos_terminates_training_texts():
     model = fit_ngram(["a"], order=2, k=1e-9, vocab_cap=10)
     vocab = model.vocabulary()
     dist = model.next([vocab.id_of("a")])
-    assert int(np.argmax(dist.log_probs)) == vocab.eos_id
+    assert int(np.argmax(dist)) == vocab.eos_id
 
 
 def test_sequence_log_prob_single_token():
     model = fit_ngram(["a b a"], order=2, k=0.1, vocab_cap=10)
     a = model.vocabulary().id_of("a")
-    assert sequence_log_prob(model, [a]) == float(model.next([]).log_probs[a])
+    assert sequence_log_prob(model, [a]) == float(model.next([])[a])
 
 
 def test_sequence_log_prob_chain_rule():
@@ -178,7 +177,7 @@ def test_sequence_log_prob_chain_rule():
     vocab = model.vocabulary()
     ids = [vocab.id_of(t) for t in ("a", "b", "c")]
     prefix = sequence_log_prob(model, ids[:2])
-    remainder = float(model.next(ids[:2]).log_probs[ids[2]])
+    remainder = float(model.next(ids[:2])[ids[2]])
     assert sequence_log_prob(model, ids) == pytest.approx(prefix + remainder, abs=1e-12)
 
 
@@ -244,7 +243,7 @@ def test_save_load_round_trip(tmp_path):
     assert loaded.vocabulary().tokens == model.vocabulary().tokens
     size = len(model.vocabulary())
     for ctx in ([], [3], [4, 5], [2]):
-        assert np.array_equal(loaded.next(ctx).log_probs, model.next(ctx).log_probs)
+        assert np.array_equal(loaded.next(ctx), model.next(ctx))
 
 
 def test_load_rejects_foreign_files(tmp_path):
@@ -306,14 +305,14 @@ def test_unseen_contexts_share_one_uniform_vector_and_stay_uncached():
     words = [f"w{i}" for i in range(150)]
     model = fit_ngram([" ".join(words), " ".join(reversed(words))], order=3, k=0.7, vocab_cap=200)
     size = len(model.vocabulary())
-    seen = model.next([3, 4]).log_probs  # a context with counts is cached
+    seen = model.next([3, 4])  # a context with counts is cached
     cached = len(model._cache)
     unseen = [ctx for ctx in itertools.product(range(size), repeat=2) if ctx not in model._counts]
     assert len(unseen) >= 10_000
     for ctx in unseen[:10_000]:
         model.next(list(ctx))
     assert len(model._cache) == cached <= len(model._counts)
-    uniform = model.next([0, 2]).log_probs  # (bos, unk) never occurs in training
+    uniform = model.next([0, 2])  # (bos, unk) never occurs in training
     assert not uniform.flags.writeable and not seen.flags.writeable
     expected = np.full(size, math.log(0.7) - math.log(0 + 0.7 * size))
     assert uniform.tobytes() == expected.tobytes()
@@ -330,10 +329,3 @@ def test_order_is_bounded_from_above(order):
         NGramModel.from_dict(saved, "m.json")
     assert fit_ngram(["a b"], order=MAX_ORDER).order == MAX_ORDER
 
-
-def test_next_many_is_next_of_each_context():
-    model = fit_ngram(["a b c a b", "c a b"], order=2, k=0.1, vocab_cap=10)
-    contexts = [[], [3], [4, 3], [0, 1, 2]]
-    many = model.next_many(contexts)
-    assert len(many) == len(contexts)
-    assert all(d.log_probs is model.next(c).log_probs for d, c in zip(many, contexts))

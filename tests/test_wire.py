@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import const_model
-from lyricsense.lm import NextTokenDistribution, Vocabulary, fit_ngram
+from lyricsense.lm import Vocabulary, fit_ngram
 from lyricsense.wire import (
     MAX_BATCH,
     MAX_REQUEST_BYTES,
@@ -52,8 +52,8 @@ def test_handshake_exposes_vocabulary(server, model):
 def test_remote_distributions_match_local(server, model):
     with RemoteLM(server.endpoint) as client:
         for ctx in ([], [3], [4, 3], [0, 1, 2]):
-            remote = client.next(ctx).log_probs
-            local = model.next(ctx).log_probs
+            remote = client.next(ctx)
+            local = model.next(ctx)
             assert np.array_equal(remote, local)  # JSON floats round-trip exactly
 
 
@@ -64,7 +64,7 @@ def test_uniform_stub_served_uniformly():
     try:
         with RemoteLM(srv.endpoint) as client:
             dist = client.next([])
-            probs = np.exp(dist.log_probs)
+            probs = np.exp(dist)
             a = client.vocabulary().id_of("a")
             b = client.vocabulary().id_of("b")
             assert probs[a] == pytest.approx(0.5)
@@ -81,7 +81,7 @@ def test_negative_infinity_round_trips():
     srv.start_background()
     try:
         with RemoteLM(srv.endpoint) as client:
-            logp = client.next([]).log_probs
+            logp = client.next([])
             assert logp[client.vocabulary().id_of("a")] == 0.0
             assert logp[client.vocabulary().eos_id] == -math.inf
     finally:
@@ -334,8 +334,8 @@ def test_v2_client_gets_bit_identical_distributions(server, model):
     with RemoteLM(server.endpoint) as client:
         assert client.proto == 2
         for ctx in ([], [3], [4, 3], [0, 1, 2]):
-            remote = client.next(ctx).log_probs
-            assert remote.tobytes() == model.next(ctx).log_probs.astype("<f8").tobytes()
+            remote = client.next(ctx)
+            assert remote.tobytes() == model.next(ctx).astype("<f8").tobytes()
 
 
 def test_v2_negative_infinity_is_native():
@@ -345,8 +345,8 @@ def test_v2_negative_infinity_is_native():
     try:
         with RemoteLM(srv.endpoint) as client:
             assert client.proto == 2
-            remote = client.next([]).log_probs
-            local = stub.next([]).log_probs
+            remote = client.next([])
+            local = stub.next([])
             assert np.isneginf(remote).sum() == len(local) - 2
             assert remote.tobytes() == local.tobytes()
     finally:
@@ -364,7 +364,7 @@ def test_v2_client_falls_back_when_server_rejects_proto_2():
 
     with _running(v1_only) as (srv, endpoint), RemoteLM(endpoint) as client:
         assert client.proto == 1
-        assert np.array_equal(client.next([3]).log_probs, _UNIFORM)
+        assert np.array_equal(client.next([3]), _UNIFORM)
         assert [r.get("proto") for r in srv.requests[:2]] == [2, 1]  # same connection
 
 
@@ -376,7 +376,7 @@ def test_v2_client_falls_back_when_vocab_frame_has_no_proto():
 
     with _running(ignores_proto) as (srv, endpoint), RemoteLM(endpoint) as client:
         assert client.proto == 1
-        assert np.array_equal(client.next([3]).log_probs, _UNIFORM)
+        assert np.array_equal(client.next([3]), _UNIFORM)
         assert len(srv.requests) == 2  # one hello, one step
 
 
@@ -414,7 +414,7 @@ def test_v1_client_is_answered_with_v1_frames(server, model):
         assert vocab["op"] == "vocab" and "proto" not in vocab
         dist = ask({"op": "next", "ctx": [3]})
         assert set(dist) == {"op", "logp"}
-        expected = [v if math.isfinite(v) else "-inf" for v in model.next([3]).log_probs.tolist()]
+        expected = [v if math.isfinite(v) else "-inf" for v in model.next([3]).tolist()]
         assert dist["logp"] == expected
 
 
@@ -491,7 +491,7 @@ class _NonFinite:
         return _AB
 
     def next(self, context):
-        return NextTokenDistribution(self._bad if context == [3] else _UNIFORM)
+        return self._bad if context == [3] else _UNIFORM
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -509,6 +509,37 @@ def test_over_long_request_line_gets_one_error_then_close(model):
     replies = _session(model, [b'{"op": "hello", "proto": 2}', long_line, b'{"op": "next", "ctx": []}'])
     assert [r["op"] for r in replies] == ["vocab", "err"]
     assert replies[1]["code"] == "bad_frame"
+
+
+def test_reply_line_longer_than_the_limit_is_a_protocol_error(monkeypatch):
+    import lyricsense.wire as wire
+
+    monkeypatch.setattr(wire, "MAX_REPLY_BYTES", 1024)
+    listener = socket.create_server(("127.0.0.1", 0))
+    finished = threading.Event()
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn, conn.makefile("rwb") as stream:
+            stream.readline()
+            stream.write((json.dumps(_vocab_frame(_AB, proto=2)) + "\n").encode())
+            stream.flush()
+            stream.readline()
+            stream.write(b"x" * 4096)  # and never a newline
+            stream.flush()
+            finished.wait(timeout=10)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    host, port = listener.getsockname()[:2]
+    try:
+        with RemoteLM(f"{host}:{port}", timeout=5) as client:
+            with pytest.raises(ProtocolError, match="exceeds 1024 bytes"):
+                client.next([3])
+    finally:
+        finished.set()
+        listener.close()
+        thread.join(timeout=5)
 
 
 _json_values = st.recursive(
@@ -585,7 +616,7 @@ def test_next_many_is_bit_identical_to_local_next(batch_server, model, contexts)
         remote = client.next_many(contexts)
     assert len(remote) == len(contexts)
     for dist, ctx in zip(remote, contexts):
-        assert dist.log_probs.tobytes() == model.next(ctx).log_probs.astype("<f8").tobytes()
+        assert dist.tobytes() == model.next(ctx).astype("<f8").tobytes()
 
 
 _batch_lines = st.one_of(
@@ -608,7 +639,7 @@ def test_every_batch_request_line_gets_exactly_one_frame(model, lines):
         if header["op"] == "dists":
             ctxs = json.loads(line)["ctxs"]
             assert header == {"op": "dists", "count": len(ctxs)} and 1 <= len(ctxs) <= MAX_BATCH
-            expected = b"".join(model.next(ctx).log_probs.astype("<f8").tobytes() for ctx in ctxs)
+            expected = b"".join(model.next(ctx).astype("<f8").tobytes() for ctx in ctxs)
             assert payload == expected and len(payload) <= MAX_BATCH * size * 8
         else:
             assert payload == b""
@@ -634,7 +665,7 @@ class _ShortRows:
         return _AB
 
     def next(self, context):
-        return NextTokenDistribution(np.log([0.5, 0.5]))
+        return np.log([0.5, 0.5])
 
 
 def test_batch_row_of_the_wrong_length_is_an_internal_error():
@@ -662,7 +693,7 @@ def test_client_without_server_capability_sends_next_frames(model):
     def v2_only(request):
         if request["op"] == "hello":
             return _vocab_frame(model.vocabulary(), proto=2)
-        return {"op": "dist", "logp_b64": _b64(model.next(request["ctx"]).log_probs)}
+        return {"op": "dist", "logp_b64": _b64(model.next(request["ctx"]))}
 
     contexts = [[], [3], [4, 3]]
     with _running(v2_only) as (srv, endpoint), RemoteLM(endpoint) as client:
@@ -670,7 +701,7 @@ def test_client_without_server_capability_sends_next_frames(model):
         remote = client.next_many(contexts)
     assert srv.requests[0] == {"op": "hello", "proto": 2, "batch": True}
     assert srv.requests[1:] == [{"op": "next", "ctx": ctx} for ctx in contexts]
-    assert all(d.log_probs.tobytes() == model.next(c).log_probs.tobytes() for d, c in zip(remote, contexts))
+    assert all(d.tobytes() == model.next(c).tobytes() for d, c in zip(remote, contexts))
 
 
 class _BatchReplyServer(socketserver.ThreadingTCPServer):
