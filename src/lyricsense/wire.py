@@ -1,12 +1,13 @@
 """Line-delimited JSON protocol for serving language models over TCP or stdio.
 
 Each message is one JSON object on one ``\\n``-terminated UTF-8 line, except
-the binary payload that follows a ``dists`` header.
+the binary payload that follows a ``dists`` header or a binary
+``next_batch`` header.
 
 Handshake::
 
-    client  {"op": "hello", "proto": 2, "batch": true}
-    server  {"op": "vocab", "tokens": [...], "bos": i, "eos": j, "unk": k, "proto": 2, "batch": 64}
+    client  {"op": "hello", "proto": 2, "batch": true, "ctx": "u32le"}
+    server  {"op": "vocab", "tokens": [...], "bos": i, "eos": j, "unk": k, "proto": 2, "batch": 64, "ctx": "u32le"}
 
 Step::
 
@@ -17,9 +18,12 @@ Step::
 Batched step (protocol 2 with the batch capability)::
 
     client  {"op": "next_batch", "ctxs": [[token ids], ...]}
+    client  {"op": "next_batch", "lens": [n1, ..., nk]}    (with binary contexts)
+            followed by exactly 4 * (n1 + ... + nk) bytes: the k contexts'
+            ids, one after another, as little-endian uint32 values
     server  {"op": "dists", "count": k}
             followed by exactly k * |V| * 8 bytes: k rows of |V| little-endian
-            IEEE-754 float64 values, in the order of ``ctxs``
+            IEEE-754 float64 values, in the order of the contexts
 
 Errors::
 
@@ -44,20 +48,36 @@ so a batch with a bad context gets one ``err`` line and no payload; a
 before the capability existed, and ``next_batch`` outside a batch session
 gets ``bad_op``.
 
-Fallback works in both directions. A client opens with ``proto: 2`` and
-``batch: true``; if the server answers ``err``/``bad_proto`` the client
-repeats ``hello`` with ``proto: 1`` on the same connection, if the
-``vocab`` frame carries no ``"proto": 2`` the client reads protocol 1
-frames, and if it carries no ``"batch"`` the client sends one ``next``
-frame per context. The server answers a ``proto: 1`` hello (or a session
-without any hello) with protocol 1 frames, exactly as a protocol 1 server
-does.
+Binary contexts. A batch hello that also carries ``"ctx": "u32le"`` asks
+for them; the server grants them by echoing ``"ctx": "u32le"`` in its
+``vocab`` frame, and the client then sends each ``next_batch`` as a
+``lens`` header followed by its ids, in one write. The server reads exactly
+``4 * sum(lens)`` bytes, which may not exceed ``MAX_REQUEST_BYTES``. A
+header whose ``lens`` is not a list of 1 to ``MAX_BATCH`` non-negative
+integers, whose payload would exceed that bound, or whose payload is cut
+short gets one ``bad_frame`` error, after which the server closes the
+session: the unread payload cannot be told apart from the next request.
+For the same reason, any ``bad_frame`` ends a session with binary contexts.
+The client rejects an id that is not an integer in [0, 2**32) with a
+``ValueError`` before it sends anything, on every path. A hello without
+the field gets ``ctxs`` sessions exactly as before.
+
+Fallback works in both directions. A client opens with ``proto: 2``,
+``batch: true`` and ``ctx: "u32le"``; if the server answers
+``err``/``bad_proto`` the client repeats ``hello`` with ``proto: 1`` on the
+same connection, if the ``vocab`` frame carries no ``"proto": 2`` the
+client reads protocol 1 frames, if it carries no ``"batch"`` the client
+sends one ``next`` frame per context, and if it carries no ``"ctx"`` the
+client sends ``ctxs`` lists. The server answers a ``proto: 1`` hello (or a
+session without any hello) with protocol 1 frames, exactly as a protocol 1
+server does.
 
 The server answers every request line with exactly one frame. Requests the
 model cannot serve get ``bad_context`` (a ``ValueError`` from the model) or
 ``internal`` (any other exception), and the session continues. A request
-line longer than ``MAX_REQUEST_BYTES`` gets one ``bad_frame`` error, after
-which the server closes the session. A reply line longer than
+line longer than ``MAX_REQUEST_BYTES``, like a bad binary ``next_batch``
+header, gets one ``bad_frame`` error, after which the server closes the
+session. A reply line longer than
 ``MAX_REPLY_BYTES`` is a ``ProtocolError`` on the client.
 
 The default per-step timeout is 10 seconds. Failures are distinguishable
@@ -76,6 +96,7 @@ import socketserver
 import sys
 import threading
 import traceback
+from array import array
 from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
@@ -89,6 +110,8 @@ MAX_REQUEST_BYTES = 1 << 20
 MAX_REPLY_BYTES = 16 << 20  # per reply line: room for the vocab frame of a 50k-token vocabulary
 MAX_BATCH = 64
 SUM_TOLERANCE = 1e-6  # how far from 1 a received distribution's probabilities may sum
+CTX_ENCODING = "u32le"  # the binary context encoding a batch hello may ask for
+_U32 = "I"  # array typecode of C unsigned int, 4 bytes on every platform CPython supports
 
 
 class WireError(Exception):
@@ -169,6 +192,7 @@ def _decode_logp(values: list, expected_len: int) -> np.ndarray:
                 raise ProtocolError(f"logp entry {i} is not a number or '-inf': {v!r}")
     except OverflowError as exc:
         raise ProtocolError(f"logp entry {i} is out of float64 range") from exc
+    out.setflags(write=False)
     return _checked_logp(out, expected_len)
 
 
@@ -182,6 +206,22 @@ def _decode_logp_b64(text: str, expected_len: int) -> np.ndarray:
     if len(raw) % 8:
         raise VocabularyMismatch(f"logp_b64 holds {len(raw)} bytes, not whole float64 values")
     return _checked_logp(np.frombuffer(raw, dtype="<f8"), expected_len)
+
+
+def _id_arrays(contexts: Sequence[Sequence[int]]) -> list[array]:
+    """Each context as an array of uint32 ids; anything else is a ``ValueError`` naming the context and id."""
+    arrays = []
+    for i, context in enumerate(contexts):
+        try:
+            arrays.append(array(_U32, context))
+        except (TypeError, OverflowError):
+            for value in context:
+                try:
+                    array(_U32, [value])
+                except (TypeError, OverflowError):
+                    raise ValueError(f"context {i}: id {value!r} is not an integer in [0, 2**32)") from None
+            raise
+    return arrays
 
 
 def _send(stream: BinaryIO, obj: dict, payload: bytes = b"") -> None:
@@ -215,6 +255,8 @@ def _recv(stream: BinaryIO) -> dict:
 class RemoteLM:
     """LanguageModel client over the wire protocol (one TCP connection)."""
 
+    _hello = {"op": "hello", "proto": 2, "batch": True, "ctx": CTX_ENCODING}
+
     def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT) -> None:
         host, _, port = endpoint.rpartition(":")
         if not host or not port.isdigit():
@@ -227,6 +269,7 @@ class RemoteLM:
         self._stream = self._sock.makefile("rwb")
         self.proto = 1
         self.batch = 0  # contexts per next_batch frame; 0 when the server has no batch capability
+        self.binary_ctx = False  # next_batch sends lens and uint32 ids, not ctxs lists
         try:
             self._vocab = self._handshake()
         except BaseException:
@@ -239,9 +282,9 @@ class RemoteLM:
             return StepTimeout(f"no response from {self.endpoint} in time")
         return TransportError(f"transport failure: {exc}")
 
-    def _exchange(self, request: dict, reply_op: str) -> dict:
+    def _exchange(self, request: dict, reply_op: str, payload: bytes = b"") -> dict:
         try:
-            _send(self._stream, request)
+            _send(self._stream, request, payload)
             response = _recv(self._stream)
         except OSError as exc:
             raise self._transport_error(exc) from exc
@@ -254,7 +297,7 @@ class RemoteLM:
 
     def _handshake(self) -> Vocabulary:
         try:
-            response = self._exchange({"op": "hello", "proto": 2, "batch": True}, "vocab")
+            response = self._exchange(self._hello, "vocab")
         except ServerReported as exc:
             if exc.code != "bad_proto":
                 raise
@@ -267,6 +310,10 @@ class RemoteLM:
                     if batch < 1:
                         raise ValueError("vocab frame: field 'batch': expected a positive integer")
                     self.batch = min(batch, MAX_BATCH)
+                    if "ctx" in response:
+                        if response["ctx"] != CTX_ENCODING:
+                            raise ValueError(f"vocab frame: field 'ctx': expected {CTX_ENCODING!r}")
+                        self.binary_ctx = True
             return Vocabulary.read(response, "vocab frame", ("bos", "eos", "unk"))
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc
@@ -282,10 +329,12 @@ class RemoteLM:
 
         With the batch capability the contexts travel in ``next_batch``
         frames of up to ``self.batch`` each; without it, one ``next`` frame each.
+        An id that is not an integer in [0, 2**32) is a ``ValueError``,
+        raised before any frame is sent.
         """
-        ctxs = [list(map(int, context)) for context in contexts]
+        ctxs = _id_arrays(contexts)
         if not self.batch:
-            return [self._next_frame(ctx) for ctx in ctxs]
+            return [self._next_frame(ctx.tolist()) for ctx in ctxs]
         dists = []
         for start in range(0, len(ctxs), self.batch):
             dists.extend(self._next_batch_frame(ctxs[start:start + self.batch]))
@@ -297,8 +346,16 @@ class RemoteLM:
             return _decode_logp_b64(response.get("logp_b64"), len(self._vocab))
         return _decode_logp(response.get("logp"), len(self._vocab))
 
-    def _next_batch_frame(self, ctxs: list[list[int]]) -> np.ndarray:
-        response = self._exchange({"op": "next_batch", "ctxs": ctxs}, "dists")
+    def _next_batch_frame(self, ctxs: list[array]) -> np.ndarray:
+        if self.binary_ctx:
+            ids = array(_U32)
+            for ctx in ctxs:
+                ids += ctx
+            if sys.byteorder == "big":
+                ids.byteswap()
+            response = self._exchange({"op": "next_batch", "lens": list(map(len, ctxs))}, "dists", ids.tobytes())
+        else:
+            response = self._exchange({"op": "next_batch", "ctxs": [ctx.tolist() for ctx in ctxs]}, "dists")
         count = response.get("count")
         if type(count) is not int or count != len(ctxs):
             raise ProtocolError(f"dists frame has count {count!r} for {len(ctxs)} contexts")
@@ -351,6 +408,8 @@ def _build_reply(
             reply["proto"] = 2
             if request.get("batch") is True:
                 reply["batch"] = MAX_BATCH
+                if request.get("ctx") == CTX_ENCODING:
+                    reply["ctx"] = CTX_ENCODING
         return reply, b""
     if op == "next":
         ctx = request.get("ctx")
@@ -368,20 +427,55 @@ def _build_reply(
         if not isinstance(ctxs, list) or not 1 <= len(ctxs) <= MAX_BATCH:
             return {"op": "err", "code": "bad_frame",
                     "msg": f"ctxs must be a list of 1 to {MAX_BATCH} contexts"}, b""
-        rows = []
-        for i, ctx in enumerate(ctxs):
-            if not _is_context(ctx):
-                return {"op": "err", "code": "bad_context", "msg": f"ctxs[{i}] must be a list of ids"}, b""
-            try:
-                rows.append(model.next(ctx))
-            except ValueError as exc:
-                return {"op": "err", "code": "bad_context", "msg": f"ctxs[{i}]: {exc}"}, b""
-            if len(rows[-1]) != len(vocab):
-                # A short or long row would shift every byte after it.
-                return {"op": "err", "code": "internal",
-                        "msg": f"model returned {len(rows[-1])} entries for |V|={len(vocab)}"}, b""
-        return {"op": "dists", "count": len(rows)}, np.concatenate(rows).astype("<f8", copy=False).tobytes()
+        # The contexts before the first malformed one still reach the model,
+        # so a model error among them is the one reported.
+        bad = next((i for i, ctx in enumerate(ctxs) if not _is_context(ctx)), len(ctxs))
+        reply, payload = _dists_reply(model, vocab, ctxs[:bad])
+        if reply["op"] == "dists" and bad < len(ctxs):
+            return {"op": "err", "code": "bad_context", "msg": f"ctxs[{bad}] must be a list of ids"}, b""
+        return reply, payload
     return {"op": "err", "code": "bad_op", "msg": f"unknown op {op!r}"}, b""
+
+
+def _dists_reply(model: LanguageModel, vocab: Vocabulary, ctxs: list[list[int]]) -> tuple[dict, bytes]:
+    """The reply to a ``next_batch`` of well-formed contexts: every row, or the first error."""
+    rows = []
+    for i, ctx in enumerate(ctxs):
+        try:
+            rows.append(model.next(ctx))
+        except ValueError as exc:
+            return {"op": "err", "code": "bad_context", "msg": f"ctxs[{i}]: {exc}"}, b""
+        if len(rows[-1]) != len(vocab):
+            # A short or long row would shift every byte after it.
+            return {"op": "err", "code": "internal",
+                    "msg": f"model returned {len(rows[-1])} entries for |V|={len(vocab)}"}, b""
+    return {"op": "dists", "count": len(rows)}, b"".join(row.astype("<f8", copy=False).tobytes() for row in rows)
+
+
+def _read_contexts(reader: BinaryIO, lens: object) -> list[list[int]]:
+    """The contexts of a binary ``next_batch`` whose header carried ``lens``, read from its payload.
+
+    Reads exactly ``4 * sum(lens)`` bytes, and nothing when ``lens`` is
+    malformed or that would exceed ``MAX_REQUEST_BYTES``; every failure
+    is a ``ProtocolError``.
+    """
+    if not (_is_context(lens) and 1 <= len(lens) <= MAX_BATCH and min(lens) >= 0):
+        raise ProtocolError(f"lens must be a list of 1 to {MAX_BATCH} non-negative integers")
+    size = 4 * sum(lens)
+    if size > MAX_REQUEST_BYTES:
+        raise ProtocolError(f"next_batch payload of {size} bytes exceeds {MAX_REQUEST_BYTES}")
+    try:
+        raw = reader.read(size)
+    except OSError as exc:
+        raise ProtocolError(f"next_batch payload unreadable: {exc}") from exc
+    if len(raw) != size:
+        raise ProtocolError(f"next_batch payload cut short: {len(raw)} of {size} bytes")
+    ids = np.frombuffer(raw, dtype="<u4").tolist()
+    ctxs, end = [], 0
+    for n in lens:
+        ctxs.append(ids[end:end + n])
+        end += n
+    return ctxs
 
 
 def serve_session(model: LanguageModel, reader: BinaryIO, writer: BinaryIO) -> None:
@@ -389,10 +483,13 @@ def serve_session(model: LanguageModel, reader: BinaryIO, writer: BinaryIO) -> N
 
     Every request line gets exactly one reply frame; the session speaks
     protocol 1, without the batch capability, until a ``hello`` selects
-    another version.
+    another version. A request after which the next one cannot be found
+    (an over-long line, a bad binary ``next_batch``, any malformed line in
+    a session with binary contexts) ends the session after its
+    ``bad_frame`` reply.
     """
     vocab = model.vocabulary()
-    proto, batch = 1, False
+    granted: dict = {}  # the session's last vocab frame: what its hello negotiated
     while True:
         try:
             line = reader.readline(MAX_REQUEST_BYTES)
@@ -400,26 +497,29 @@ def serve_session(model: LanguageModel, reader: BinaryIO, writer: BinaryIO) -> N
             return
         if not line:
             return
-        payload = b""
-        too_long = len(line) == MAX_REQUEST_BYTES and not line.endswith(b"\n")
-        if too_long:
-            reply = {"op": "err", "code": "bad_frame",
-                     "msg": f"request line exceeds {MAX_REQUEST_BYTES} bytes"}
-        else:
-            try:
-                reply, payload = _build_reply(model, vocab, _parse(line), proto, batch)
-            except ProtocolError as exc:
-                reply = {"op": "err", "code": "bad_frame", "msg": str(exc)}
-            except Exception as exc:  # the model or encoder failed; report it and keep serving
-                traceback.print_exc(file=sys.stderr)
-                reply = {"op": "err", "code": "internal", "msg": repr(exc)}
-            if reply["op"] == "vocab":
-                proto, batch = reply.get("proto", 1), "batch" in reply
+        payload, unsynced = b"", len(line) == MAX_REQUEST_BYTES and not line.endswith(b"\n")
+        try:
+            if unsynced:
+                raise ProtocolError(f"request line exceeds {MAX_REQUEST_BYTES} bytes")
+            request = _parse(line)
+            if "ctx" in granted and request["op"] == "next_batch":
+                reply, payload = _dists_reply(model, vocab, _read_contexts(reader, request.get("lens")))
+            else:
+                reply, payload = _build_reply(model, vocab, request, granted.get("proto", 1), "batch" in granted)
+        except ProtocolError as exc:
+            reply = {"op": "err", "code": "bad_frame", "msg": str(exc)}
+            # With binary contexts, a malformed request may be a header whose payload follows.
+            unsynced = unsynced or "ctx" in granted
+        except Exception as exc:  # the model or encoder failed; report it and keep serving
+            traceback.print_exc(file=sys.stderr)
+            reply = {"op": "err", "code": "internal", "msg": repr(exc)}
+        if reply["op"] == "vocab":
+            granted = reply
         try:
             _send(writer, reply, payload)
         except OSError:
             return
-        if too_long:
+        if unsynced:
             return
 
 

@@ -513,14 +513,13 @@ def _remote(server):
 @pytest.mark.parametrize("strategy", [s.value for s in Strategy])
 def test_lockstep_combination_sends_one_frame_per_step(mini_corpus_path, tmp_path, monkeypatch, served_model, strategy):
     frames = []  # contexts per next_batch frame, counted by the server
-    real_reply = wire._build_reply
+    real_reply = wire._dists_reply
 
-    def recording_reply(model, vocab, request, proto, batch):
-        if request.get("op") == "next_batch":
-            frames.append(len(request["ctxs"]))
-        return real_reply(model, vocab, request, proto, batch)
+    def recording_reply(model, vocab, ctxs):
+        frames.append(len(ctxs))
+        return real_reply(model, vocab, ctxs)
 
-    monkeypatch.setattr(wire, "_build_reply", recording_reply)
+    monkeypatch.setattr(wire, "_dists_reply", recording_reply)
     max_new_tokens = 24
     with _serving(served_model) as server:
         grid = small_grid(
@@ -547,6 +546,9 @@ class _LinesThenEOF:
             return b""
         self._lines -= 1
         return self._stream.readline(size)
+
+    def read(self, size=-1):
+        return self._stream.read(size)
 
 
 def test_dropped_connection_is_retried_with_the_same_rows(mini_corpus_path, tmp_path, monkeypatch, served_model):

@@ -9,7 +9,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import const_model
@@ -608,15 +608,29 @@ def _batch_session(model, lines):
 _ctx_lists = st.lists(st.lists(st.integers(0, 5), max_size=5), min_size=1, max_size=2 * MAX_BATCH + 1)
 
 
+class _JsonCtxClient(RemoteLM):
+    """A client that does not ask for binary contexts, as one written before them."""
+
+    _hello = {"op": "hello", "proto": 2, "batch": True}
+
+
+class _V1Client(RemoteLM):
+    """A client that speaks protocol 1 only."""
+
+    _hello = {"op": "hello", "proto": 1}
+
+
 @given(contexts=_ctx_lists)
 @settings(max_examples=40, deadline=None)
 def test_next_many_is_bit_identical_to_local_next(batch_server, model, contexts):
-    with RemoteLM(batch_server.endpoint) as client:
-        assert client.batch == MAX_BATCH
-        remote = client.next_many(contexts)
-    assert len(remote) == len(contexts)
-    for dist, ctx in zip(remote, contexts):
-        assert dist.tobytes() == model.next(ctx).astype("<f8").tobytes()
+    for client_cls in (RemoteLM, _JsonCtxClient):  # binary contexts, then JSON ctxs
+        with client_cls(batch_server.endpoint) as client:
+            assert client.batch == MAX_BATCH
+            assert client.binary_ctx == (client_cls is RemoteLM)
+            remote = client.next_many(contexts)
+        assert len(remote) == len(contexts)
+        for dist, ctx in zip(remote, contexts):
+            assert dist.tobytes() == model.next(ctx).astype("<f8").tobytes()
 
 
 _batch_lines = st.one_of(
@@ -689,6 +703,151 @@ def test_next_batch_needs_the_batch_capability(model):
     assert replies[0] == _vocab_frame(model.vocabulary())
 
 
+@pytest.mark.parametrize("client_cls", [RemoteLM, _JsonCtxClient, _V1Client])
+def test_every_client_path_returns_read_only_rows(batch_server, client_cls):
+    with client_cls(batch_server.endpoint) as client:
+        assert (client.proto, client.batch > 0, client.binary_ctx) == {
+            RemoteLM: (2, True, True), _JsonCtxClient: (2, True, False), _V1Client: (1, False, False),
+        }[client_cls]
+        for dist in [client.next([3]), *client.next_many([[], [4, 3]])]:
+            assert not dist.flags.writeable
+
+
+@pytest.mark.parametrize("client_cls", [RemoteLM, _JsonCtxClient, _V1Client])
+@pytest.mark.parametrize("bad", [1.5, -1, 2**32, "3", None])
+def test_client_rejects_ids_that_are_not_uint32(batch_server, model, client_cls, bad):
+    with client_cls(batch_server.endpoint) as client:
+        with pytest.raises(ValueError, match=rf"context 1: id {bad!r} is not an integer in \[0, 2\*\*32\)"):
+            client.next_many([[3], [4, bad, 3]])
+        # Nothing was sent, so the session is still in step.
+        assert client.next([3]).tobytes() == model.next([3]).tobytes()
+
+
+def test_binary_contexts_need_a_batch_hello_that_asks_for_them(model):
+    vocab = model.vocabulary()
+    for hello, granted in [
+        (b'{"op": "hello", "proto": 2, "batch": true, "ctx": "u32le"}', {"proto": 2, "batch": MAX_BATCH, "ctx": "u32le"}),
+        (b'{"op": "hello", "proto": 2, "batch": true, "ctx": "u16be"}', {"proto": 2, "batch": MAX_BATCH}),
+        (b'{"op": "hello", "proto": 2, "ctx": "u32le"}', {"proto": 2}),
+        (b'{"op": "hello", "proto": 1, "batch": true, "ctx": "u32le"}', {}),
+    ]:
+        assert _session(model, [hello])[0] == _vocab_frame(vocab, **granted)
+
+
+def test_json_and_binary_next_batch_get_the_same_frames(model):
+    ctxs = [[3], [], [4, 3, 2], [9]]
+    lines = [json.dumps({"op": "next_batch", "ctxs": ctxs[:3]}).encode(),
+             json.dumps({"op": "next_batch", "ctxs": ctxs}).encode()]
+    json_frames = _batch_session(model, lines)
+    binary_frames = _binary_session(model, io.BytesIO(_BINARY_HELLO + _binary_request(ctxs[:3]) + _binary_request(ctxs)))
+    assert binary_frames[0][0] == {**json_frames[0][0], "ctx": "u32le"}
+    assert binary_frames[1:] == json_frames[1:]
+    assert json_frames[2][0] == {"op": "err", "code": "bad_context",
+                                 "msg": "ctxs[3]: token id 9 out of range for |V|=6"}
+
+
+def _binary_request(ctxs, lens=None):
+    """A binary next_batch: its header line (``lens`` overrides the true one) and payload."""
+    header = {"op": "next_batch", "lens": [len(c) for c in ctxs] if lens is None else lens}
+    return json.dumps(header).encode() + b"\n" + np.array([i for c in ctxs for i in c], dtype="<u4").tobytes()
+
+
+_BINARY_HELLO = b'{"op": "hello", "proto": 2, "batch": true, "ctx": "u32le"}\n'
+
+
+def _binary_session(model, reader):
+    out = io.BytesIO()
+    serve_session(model, reader, out)
+    return _frames(out.getvalue(), len(model.vocabulary()))
+
+
+_uint32_ctxs = st.lists(st.lists(st.integers(0, 7) | st.just(2**32 - 1), max_size=4), min_size=1, max_size=MAX_BATCH)
+_bad_lens = st.one_of(
+    _json_values.filter(lambda v: not isinstance(v, list)),  # not a list (None stands for a missing field)
+    st.lists(st.integers(0, 3), max_size=3).flatmap(  # a bool or negative entry
+        lambda lens: st.sampled_from([True, False, -1, -(2**40)]).map(lambda bad: [*lens, bad])
+    ),
+    st.just([]),
+    st.lists(st.integers(0, 2), min_size=MAX_BATCH + 1, max_size=MAX_BATCH + 3),
+    st.integers(MAX_REQUEST_BYTES // 4 + 1, 2**70).map(lambda n: [n]),  # payload over the bound
+    st.just([MAX_REQUEST_BYTES // 8, MAX_REQUEST_BYTES // 8 + 1]),
+)
+
+
+@given(
+    goods=st.lists(_uint32_ctxs, max_size=3),
+    bad=st.none()
+    | st.tuples(st.just("header"), _bad_lens)
+    | st.tuples(st.just("cut"), _uint32_ctxs.filter(any))
+    | st.tuples(st.just("line"), st.binary(max_size=20).map(lambda raw: raw.replace(b"\n", b""))),
+    tail=st.binary(max_size=40),
+)
+@settings(max_examples=80, deadline=None)
+@example(goods=[[[3]]], bad=("header", None), tail=bytes(12))
+@example(goods=[[[3]]], bad=("header", [1, True]), tail=bytes(12))
+@example(goods=[[[3]]], bad=("header", [2, -1]), tail=bytes(12))
+@example(goods=[[[3]]], bad=("header", []), tail=bytes(12))
+@example(goods=[[[3]]], bad=("header", [0] * (MAX_BATCH + 1)), tail=bytes(12))
+@example(goods=[[[3]]], bad=("header", [MAX_REQUEST_BYTES // 4 + 1]), tail=bytes(12))
+@example(goods=[[[3]]], bad=("cut", [[3, 4]]), tail=bytes(12))
+@example(goods=[[[3]]], bad=("line", b""), tail=b"\x0a\x0a\x0a\x0a" + b'{"op": "hello", "proto": 2}\n')
+def test_every_binary_next_batch_gets_one_frame_and_a_bad_header_ends_the_session(model, goods, bad, tail):
+    size = len(model.vocabulary())
+    raw = _BINARY_HELLO + b"".join(_binary_request(ctxs) for ctxs in goods)
+    stop = len(raw)  # how far the server may read
+    if bad is not None and bad[0] in ("header", "line"):
+        # A header that is not valid UTF-8 cannot be parsed; its payload may follow all the same.
+        raw += _binary_request([], lens=bad[1]) if bad[0] == "header" else b'{"op": "next_batch"\xff' + bad[1] + b"\n"
+        stop = len(raw)
+        raw += tail  # the payload and any later requests stay unread
+    elif bad is not None:
+        request = _binary_request(bad[1])
+        raw += request[:len(request) - 1 - len(tail) % 4]  # 1 to 4 bytes of the payload missing
+        stop = len(raw)
+    reader = io.BytesIO(raw)
+    with contextlib.redirect_stderr(io.StringIO()) as stderr:
+        frames = _binary_session(model, reader)
+    assert stderr.getvalue() == ""
+    assert reader.tell() == stop
+    assert frames[0][0] == _vocab_frame(model.vocabulary(), proto=2, batch=MAX_BATCH, ctx="u32le")
+    assert len(frames) == 1 + len(goods) + (bad is not None)
+    for ctxs, (header, payload) in zip(goods, frames[1:]):
+        if any(i >= size for c in ctxs for i in c):
+            assert header["code"] == "bad_context" and payload == b""
+        else:
+            assert header == {"op": "dists", "count": len(ctxs)}
+            assert payload == b"".join(model.next(c).astype("<f8").tobytes() for c in ctxs)
+    if bad is not None:
+        header, payload = frames[-1]
+        assert header["op"] == "err" and header["code"] == "bad_frame" and payload == b""
+
+
+def test_client_sends_json_contexts_when_the_server_does_not_grant_binary_ones():
+    requests = []
+
+    def row(ctx):
+        weights = np.arange(1.0, len(_AB) + 1) ** (1 + sum(ctx) % 3)
+        return np.log(weights / weights.sum())
+
+    def reply(request):
+        requests.append(request)
+        return _dists(len(request["ctxs"]), [row(ctx) for ctx in request["ctxs"]])
+
+    contexts = [[], [3], [4, 3], [2**32 - 1]]
+    srv = _BatchReplyServer(reply)
+    threading.Thread(target=srv.serve_forever, daemon=True).start()
+    host, port = srv.server_address[:2]
+    try:
+        with RemoteLM(f"{host}:{port}", timeout=5) as client:
+            assert (client.batch, client.binary_ctx) == (MAX_BATCH, False)
+            remote = client.next_many(contexts)
+    finally:
+        srv.shutdown()
+        srv.server_close()
+    assert requests == [{"op": "next_batch", "ctxs": contexts}]
+    assert [d.tobytes() for d in remote] == [row(c).astype("<f8").tobytes() for c in contexts]
+
+
 def test_client_without_server_capability_sends_next_frames(model):
     def v2_only(request):
         if request["op"] == "hello":
@@ -699,7 +858,7 @@ def test_client_without_server_capability_sends_next_frames(model):
     with _running(v2_only) as (srv, endpoint), RemoteLM(endpoint) as client:
         assert (client.proto, client.batch) == (2, 0)
         remote = client.next_many(contexts)
-    assert srv.requests[0] == {"op": "hello", "proto": 2, "batch": True}
+    assert srv.requests[0] == {"op": "hello", "proto": 2, "batch": True, "ctx": "u32le"}
     assert srv.requests[1:] == [{"op": "next", "ctx": ctx} for ctx in contexts]
     assert all(d.tobytes() == model.next(c).tobytes() for d, c in zip(remote, contexts))
 
