@@ -173,7 +173,8 @@ def _strip_urls(text: str) -> str:
 
 
 def _has_non_latin_letter(text: str) -> bool:
-    return any(ch.isalpha() and ord(ch) > _MAX_LATIN for ch in text)
+    # Every ASCII code point is below _MAX_LATIN, so most lyrics skip the scan.
+    return not text.isascii() and any(ch.isalpha() and ord(ch) > _MAX_LATIN for ch in text)
 
 
 def clean_record(record: SongRecord) -> Optional[SongRecord]:

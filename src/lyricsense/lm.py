@@ -8,11 +8,14 @@ probability it produces can be checked by hand; larger models are reached
 over the wire protocol in :mod:`lyricsense.wire`.
 
 Models of several orders fitted on the same corpus share one
-:class:`TrainingTexts`: the texts are tokenized once, and each vocabulary
-cap's vocabulary and encoded id lists are built once, whatever the number
-of orders. A fitted model caches one read-only distribution per context
-seen in training, so its cache never holds more than ``len(counts)``
-arrays; every unseen context shares one uniform vector.
+:class:`TrainingTexts`: each distinct whitespace word of the texts is
+tokenized once, and each vocabulary cap's vocabulary and flat id array
+are built once, whatever the number of orders. A fit keys every n-gram
+window with numpy and counts them all with one ``np.unique``; the counts
+are plain ``{context: {id: count}}`` dicts of Python ints. A fitted
+model caches one read-only distribution per context seen in training,
+so its cache never holds more than ``len(counts)`` arrays; every unseen
+context shares one uniform vector.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -133,7 +135,7 @@ class NGramModel:
         order: int,
         k: float,
         vocab: Vocabulary,
-        counts: dict[tuple[int, ...], Counter],
+        counts: dict[tuple[int, ...], dict[int, int]],
     ) -> None:
         _check_order_and_k(order, k)
         self.order = order
@@ -208,8 +210,7 @@ class NGramModel:
         for ctx, counter in required(obj, "counts", where, dict).items():
             if not all(t.isdecimal() and int(t) < len(vocab) for t in (*ctx.split(), *typed(counter, dict, at))):
                 raise ValueError(f"{at}: expected token ids below {len(vocab)}")
-            next_counts = {int(t): typed(c, int, at) for t, c in counter.items()}
-            counts[tuple(map(int, ctx.split()))] = Counter(next_counts)
+            counts[tuple(map(int, ctx.split()))] = {int(t): typed(c, int, at) for t, c in counter.items()}
         try:
             return cls(order=order, k=k, vocab=vocab, counts=counts)
         except ValueError as exc:
@@ -227,6 +228,14 @@ def _check_order_and_k(order: int, k: float) -> None:
         raise ValueError("smoothing constant k must be positive")
 
 
+class _Index(dict):
+    """Dense ids in first-seen order: looking up a new key gives it the next id."""
+
+    def __missing__(self, key: str) -> int:
+        self[key] = index = len(self)
+        return index
+
+
 class TrainingTexts(tuple):
     """Training texts, tokenized once and encoded once per vocabulary cap.
 
@@ -237,26 +246,55 @@ class TrainingTexts(tuple):
     """
 
     def __init__(self, texts: Iterable[str] = ()) -> None:
-        self._tokenized: list[list[str]] | None = None
-        self._encoded: dict[int, tuple[Vocabulary, list[list[int]]]] = {}
+        self._tokens: tuple[list[str], np.ndarray, np.ndarray] | None = None
+        self._encoded: dict[int, tuple[Vocabulary, np.ndarray, np.ndarray]] = {}
 
-    def encoded(self, vocab_cap: int) -> tuple[Vocabulary, list[list[int]]]:
-        """The capped vocabulary and the id lists of the texts that have tokens.
+    def _tokenize(self) -> tuple[list[str], np.ndarray, np.ndarray]:
+        """The distinct tokens, every text's tokens back to back as indices into them, and each text's token count.
+
+        ``tokenize_lm(text)`` is the concatenation of ``tokenize_lm(word)``
+        over ``text.split()``, so each distinct word is tokenized once and
+        the token stream is gathered from the words' token runs.
+        """
+        word_ids, token_ids = _Index(), _Index()
+        words: list[int] = []
+        words_per_text = []
+        for text in self:
+            split = text.split()
+            words_per_text.append(len(split))
+            words.extend(map(word_ids.__getitem__, split))
+        runs = [list(map(token_ids.__getitem__, tokenize_lm(word))) for word in word_ids]
+
+        run_lengths = np.fromiter(map(len, runs), np.int64, len(runs))
+        run_starts = np.cumsum(run_lengths) - run_lengths
+        occurrences = np.array(words, np.int64)
+        lengths = run_lengths[occurrences]
+        ends = np.cumsum(lengths)
+        # Token t of occurrence o sits at ends[o] - lengths[o] + t in the stream
+        # and at run_starts[word] + t in the runs.
+        shift = np.repeat(run_starts[occurrences] - (ends - lengths), lengths)
+        stream = np.fromiter(chain.from_iterable(runs), np.int64)[np.arange(len(shift)) + shift]
+        text_ends = np.concatenate(([0], ends))[np.cumsum([0, *words_per_text])]
+        return list(token_ids), stream, np.diff(text_ends)
+
+    def encoded(self, vocab_cap: int) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
+        """The capped vocabulary, the ids of all texts back to back, and the token count of each text that has tokens.
 
         The vocabulary keeps the ``vocab_cap`` most frequent tokens (ties
         by alphabetical order) after the reserved markers.
         """
         built = self._encoded.get(vocab_cap)
         if built is None:
-            if self._tokenized is None:
-                self._tokenized = [toks for toks in map(tokenize_lm, self) if toks]
-            tokenized = self._tokenized
-            if not tokenized:
+            if self._tokens is None:
+                self._tokens = self._tokenize()
+            tokens, stream, lengths = self._tokens
+            if not len(stream):
                 raise ValueError("no training text")
-            frequencies = Counter(chain.from_iterable(tokenized))
-            kept = sorted(frequencies.items(), key=lambda item: (-item[1], item[0]))[:vocab_cap]
-            vocab = Vocabulary.build([tok for tok, _ in kept])
-            built = self._encoded[vocab_cap] = (vocab, [vocab.encode(toks) for toks in tokenized])
+            frequencies = np.bincount(stream, minlength=len(tokens)).tolist()
+            kept = sorted(range(len(tokens)), key=lambda i: (-frequencies[i], tokens[i]))[:vocab_cap]
+            vocab = Vocabulary.build([tokens[i] for i in kept])
+            ids = np.array(vocab.encode(tokens), np.int64)[stream]
+            built = self._encoded[vocab_cap] = (vocab, ids, lengths[lengths > 0])
         return built
 
 
@@ -278,21 +316,49 @@ def fit_ngram(texts: Iterable[str], order: int, k: float = 0.1, vocab_cap: int =
         raise ValueError("vocab_cap must be >= 3")
     if not isinstance(texts, TrainingTexts):
         texts = TrainingTexts(texts)
-    vocab, encoded = texts.encoded(vocab_cap)
+    vocab, ids, lengths = texts.encoded(vocab_cap)
 
-    # Each n-gram is a zip of one padded id list against its own shifts.
-    pad = [vocab.bos_id] * (order - 1)
-    tail = [vocab.eos_id]
-    padded = (pad + ids + tail for ids in encoded)
-    grams = Counter(chain.from_iterable(zip(*(seq[i:] for i in range(order))) for seq in padded))
-    counts: dict[tuple[int, ...], Counter] = {}
-    for gram, count in grams.items():
-        ctx = gram[:-1]
-        counter = counts.get(ctx)
-        if counter is None:
-            counter = counts[ctx] = Counter()
-        counter[gram[-1]] = count
-    return NGramModel(order=order, k=k, vocab=vocab, counts=counts)
+    # The texts back to back, each as order-1 BOS, its ids and EOS.
+    count = len(lengths)
+    padded = np.full(len(ids) + count * order, vocab.bos_id, np.int64)
+    padded[np.repeat(np.arange(count) * order + order - 1, lengths) + np.arange(len(ids))] = ids
+    padded[np.cumsum(lengths + order) - 1] = vocab.eos_id
+    return NGramModel(order=order, k=k, vocab=vocab, counts=_count_ngrams(padded, order, vocab))
+
+
+def _count_ngrams(padded: np.ndarray, order: int, vocab: Vocabulary) -> dict[tuple[int, ...], dict[int, int]]:
+    """``{context: {id: count}}`` over every ``order``-id window of ``padded`` that ends in a text.
+
+    Each window is keyed by its ids as digits in base ``|V|``. Before a
+    digit would push the keys past int64, they are replaced by their ranks
+    among the distinct keys so far, which keeps their order; the rank
+    tables map the counted keys back to their ids.
+    """
+    size = len(vocab)
+    width = len(padded) - order + 1
+    key = np.zeros(width, np.int64)
+    bound = 1  # every key is below it
+    tables = {}
+    for i in range(order):
+        if bound * size > 2**63:
+            tables[i], key = np.unique(key, return_inverse=True)
+            bound = len(tables[i])
+        key *= size
+        key += padded[i : i + width]
+        bound *= size
+    # A window that ends in BOS padding spans two texts.
+    grams, counts = np.unique(key[padded[order - 1 :] != vocab.bos_id], return_counts=True)
+    ids = np.empty((len(grams), order), np.int64)
+    value = grams
+    for i in reversed(range(order)):
+        value, ids[:, i] = np.divmod(value, size)
+        if i in tables:
+            value = tables[i][value]
+    # Sorted keys put the n-grams of one context in one run.
+    heads = np.flatnonzero(np.diff(grams // size, prepend=-1))
+    runs = np.diff(heads, append=len(grams)).tolist()
+    grouped = zip(ids[:, -1].tolist(), counts.tolist())
+    return {ctx: dict(islice(grouped, run)) for ctx, run in zip(map(tuple, ids[heads, :-1].tolist()), runs)}
 
 
 def sequence_log_prob(model: LanguageModel, ids: Sequence[int]) -> float:

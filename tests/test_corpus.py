@@ -18,6 +18,7 @@ from lyricsense.corpus import (
     stats_tokenize,
     write_corpus,
 )
+from lyricsense.corpus import _has_non_latin_letter
 from lyricsense.rng import SplitMix64
 
 
@@ -137,6 +138,22 @@ def test_clean_rejects_non_latin_lyrics():
 @pytest.mark.parametrize("ch", ["α", "б", "中", "א"])  # Greek, Cyrillic, CJK, Hebrew
 def test_clean_rejects_other_scripts(ch):
     assert clean_record(make_record(lyrics=f"la {ch} la")) is None
+
+
+# ASCII, Latin-1 and Latin Extended letters, Greek, CJK, and non-letters above U+024F.
+_script_text = st.text(
+    alphabet=st.sampled_from("aZ 9.\n\u00e9\u00ff\u0101\u024f\u0250\u03b1\u03a3\u4e2d\u0663\u2028\U0001f3b5")
+)
+
+
+@given(_script_text)
+@example("\u0663")  # ARABIC-INDIC DIGIT THREE: above U+024F, not a letter
+@example("ab \u0250")  # first code point past Latin Extended-B
+@settings(max_examples=300)
+def test_non_latin_letter_check_matches_per_character_definition(text):
+    expected = any(ch.isalpha() and ord(ch) > 0x024F for ch in text)
+    assert _has_non_latin_letter(text) == expected
+    assert (clean_record(make_record(lyrics=f"la {text}")) is None) == expected
 
 
 def test_clean_keeps_latin_accents_digits_punctuation_emoji():

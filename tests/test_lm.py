@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_model, random_ngram_model
@@ -28,6 +28,24 @@ def test_tokenize_lm_rules():
     assert tokenize_lm("lyrics: X. meaning:") == ["lyrics", ":", "x", ".", "meaning", ":"]
     assert tokenize_lm("") == []
     assert tokenize_lm("well-known (yes!)") == ["well", "-", "known", "(", "yes", "!", ")"]
+
+
+# Whitespace that str.split and the regex's \s both take (NBSP, NEL, LINE
+# SEPARATOR, FILE SEPARATOR), the apostrophe, letters whose lowercase depends
+# on their neighbours or grows (sigma, dotted capital I), and punctuation runs.
+_split_pieces = st.sampled_from(
+    ["a", "Z", "9", "_", "\u00e9", "\u03a3", "\u03c3", "\u0391", "\u0130", "\u0307", "'", "''", ".", "!?", "...", "-'-",
+     " ", "\t", "\n", "\u00a0", "\u0085", "\u2028", "\u001c", "\u3000"]
+)
+
+
+@given(st.lists(st.one_of(_split_pieces, st.characters()), max_size=24).map("".join))
+@example("\u0391\u03a3\u00a0\u03a3\u0391")  # final sigma before a space that is not ASCII
+@example("\u0391'\u03a3\u0085\u0130'\u03a3")
+@example("it's\u2028'quoted'\u001c!?!")
+@settings(max_examples=300)
+def test_tokenize_lm_is_the_concatenation_over_whitespace_words(text):
+    assert tokenize_lm(text) == [tok for word in text.split() for tok in tokenize_lm(word)]
 
 
 def test_vocabulary_bijection_and_reserved():
@@ -287,6 +305,40 @@ def test_fit_matches_per_position_counting(texts, order, vocab_cap):
         return
     fitted = fit_ngram(texts, order=order, k=0.1, vocab_cap=vocab_cap)
     assert fitted.to_dict() == _oracle_fit(texts, order, 0.1, vocab_cap).to_dict()
+
+
+_capped_words = [f"w{i}" for i in range(25)]  # more distinct words than the cap of 20
+
+
+@given(
+    texts=st.lists(st.lists(st.sampled_from([*_capped_words, "it's", ",", "!?"]), max_size=30).map(" ".join), max_size=4),
+    order=st.integers(14, MAX_ORDER),
+)
+@example(texts=[], order=MAX_ORDER)
+@settings(max_examples=40)
+def test_fit_matches_per_position_counting_past_int64_keys(texts, order):
+    # |V| = 23, and 23**14 > 2**63: keys of every drawn order overflow int64.
+    texts = [" ".join(_capped_words), *texts]
+    fitted = fit_ngram(texts, order=order, k=0.1, vocab_cap=20)
+    assert len(fitted.vocabulary()) ** order > 2**63
+    assert fitted.to_dict() == _oracle_fit(texts, order, 0.1, 20).to_dict()
+
+
+def test_fit_matches_per_position_counting_on_a_capped_corpus():
+    rng = random.Random(13)
+    prefixes, suffixes = ["", "Re", "o"], ["", "'s", ",", "!?", "."]
+    lexicon = [rng.choice(prefixes) + f"w{i}" + rng.choice(suffixes) for i in range(600)]
+    weights = [1 / (rank + 1) for rank in range(len(lexicon))]
+    texts = [" ".join(rng.choices(lexicon, weights, k=rng.randint(0, 30))) for _ in range(300)]
+    shared = TrainingTexts(texts)
+    assert len(set(tokenize_lm(" ".join(texts)))) > 400
+    for order in (1, 2, 3):
+        fitted = fit_ngram(shared, order=order, k=0.1, vocab_cap=150)
+        assert len(fitted.vocabulary()) == 153
+        assert fitted.to_dict() == _oracle_fit(texts, order, 0.1, 150).to_dict()
+        # Plain dicts of Python ints, as a saved model is read back.
+        assert all(type(nexts) is dict for nexts in fitted._counts.values())
+        assert all(type(t) is int and type(c) is int for nexts in fitted._counts.values() for t, c in nexts.items())
 
 
 def test_shared_training_texts_fit_the_same_models():
