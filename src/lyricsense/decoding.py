@@ -41,9 +41,11 @@ whichever row asked for it. Its key is ``id(log_probs)`` plus the
 derivation and its parameters, and its value ``(log_probs, derived)``,
 so the array stays alive and its ``id()`` cannot be reused while the
 memo lives. The caller owns the memo's scope and drops it to free the
-memory; the experiment grid passes one per combination to its one
-``decode_many`` call. ``memo=None`` derives every step afresh and stores
-nothing. A memo never skips a ``model.next`` call.
+memory. The experiment grid passes one memo to every ``decode_many``
+call of one (model, decoder) pair, one call per prompt, since the
+prompts' rows step through many of the same arrays, and drops it after
+the pair's last prompt. ``memo=None`` derives every step afresh and
+stores nothing. A memo never skips a ``model.next`` call.
 """
 
 from __future__ import annotations
@@ -268,7 +270,11 @@ def top_p_sample(
 
 
 def _banned_tokens(sequence: Sequence[int], ngram_size: int) -> set[int]:
-    """Tokens whose emission would repeat an ngram_size-gram of sequence."""
+    """Tokens whose emission would repeat an ngram_size-gram of sequence.
+
+    The reference definition; beam search looks the same set up in a
+    follower map (:func:`_banned_from`).
+    """
     if ngram_size < 1 or len(sequence) < ngram_size - 1:
         return set()
     prefix = tuple(sequence[len(sequence) - ngram_size + 1 :])
@@ -276,10 +282,46 @@ def _banned_tokens(sequence: Sequence[int], ngram_size: int) -> set[int]:
     return {gram[-1] for gram in grams if gram[:-1] == prefix}
 
 
+_Followers = dict[tuple[int, ...], frozenset[int]]
+_NO_TOKENS: frozenset[int] = frozenset()
+
+
+def _follower_map(sequence: Sequence[int], ngram_size: int) -> _Followers:
+    """Each (ngram_size-1)-gram of ``sequence`` mapped to the ids that follow it there."""
+    followers: dict[tuple[int, ...], set[int]] = {}
+    for gram in zip(*(sequence[i:] for i in range(ngram_size))):
+        followers.setdefault(gram[:-1], set()).add(gram[-1])
+    return {prefix: frozenset(ids) for prefix, ids in followers.items()}
+
+
+def _add_last_gram(followers: _Followers, sequence: Sequence[int], ngram_size: int) -> _Followers:
+    """The follower map of ``sequence``, given ``followers``, that of ``sequence[:-1]``.
+
+    Returns a copy with the n-gram that the last id completes; the values
+    are frozensets, so the copy shares them and ``followers`` is unchanged.
+    """
+    if ngram_size < 1 or len(sequence) < ngram_size:
+        return followers
+    prefix = tuple(sequence[len(sequence) - ngram_size : -1])
+    extended = dict(followers)
+    extended[prefix] = followers.get(prefix, _NO_TOKENS) | {sequence[-1]}
+    return extended
+
+
+def _banned_from(followers: _Followers, sequence: Sequence[int], ngram_size: int) -> frozenset[int]:
+    """``_banned_tokens(sequence, ngram_size)``, looked up in ``followers``, the follower map of ``sequence``."""
+    if ngram_size < 1 or len(sequence) < ngram_size - 1:
+        return _NO_TOKENS
+    return followers.get(tuple(sequence[len(sequence) - ngram_size + 1 :]), _NO_TOKENS)
+
+
 class _Hypothesis(NamedTuple):
     neg_score: float
     ids: tuple[int, ...]
     score: float
+    # The follower map of prompt + ids for the no-repeat constraint. A
+    # candidate holds its parent's map, and extends a copy only if it survives.
+    followers: _Followers
 
 
 # Best first: highest score, then the lexicographically smallest ids.
@@ -289,8 +331,9 @@ _rank = attrgetter("neg_score", "ids")
 def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]) -> _Steps:
     """Beam search of one row; see :func:`beam_search`."""
     prompt = tuple(prompt_ids)
+    ngram_size = cfg.no_repeat_ngram_size
     width = cfg.num_beams + 1
-    running: list[_Hypothesis] = [_Hypothesis(0.0, (), 0.0)]
+    running: list[_Hypothesis] = [_Hypothesis(0.0, (), 0.0, _follower_map(prompt, ngram_size))]
     finished: list[_Hypothesis] = []
 
     for _ in range(cfg.max_new_tokens):
@@ -298,7 +341,7 @@ def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Op
         contexts = [prompt + hyp.ids for hyp in running]
         rows = yield contexts
         for hyp, context, raw in zip(running, contexts, rows):
-            banned = _banned_tokens(context, cfg.no_repeat_ngram_size)
+            banned = _banned_from(hyp.followers, context, ngram_size)
             # A candidate can matter only if it ranks within the global
             # top num_beams, hence within its own hypothesis's top
             # num_beams; one extra slot cannot hurt. Finite ids sort
@@ -313,7 +356,7 @@ def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Op
                 if not math.isfinite(step):
                     break
                 score = hyp.score + step
-                candidates.append(_Hypothesis(-score, hyp.ids + (token,), score))
+                candidates.append(_Hypothesis(-score, hyp.ids + (token,), score, hyp.followers))
                 expanded += 1
                 if expanded == width:
                     break
@@ -324,9 +367,10 @@ def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Op
         for rank, candidate in enumerate(candidates):
             if candidate.ids[-1] == eos:
                 if rank < cfg.num_beams:
-                    finished.append(_Hypothesis(candidate.neg_score, candidate.ids[:-1], candidate.score))
+                    finished.append(candidate._replace(ids=candidate.ids[:-1]))
             elif len(new_running) < cfg.num_beams:
-                new_running.append(candidate)
+                followers = _add_last_gram(candidate.followers, prompt + candidate.ids, ngram_size)
+                new_running.append(candidate._replace(followers=followers))
             if len(new_running) == cfg.num_beams and rank + 1 >= cfg.num_beams:
                 break
         running = new_running

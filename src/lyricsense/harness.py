@@ -5,9 +5,12 @@ continuation, and scores it against the gold annotation and the full
 song lyrics. The rows of one combination decode in lockstep
 (``decoding.decode_many``), so the model is asked once per decode step
 for all of them: one round trip per step for a remote model. The grid
-runs serially, one combination after another in combination order.
-``run_grid`` streams rows to ``grid.jsonl`` as each combination
-completes, so an interrupted run loses at most one combination;
+runs serially, model by model, and within a model decoder-major: for
+each decoder, every prompt. The combinations of one (model, decoder)
+pair share one decode memo, dropped after the pair's last prompt.
+``run_grid`` still writes ``grid.jsonl`` in combination order (model,
+prompt, decoder), each combination as soon as every one before it is
+written, so an interrupted run loses at most one model's combinations;
 ``emit_report`` writes ``summary.csv`` and ``plotdata.json``.
 Per-row sampler seeds are derived from the grid seed and the full
 combination key, making the output byte-reproducible.
@@ -19,7 +22,6 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import Callable, Optional, Sequence, Union
 
 from . import __version__
@@ -329,6 +331,7 @@ def _run_combination(
     prompt_spec: PromptSpec,
     decoder_id: str,
     cfg: DecodeConfig,
+    memo: Optional[dict],
     eval_samples: Sequence[Sample],
     lyrics_by_song: dict[str, str],
     weights: TotalScoreWeights,
@@ -336,9 +339,10 @@ def _run_combination(
 ) -> Union[tuple[list[GridRow], CombinationMean], GridFailure]:
     """One combination's rows and mean, or its failure.
 
-    All rows decode in lockstep, each under its own seeded config. A
-    remote model connects on its first combination and is stored in
-    ``models`` for the rest. A failed connect is stored in its place, so
+    All rows decode in lockstep, each under its own seeded config, and
+    share ``memo`` (see :mod:`lyricsense.decoding`). A remote model
+    connects on its first combination and is stored in ``models`` for
+    the rest. A failed connect is stored in its place, so
     every later combination of that model fails at once with the same
     error type and message, and is never retried. After a wire error on
     a connected client the client is closed and its entry reset, since a
@@ -361,11 +365,6 @@ def _run_combination(
         try:
             if model is None:
                 model = models[model_id] = RemoteLM(model_spec.endpoint)
-            # An n-gram model hands back one cached read-only array per context,
-            # so what decoding derives from it is shared by the combination's
-            # rows. A remote model builds a fresh array every step: a memo
-            # would only hold memory. Dropped when the combination ends.
-            memo: Optional[dict] = {} if isinstance(model, NGramModel) else None
             predictions = generate_meaning(model, prompt_spec, eval_samples, cfgs, memo=memo)
             rows = [
                 GridRow(
@@ -415,9 +414,15 @@ def run_grid(
 
     Combinations run one after another in the calling thread;
     ``workers`` is accepted so existing callers keep working, and is
-    ignored. A combination that raises a wire error or a ``ValueError``
-    (an unreachable endpoint, a bad prompt, a model's invalid
-    distribution) is recorded as a failure and the grid continues; two
+    ignored. Within each model they run decoder-major, and each (model,
+    decoder) pair of an in-process n-gram model gets one decode memo,
+    since every prompt's rows step through the same cached arrays. A
+    remote model gets none. Outcomes are held until every combination
+    before them in combination order is written, so ``grid.jsonl`` and
+    the result lists keep that order, and an interrupt loses at most one
+    model's combinations. A combination that raises a wire error or a
+    ``ValueError`` (an unreachable endpoint, a bad prompt, a model's
+    invalid distribution) is recorded as a failure and the grid continues; two
     runs with the same seed, config and corpus produce byte-identical
     output.
     """
@@ -439,21 +444,36 @@ def run_grid(
     try:
         with open(os.path.join(out_dir, "grid.jsonl"), "w", encoding="utf-8") as fh:
             fh.write(json.dumps({"provenance": provenance}, sort_keys=True) + "\n")
-            for model_spec, prompt_spec, (decoder_id, cfg) in product(grid.models, grid.prompts, grid.decoders):
-                outcome = _run_combination(
-                    models, model_spec, prompt_spec, decoder_id, cfg,
-                    eval_samples, lyrics_by_song, grid.weights, grid.seed,
-                )
-                if isinstance(outcome, GridFailure):
-                    failures.append(outcome)
-                    lines: Sequence[Union[GridRow, GridFailure]] = [outcome]
-                else:
-                    lines, mean = outcome
-                    rows.extend(lines)
-                    means.append(mean)
-                for line in lines:
-                    fh.write(json.dumps(line.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
-                fh.flush()
+            # Outcomes by combination index, (model, prompt, decoder) order, until written.
+            pending: dict[int, Union[tuple[list[GridRow], CombinationMean], GridFailure]] = {}
+            written = 0
+            n_prompts, n_decoders = len(grid.prompts), len(grid.decoders)
+            for m, model_spec in enumerate(grid.models):
+                # An n-gram model hands back one cached read-only array per
+                # context, so what decoding derives from it serves every prompt
+                # of a decoder. A remote model builds a fresh array every step:
+                # a memo would only hold memory.
+                local = isinstance(models[model_spec.model_id], NGramModel)
+                for d, (decoder_id, cfg) in enumerate(grid.decoders):
+                    memo: Optional[dict] = {} if local else None
+                    for p, prompt_spec in enumerate(grid.prompts):
+                        pending[(m * n_prompts + p) * n_decoders + d] = _run_combination(
+                            models, model_spec, prompt_spec, decoder_id, cfg, memo,
+                            eval_samples, lyrics_by_song, grid.weights, grid.seed,
+                        )
+                        while written in pending:
+                            outcome = pending.pop(written)
+                            written += 1
+                            if isinstance(outcome, GridFailure):
+                                failures.append(outcome)
+                                lines: Sequence[Union[GridRow, GridFailure]] = [outcome]
+                            else:
+                                lines, mean = outcome
+                                rows.extend(lines)
+                                means.append(mean)
+                            for line in lines:
+                                fh.write(json.dumps(line.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+                        fh.flush()
     finally:
         for model in models.values():
             if isinstance(model, RemoteLM):

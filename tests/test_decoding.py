@@ -22,6 +22,10 @@ from lyricsense.decoding import (
     FinishReason,
     Generation,
     Strategy,
+    _add_last_gram,
+    _banned_from,
+    _banned_tokens,
+    _follower_map,
     beam_search,
     decode,
     decode_many,
@@ -180,6 +184,25 @@ def test_no_repeat_disabled_allows_cycles():
     )
     a, b = vocab.id_of("a"), vocab.id_of("b")
     assert generation.ids == (a, b, a, b, a, b)
+
+
+@given(
+    prompt=st.lists(st.integers(0, 3), max_size=6),
+    extension=st.lists(st.integers(0, 3), max_size=12),
+    ngram_size=st.integers(0, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_follower_map_bans_what_banned_tokens_bans(prompt, extension, ngram_size):
+    sequence = tuple(prompt)
+    followers = _follower_map(sequence, ngram_size)
+    for token in extension:
+        assert _banned_from(followers, sequence, ngram_size) == _banned_tokens(sequence, ngram_size)
+        parent, before = followers, dict(followers)
+        sequence += (token,)
+        followers = _add_last_gram(parent, sequence, ngram_size)
+        assert parent == before  # a beam parent's map is shared by its other candidates
+        assert followers == _follower_map(sequence, ngram_size)
+    assert _banned_from(followers, sequence, ngram_size) == _banned_tokens(sequence, ngram_size)
 
 
 def test_beam_degenerate_all_continuations_banned():

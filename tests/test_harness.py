@@ -3,6 +3,8 @@ import csv
 import hashlib
 import json
 import os
+from collections import Counter
+from itertools import product, takewhile
 
 import pytest
 
@@ -448,7 +450,11 @@ def test_memo_per_ngram_combination_none_for_remote(mini_corpus_path, tmp_path, 
         else:
             assert memo is None
     assert len(local_memos) == len(grid.prompts) * len(grid.decoders)
-    assert len({id(memo) for memo in local_memos}) == len(local_memos)
+    # Decoder-major: each decoder's prompts run one after another and share one memo.
+    per_decoder = local_memos[:: len(grid.prompts)]
+    assert all(memo is per_decoder[i // len(grid.prompts)] for i, memo in enumerate(local_memos)) and len(
+        {id(memo) for memo in per_decoder}
+    ) == len(grid.decoders)
 
 
 def test_one_connection_per_remote_model_closed_before_run_grid_returns(mini_corpus_path, tmp_path, monkeypatch):
@@ -601,3 +607,113 @@ def test_value_error_of_one_row_in_a_lockstep_batch_fails_only_its_combination(
     assert [(f.prompt_id, f.error_type) for f in result.failures] == [(prompts[0], "ServerReported")]
     assert "bad_context" in result.failures[0].message and "ctxs[1]" in result.failures[0].message
     assert result.rows == [row for row in whole.rows if row.prompt_id == prompts[1]]
+
+
+# ---------------------------------------------------------- decoder-major schedule
+
+def _combination_keys(grid):
+    return list(product((m.model_id for m in grid.models), (p.spec_id for p in grid.prompts), (d for d, _ in grid.decoders)))
+
+
+def _line_key(line):
+    obj = json.loads(line)
+    return obj["model"], obj["prompt"], obj["decoder"]
+
+
+def test_failed_middle_combinations_keep_combination_order(mini_corpus_path, tmp_path, monkeypatch):
+    import lyricsense.harness as harness
+
+    decoders = [
+        {"id": "greedy", "strategy": "greedy", "max_new_tokens": 8},
+        {"id": "top_p", "strategy": "top_p", "max_new_tokens": 8, "seed": 2},
+    ]
+    grid = small_grid(prompts=["lyrics_meaning", "question_context", "none"], decoders=decoders)
+    whole = run_grid(grid, mini_corpus_path, str(tmp_path / "whole"))
+    real_fit = harness.fit_ngram
+
+    def fit(texts, order, **kwargs):
+        model = real_fit(texts, order, **kwargs)
+        return _Refuses(model, model.vocabulary().encode_text("question: what is the meaning of this song?"))
+
+    monkeypatch.setattr(harness, "fit_ngram", fit)
+    out = tmp_path / "bad"
+    result = run_grid(grid, mini_corpus_path, str(out))
+    emit_report(result, str(out))
+
+    keys = _combination_keys(grid)
+    failed = [key for key in keys if key[1] == "question_context"]
+    assert [(f.model_id, f.prompt_id, f.decoder_id) for f in result.failures] == failed
+    assert all(f.error_type == "ValueError" and f.message == "refused context" for f in result.failures)
+    assert result.rows == [row for row in whole.rows if row.prompt_id != "question_context"]
+    assert [(m.model_id, m.prompt_id, m.decoder_id) for m in result.means] == [k for k in keys if k not in failed]
+    lines = (out / "grid.jsonl").read_text().splitlines()[1:]
+    line_keys = [_line_key(line) for line in lines]
+    # Every combination appears, its lines together, in combination order.
+    assert list(dict.fromkeys(line_keys)) == keys
+    assert sorted(line_keys, key=keys.index) == line_keys
+    with open(out / "summary.csv", newline="") as fh:
+        summary = [tuple(row[:3]) for row in csv.reader(line for line in fh if not line.startswith("#"))][1:]
+    assert summary == [k for k in keys if k not in failed] + failed
+
+
+@pytest.mark.parametrize("interrupted_call", [1, 2, 3, 4, 6, 7, 8])
+def test_interrupt_leaves_the_completed_canonical_prefix(mini_corpus_path, tmp_path, monkeypatch, interrupted_call):
+    import lyricsense.harness as harness
+
+    grid = small_grid(
+        models=[{"id": "a", "type": "ngram", "order": 1}, {"id": "b", "type": "ngram", "order": 2}],
+        prompts=["lyrics_meaning", "none"],
+        decoders=[
+            {"id": "greedy", "strategy": "greedy", "max_new_tokens": 6},
+            {"id": "sampling", "strategy": "sampling", "max_new_tokens": 6},
+        ],
+    )
+    run_grid(grid, mini_corpus_path, str(tmp_path / "whole"))
+    whole = (tmp_path / "whole" / "grid.jsonl").read_text().splitlines()
+    real_run_combination = harness._run_combination
+    calls = []
+
+    def interrupting(models, model_spec, prompt_spec, decoder_id, *args):
+        calls.append((model_spec.model_id, prompt_spec.spec_id, decoder_id))
+        if len(calls) == interrupted_call:
+            raise KeyboardInterrupt
+        return real_run_combination(models, model_spec, prompt_spec, decoder_id, *args)
+
+    monkeypatch.setattr(harness, "_run_combination", interrupting)
+    with pytest.raises(KeyboardInterrupt):
+        run_grid(grid, mini_corpus_path, str(tmp_path / "cut"))
+
+    keys = _combination_keys(grid)
+    # Decoder-major within each model: every prompt of a decoder before the next decoder.
+    assert calls == [(m, p, d) for m in ("a", "b") for d in ("greedy", "sampling") for p in ("lyrics_meaning", "none")][:interrupted_call]
+    completed = set(calls[:-1])
+    prefix = set(takewhile(completed.__contains__, keys))
+    assert len(prefix) >= len(completed) - len(grid.prompts) * len(grid.decoders)  # at most one model's combinations lost
+    expected = whole[:1] + [line for line in whole[1:] if _line_key(line) in prefix]
+    assert (tmp_path / "cut" / "grid.jsonl").read_text().splitlines() == expected
+
+
+def test_each_array_is_derived_once_per_model_and_decoder(mini_corpus_path, tmp_path, monkeypatch):
+    from lyricsense import decoding
+
+    real_cdf = decoding._sampling_cdf
+    derived = []  # holding each array keeps its id() from being reused
+
+    def spy(log_probs, *params):
+        derived.append((log_probs, params))
+        return real_cdf(log_probs, *params)
+
+    monkeypatch.setattr(decoding, "_sampling_cdf", spy)
+    grid = small_grid(
+        models=[{"id": "a", "type": "ngram", "order": 1}, {"id": "b", "type": "ngram", "order": 2}],
+        prompts=["lyrics_meaning", "question_context"],
+        decoders=[
+            {"id": "sampling", "strategy": "sampling", "max_new_tokens": 16},
+            {"id": "top_k", "strategy": "top_k", "max_new_tokens": 16},
+            {"id": "top_p", "strategy": "top_p", "max_new_tokens": 16},
+        ],
+    )
+    run_grid(grid, mini_corpus_path, str(tmp_path))
+    # Each model has its own arrays and each decoder its own parameters.
+    counts = Counter((id(log_probs), params) for log_probs, params in derived)
+    assert counts and max(counts.values()) == 1
