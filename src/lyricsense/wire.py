@@ -1,76 +1,62 @@
 """Line-delimited JSON protocol for serving language models over TCP or stdio.
 
 Each message is one JSON object on one ``\\n``-terminated UTF-8 line, except
-the binary payload that follows a ``dists`` header or a binary
-``next_batch`` header.
+the binary payload that follows a ``next_batch`` or ``dists`` header.
 
 Handshake::
 
-    client  {"op": "hello", "proto": 2, "batch": true, "ctx": "u32le"}
-    server  {"op": "vocab", "tokens": [...], "bos": i, "eos": j, "unk": k, "proto": 2, "batch": 64, "ctx": "u32le"}
+    client  {"op": "hello", "proto": 3}
+    server  {"op": "vocab", "tokens": [...], "bos": i, "eos": j, "unk": k, "proto": 3}
 
-Step::
+Step, protocol 3::
 
-    client  {"op": "next", "ctx": [token ids]}
-    server  {"op": "dist", "logp_b64": "<base64>"}          (protocol 2)
-    server  {"op": "dist", "logp": [|V| floats]}            (protocol 1)
-
-Batched step (protocol 2 with the batch capability)::
-
-    client  {"op": "next_batch", "ctxs": [[token ids], ...]}
-    client  {"op": "next_batch", "lens": [n1, ..., nk]}    (with binary contexts)
+    client  {"op": "next_batch", "lens": [n1, ..., nk]}
             followed by exactly 4 * (n1 + ... + nk) bytes: the k contexts'
             ids, one after another, as little-endian uint32 values
     server  {"op": "dists", "count": k}
             followed by exactly k * |V| * 8 bytes: k rows of |V| little-endian
             IEEE-754 float64 values, in the order of the contexts
 
+Step, protocol 1::
+
+    client  {"op": "next", "ctx": [token ids]}
+    server  {"op": "dist", "logp": [|V| floats]}
+
 Errors::
 
     server  {"op": "err", "code": "...", "msg": "..."}
 
-The protocol version is negotiated per session by ``hello``. In protocol 2,
-``logp_b64`` is the standard base64 encoding of |V| little-endian IEEE-754
-float64 values, so ``-inf`` travels natively and every distribution
-crosses the wire bit for bit. In protocol 1, log probabilities are finite
-JSON numbers or the string ``"-inf"``; a protocol 1 server whose model
-returns NaN or ``+inf`` answers ``internal`` instead of a ``dist`` frame.
+A ``hello`` chooses the session's protocol: its ``proto`` must be the JSON
+integer 1 or 3, and anything else gets ``bad_proto`` and leaves the session
+as it was. A session without a hello speaks protocol 1. Only the ``vocab``
+frame of a protocol 3 session carries ``"proto": 3``.
 
-The batch capability. A protocol 2 hello with ``"batch": true`` asks for
-it; the server grants it by adding ``"batch": MAX_BATCH`` to its ``vocab``
-frame, and the client then sends every step, single ones included, as
-``next_batch`` with 1 to ``MAX_BATCH`` contexts. A ``dists`` reply is
-therefore never longer than one header line plus ``MAX_BATCH`` * |V| * 8
-bytes. The server computes every distribution before it writes anything,
-so a batch with a bad context gets one ``err`` line and no payload; a
-``ctxs`` that is not a list of 1 to ``MAX_BATCH`` contexts gets
-``bad_frame``. A hello without ``"batch": true`` gets the same frames as
-before the capability existed, and ``next_batch`` outside a batch session
-gets ``bad_op``.
+Protocol 3. A ``next_batch`` carries 1 to ``MAX_BATCH`` contexts, a
+protocol constant, and the client sends every step, single ones included,
+in that frame; a ``dists`` reply is therefore never longer than one header
+line plus ``MAX_BATCH`` * |V| * 8 bytes. Float64 rows carry ``-inf``
+natively, so every distribution crosses the wire bit for bit. The server
+reads exactly ``4 * sum(lens)`` bytes, which may not exceed
+``MAX_REQUEST_BYTES``, and computes every distribution before it writes
+anything, so a batch with a bad context gets one ``err`` line and no
+payload. A header whose ``lens`` is not a list of 1 to ``MAX_BATCH``
+non-negative integers, whose payload would exceed that bound, or whose
+payload is cut short gets one ``bad_frame`` error, after which the server
+closes the session: the unread payload cannot be told apart from the next
+request. For the same reason, any ``bad_frame`` ends a protocol 3 session.
 
-Binary contexts. A batch hello that also carries ``"ctx": "u32le"`` asks
-for them; the server grants them by echoing ``"ctx": "u32le"`` in its
-``vocab`` frame, and the client then sends each ``next_batch`` as a
-``lens`` header followed by its ids, in one write. The server reads exactly
-``4 * sum(lens)`` bytes, which may not exceed ``MAX_REQUEST_BYTES``. A
-header whose ``lens`` is not a list of 1 to ``MAX_BATCH`` non-negative
-integers, whose payload would exceed that bound, or whose payload is cut
-short gets one ``bad_frame`` error, after which the server closes the
-session: the unread payload cannot be told apart from the next request.
-For the same reason, any ``bad_frame`` ends a session with binary contexts.
-The client rejects an id that is not an integer in [0, 2**32) with a
-``ValueError`` before it sends anything, on every path. A hello without
-the field gets ``ctxs`` sessions exactly as before.
+Protocol 1. Log probabilities are finite JSON numbers or the string
+``"-inf"``; a server whose model returns NaN or ``+inf`` answers
+``internal`` instead of a ``dist`` frame. ``next_batch`` gets ``bad_op``.
+A ``next`` frame gets the same ``dist`` reply in either protocol.
 
-Fallback works in both directions. A client opens with ``proto: 2``,
-``batch: true`` and ``ctx: "u32le"``; if the server answers
-``err``/``bad_proto`` the client repeats ``hello`` with ``proto: 1`` on the
-same connection, if the ``vocab`` frame carries no ``"proto": 2`` the
-client reads protocol 1 frames, if it carries no ``"batch"`` the client
-sends one ``next`` frame per context, and if it carries no ``"ctx"`` the
-client sends ``ctxs`` lists. The server answers a ``proto: 1`` hello (or a
-session without any hello) with protocol 1 frames, exactly as a protocol 1
-server does.
+Fallback works in both directions. The client opens with ``proto: 3``; if
+the server answers ``err``/``bad_proto``, as one that predates protocol 3
+does, the client repeats ``hello`` with ``proto: 1`` on the same
+connection, and if the ``vocab`` frame carries no ``"proto": 3`` the client
+sends one ``next`` frame per context. The client rejects an id that is not
+an integer in [0, 2**32) with a ``ValueError`` before it sends anything, on
+every path.
 
 The server answers every request line with exactly one frame. Requests the
 model cannot serve get ``bad_context`` (a ``ValueError`` from the model) or
@@ -88,7 +74,6 @@ frames, wrong counts, wrong-length or invalid distributions) are not.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import socket
@@ -101,16 +86,14 @@ from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
 
-from .jsonfields import typed
 from .lm import LanguageModel, Vocabulary
 
-PROTO_VERSIONS = (1, 2)
+PROTO_VERSIONS = (1, 3)
 DEFAULT_TIMEOUT = 10.0
 MAX_REQUEST_BYTES = 1 << 20
 MAX_REPLY_BYTES = 16 << 20  # per reply line: room for the vocab frame of a 50k-token vocabulary
 MAX_BATCH = 64
 SUM_TOLERANCE = 1e-6  # how far from 1 a received distribution's probabilities may sum
-CTX_ENCODING = "u32le"  # the binary context encoding a batch hello may ask for
 _U32 = "I"  # array typecode of C unsigned int, 4 bytes on every platform CPython supports
 
 
@@ -152,10 +135,6 @@ def _encode_logp(values: np.ndarray) -> list:
     return [float(v) if math.isfinite(v) else "-inf" for v in values]
 
 
-def _encode_logp_b64(values: np.ndarray) -> str:
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
-
-
 def _checked_rows(logp: np.ndarray) -> np.ndarray:
     """``logp``, a (k, |V|) array, if every row is finite or ``-inf`` and sums to 1."""
     for row, total in enumerate(np.exp(logp).sum(axis=1).tolist()):
@@ -167,15 +146,6 @@ def _checked_rows(logp: np.ndarray) -> np.ndarray:
                 raise ProtocolError("logp entries must be finite or -inf")
             raise ProtocolError(f"invalid distribution: row {row} sums to {total}, not 1")
     return logp
-
-
-def _checked_logp(logp: np.ndarray, expected_len: int) -> np.ndarray:
-    """The checks every distribution of a ``dist`` frame passes: its length, then ``_checked_rows``."""
-    if len(logp) != expected_len:
-        raise VocabularyMismatch(
-            f"distribution has {len(logp)} entries, vocabulary has {expected_len}"
-        )
-    return _checked_rows(logp[np.newaxis])[0]
 
 
 def _decode_logp(values: list, expected_len: int) -> np.ndarray:
@@ -192,20 +162,10 @@ def _decode_logp(values: list, expected_len: int) -> np.ndarray:
                 raise ProtocolError(f"logp entry {i} is not a number or '-inf': {v!r}")
     except OverflowError as exc:
         raise ProtocolError(f"logp entry {i} is out of float64 range") from exc
+    if len(out) != expected_len:
+        raise VocabularyMismatch(f"distribution has {len(out)} entries, vocabulary has {expected_len}")
     out.setflags(write=False)
-    return _checked_logp(out, expected_len)
-
-
-def _decode_logp_b64(text: str, expected_len: int) -> np.ndarray:
-    if not isinstance(text, str):
-        raise ProtocolError("logp_b64 must be a string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:
-        raise ProtocolError(f"logp_b64 is not valid base64: {exc}") from exc
-    if len(raw) % 8:
-        raise VocabularyMismatch(f"logp_b64 holds {len(raw)} bytes, not whole float64 values")
-    return _checked_logp(np.frombuffer(raw, dtype="<f8"), expected_len)
+    return _checked_rows(out[np.newaxis])[0]
 
 
 def _id_arrays(contexts: Sequence[Sequence[int]]) -> list[array]:
@@ -255,7 +215,7 @@ def _recv(stream: BinaryIO) -> dict:
 class RemoteLM:
     """LanguageModel client over the wire protocol (one TCP connection)."""
 
-    _hello = {"op": "hello", "proto": 2, "batch": True, "ctx": CTX_ENCODING}
+    _hello = {"op": "hello", "proto": 3}
 
     def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT) -> None:
         host, _, port = endpoint.rpartition(":")
@@ -268,8 +228,6 @@ class RemoteLM:
             raise TransportError(f"cannot connect to {endpoint}: {exc}") from exc
         self._stream = self._sock.makefile("rwb")
         self.proto = 1
-        self.batch = 0  # contexts per next_batch frame; 0 when the server has no batch capability
-        self.binary_ctx = False  # next_batch sends lens and uint32 ids, not ctxs lists
         try:
             self._vocab = self._handshake()
         except BaseException:
@@ -302,18 +260,9 @@ class RemoteLM:
             if exc.code != "bad_proto":
                 raise
             response = self._exchange({"op": "hello", "proto": 1}, "vocab")
+        if response.get("proto") == 3:
+            self.proto = 3
         try:
-            if response.get("proto") == 2:
-                self.proto = 2
-                if "batch" in response:
-                    batch = typed(response["batch"], int, "vocab frame: field 'batch'")
-                    if batch < 1:
-                        raise ValueError("vocab frame: field 'batch': expected a positive integer")
-                    self.batch = min(batch, MAX_BATCH)
-                    if "ctx" in response:
-                        if response["ctx"] != CTX_ENCODING:
-                            raise ValueError(f"vocab frame: field 'ctx': expected {CTX_ENCODING!r}")
-                        self.binary_ctx = True
             return Vocabulary.read(response, "vocab frame", ("bos", "eos", "unk"))
         except ValueError as exc:
             raise ProtocolError(str(exc)) from exc
@@ -327,38 +276,33 @@ class RemoteLM:
     def next_many(self, contexts: Sequence[Sequence[int]]) -> list[np.ndarray]:
         """``next`` of each context, in order.
 
-        With the batch capability the contexts travel in ``next_batch``
-        frames of up to ``self.batch`` each; without it, one ``next`` frame each.
-        An id that is not an integer in [0, 2**32) is a ``ValueError``,
-        raised before any frame is sent.
+        In protocol 3 the contexts travel in ``next_batch`` frames of up
+        to ``MAX_BATCH`` each; in protocol 1, one ``next`` frame each. An
+        id that is not an integer in [0, 2**32) is a ``ValueError``, raised
+        before any frame is sent.
         """
-        ctxs = _id_arrays(contexts)
-        if not self.batch:
-            return [self._next_frame(ctx.tolist()) for ctx in ctxs]
+        arrays = _id_arrays(contexts)
+        if self.proto == 1:
+            return [self._next_frame(ids.tolist()) for ids in arrays]
         dists = []
-        for start in range(0, len(ctxs), self.batch):
-            dists.extend(self._next_batch_frame(ctxs[start:start + self.batch]))
+        for start in range(0, len(arrays), MAX_BATCH):
+            dists.extend(self._next_batch_frame(arrays[start:start + MAX_BATCH]))
         return dists
 
     def _next_frame(self, ctx: list[int]) -> np.ndarray:
         response = self._exchange({"op": "next", "ctx": ctx}, "dist")
-        if self.proto == 2:
-            return _decode_logp_b64(response.get("logp_b64"), len(self._vocab))
         return _decode_logp(response.get("logp"), len(self._vocab))
 
-    def _next_batch_frame(self, ctxs: list[array]) -> np.ndarray:
-        if self.binary_ctx:
-            ids = array(_U32)
-            for ctx in ctxs:
-                ids += ctx
-            if sys.byteorder == "big":
-                ids.byteswap()
-            response = self._exchange({"op": "next_batch", "lens": list(map(len, ctxs))}, "dists", ids.tobytes())
-        else:
-            response = self._exchange({"op": "next_batch", "ctxs": [ctx.tolist() for ctx in ctxs]}, "dists")
+    def _next_batch_frame(self, contexts: list[array]) -> np.ndarray:
+        ids = array(_U32)
+        for context in contexts:
+            ids += context
+        if sys.byteorder == "big":
+            ids.byteswap()
+        response = self._exchange({"op": "next_batch", "lens": list(map(len, contexts))}, "dists", ids.tobytes())
         count = response.get("count")
-        if type(count) is not int or count != len(ctxs):
-            raise ProtocolError(f"dists frame has count {count!r} for {len(ctxs)} contexts")
+        if type(count) is not int or count != len(contexts):
+            raise ProtocolError(f"dists frame has count {count!r} for {len(contexts)} contexts")
         size = count * len(self._vocab) * 8
         try:
             payload = self._stream.read(size)
@@ -387,16 +331,14 @@ def _is_context(ctx: object) -> bool:
     return isinstance(ctx, list) and set(map(type, ctx)) <= {int}
 
 
-def _build_reply(
-    model: LanguageModel, vocab: Vocabulary, request: dict, proto: int, batch: bool
-) -> tuple[dict, bytes]:
-    """The reply frame to one request: its JSON header and the payload that follows it."""
+def _build_reply(model: LanguageModel, vocab: Vocabulary, request: dict) -> dict:
+    """The reply frame to one request other than a protocol 3 ``next_batch``."""
     op = request.get("op")
     if op == "hello":
         requested = request.get("proto")
-        if requested not in PROTO_VERSIONS:
-            return {"op": "err", "code": "bad_proto",
-                    "msg": f"unsupported protocol {requested!r}"}, b""
+        # A JSON true or 3.0 compares equal to a version but is not one.
+        if type(requested) is not int or requested not in PROTO_VERSIONS:
+            return {"op": "err", "code": "bad_proto", "msg": f"unsupported protocol {requested!r}"}
         reply = {
             "op": "vocab",
             "tokens": list(vocab.tokens),
@@ -404,43 +346,25 @@ def _build_reply(
             "eos": vocab.eos_id,
             "unk": vocab.unk_id,
         }
-        if requested == 2:
-            reply["proto"] = 2
-            if request.get("batch") is True:
-                reply["batch"] = MAX_BATCH
-                if request.get("ctx") == CTX_ENCODING:
-                    reply["ctx"] = CTX_ENCODING
-        return reply, b""
+        if requested == 3:
+            reply["proto"] = 3
+        return reply
     if op == "next":
         ctx = request.get("ctx")
         if not _is_context(ctx):
-            return {"op": "err", "code": "bad_context", "msg": "ctx must be a list of ids"}, b""
+            return {"op": "err", "code": "bad_context", "msg": "ctx must be a list of ids"}
         try:
             logp = model.next(ctx)
         except ValueError as exc:
-            return {"op": "err", "code": "bad_context", "msg": str(exc)}, b""
-        if proto == 2:
-            return {"op": "dist", "logp_b64": _encode_logp_b64(logp)}, b""
-        return {"op": "dist", "logp": _encode_logp(logp)}, b""
-    if op == "next_batch" and batch:
-        ctxs = request.get("ctxs")
-        if not isinstance(ctxs, list) or not 1 <= len(ctxs) <= MAX_BATCH:
-            return {"op": "err", "code": "bad_frame",
-                    "msg": f"ctxs must be a list of 1 to {MAX_BATCH} contexts"}, b""
-        # The contexts before the first malformed one still reach the model,
-        # so a model error among them is the one reported.
-        bad = next((i for i, ctx in enumerate(ctxs) if not _is_context(ctx)), len(ctxs))
-        reply, payload = _dists_reply(model, vocab, ctxs[:bad])
-        if reply["op"] == "dists" and bad < len(ctxs):
-            return {"op": "err", "code": "bad_context", "msg": f"ctxs[{bad}] must be a list of ids"}, b""
-        return reply, payload
-    return {"op": "err", "code": "bad_op", "msg": f"unknown op {op!r}"}, b""
+            return {"op": "err", "code": "bad_context", "msg": str(exc)}
+        return {"op": "dist", "logp": _encode_logp(logp)}
+    return {"op": "err", "code": "bad_op", "msg": f"unknown op {op!r}"}
 
 
-def _dists_reply(model: LanguageModel, vocab: Vocabulary, ctxs: list[list[int]]) -> tuple[dict, bytes]:
+def _dists_reply(model: LanguageModel, vocab: Vocabulary, contexts: list[list[int]]) -> tuple[dict, bytes]:
     """The reply to a ``next_batch`` of well-formed contexts: every row, or the first error."""
     rows = []
-    for i, ctx in enumerate(ctxs):
+    for i, ctx in enumerate(contexts):
         try:
             rows.append(model.next(ctx))
         except ValueError as exc:
@@ -471,25 +395,24 @@ def _read_contexts(reader: BinaryIO, lens: object) -> list[list[int]]:
     if len(raw) != size:
         raise ProtocolError(f"next_batch payload cut short: {len(raw)} of {size} bytes")
     ids = np.frombuffer(raw, dtype="<u4").tolist()
-    ctxs, end = [], 0
+    contexts, end = [], 0
     for n in lens:
-        ctxs.append(ids[end:end + n])
+        contexts.append(ids[end:end + n])
         end += n
-    return ctxs
+    return contexts
 
 
 def serve_session(model: LanguageModel, reader: BinaryIO, writer: BinaryIO) -> None:
     """Answer protocol requests on a stream pair until it closes.
 
     Every request line gets exactly one reply frame; the session speaks
-    protocol 1, without the batch capability, until a ``hello`` selects
-    another version. A request after which the next one cannot be found
-    (an over-long line, a bad binary ``next_batch``, any malformed line in
-    a session with binary contexts) ends the session after its
-    ``bad_frame`` reply.
+    protocol 1 until a ``hello`` selects protocol 3. A request after which
+    the next one cannot be found (an over-long line, a bad binary
+    ``next_batch``, any malformed line in a protocol 3 session) ends the
+    session after its ``bad_frame`` reply.
     """
     vocab = model.vocabulary()
-    granted: dict = {}  # the session's last vocab frame: what its hello negotiated
+    proto = 1  # as chosen by the session's last accepted hello
     while True:
         try:
             line = reader.readline(MAX_REQUEST_BYTES)
@@ -502,19 +425,19 @@ def serve_session(model: LanguageModel, reader: BinaryIO, writer: BinaryIO) -> N
             if unsynced:
                 raise ProtocolError(f"request line exceeds {MAX_REQUEST_BYTES} bytes")
             request = _parse(line)
-            if "ctx" in granted and request["op"] == "next_batch":
+            if proto == 3 and request["op"] == "next_batch":
                 reply, payload = _dists_reply(model, vocab, _read_contexts(reader, request.get("lens")))
             else:
-                reply, payload = _build_reply(model, vocab, request, granted.get("proto", 1), "batch" in granted)
+                reply = _build_reply(model, vocab, request)
         except ProtocolError as exc:
             reply = {"op": "err", "code": "bad_frame", "msg": str(exc)}
-            # With binary contexts, a malformed request may be a header whose payload follows.
-            unsynced = unsynced or "ctx" in granted
+            # In protocol 3, a malformed request may be a header whose payload follows.
+            unsynced = unsynced or proto == 3
         except Exception as exc:  # the model or encoder failed; report it and keep serving
             traceback.print_exc(file=sys.stderr)
             reply = {"op": "err", "code": "internal", "msg": repr(exc)}
         if reply["op"] == "vocab":
-            granted = reply
+            proto = reply.get("proto", 1)
         try:
             _send(writer, reply, payload)
         except OSError:

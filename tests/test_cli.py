@@ -39,7 +39,8 @@ def test_ingest_stats_match_golden_bytes(mini_corpus_path, tmp_path):
     out = tmp_path / "ingest"
     assert run_cli("ingest", "--corpus", mini_corpus_path, "--out", str(out)) == 0
     golden = os.path.join(os.path.dirname(__file__), "data", "mini_corpus_stats.golden.json")
-    assert (out / "stats.json").read_bytes() == open(golden, "rb").read()
+    with open(golden, "rb") as fh:
+        assert (out / "stats.json").read_bytes() == fh.read()
 
 
 def test_ingest_warns_about_bad_lines(tmp_path, capsys):
@@ -386,6 +387,8 @@ def test_serve_mock_subprocess_speaks_protocol(tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=5)
+        proc.stdout.close()
+        proc.stderr.close()
 
 
 def test_missing_file_reports_error(tmp_path, capsys):

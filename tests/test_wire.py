@@ -1,4 +1,3 @@
-import base64
 import contextlib
 import io
 import json
@@ -281,7 +280,7 @@ def test_stdio_session(model):
     assert len(reply["logp"]) == len(model.vocabulary())
 
 
-# ----------------------------------------------------------------- protocol 2
+# ----------------------------------------------------------------- protocol 3
 
 
 class _ReplyFnServer(socketserver.ThreadingTCPServer):
@@ -326,25 +325,26 @@ def _vocab_frame(vocab, **extra):
             "eos": vocab.eos_id, "unk": vocab.unk_id, **extra}
 
 
-def _b64(values):
-    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+def _v1_logp(row):
+    """A distribution as a protocol 1 ``logp`` list."""
+    return [v if math.isfinite(v) else "-inf" for v in row.tolist()]
 
 
-def test_v2_client_gets_bit_identical_distributions(server, model):
+def test_v3_client_gets_bit_identical_distributions(server, model):
     with RemoteLM(server.endpoint) as client:
-        assert client.proto == 2
+        assert client.proto == 3
         for ctx in ([], [3], [4, 3], [0, 1, 2]):
             remote = client.next(ctx)
             assert remote.tobytes() == model.next(ctx).astype("<f8").tobytes()
 
 
-def test_v2_negative_infinity_is_native():
+def test_v3_negative_infinity_is_native():
     stub = const_model({"a": 0.25, "b": 0.75})
     srv = LMServer(stub)
     srv.start_background()
     try:
         with RemoteLM(srv.endpoint) as client:
-            assert client.proto == 2
+            assert client.proto == 3
             remote = client.next([])
             local = stub.next([])
             assert np.isneginf(remote).sum() == len(local) - 2
@@ -354,30 +354,36 @@ def test_v2_negative_infinity_is_native():
         srv.server_close()
 
 
-def test_v2_client_falls_back_when_server_rejects_proto_2():
+def test_client_falls_back_when_server_rejects_proto_3(model):
     def v1_only(request):
         if request["op"] == "hello":
             if request.get("proto") != 1:
-                return {"op": "err", "code": "bad_proto", "msg": "unsupported protocol 2"}
-            return _vocab_frame(_AB)
-        return {"op": "dist", "logp": _UNIFORM.tolist()}
+                return {"op": "err", "code": "bad_proto", "msg": f"unsupported protocol {request.get('proto')!r}"}
+            return _vocab_frame(model.vocabulary())
+        return {"op": "dist", "logp": _v1_logp(model.next(request["ctx"]))}
 
+    contexts = [[], [3], [4, 3], [0, 1, 2]]
     with _running(v1_only) as (srv, endpoint), RemoteLM(endpoint) as client:
         assert client.proto == 1
-        assert np.array_equal(client.next([3]), _UNIFORM)
-        assert [r.get("proto") for r in srv.requests[:2]] == [2, 1]  # same connection
+        remote = client.next_many(contexts)
+        assert [r.get("proto") for r in srv.requests[:2]] == [3, 1]  # same connection
+    assert [d.tobytes() for d in remote] == [model.next(c).tobytes() for c in contexts]
 
 
-def test_v2_client_falls_back_when_vocab_frame_has_no_proto():
-    def ignores_proto(request):
-        if request["op"] == "hello":
-            return _vocab_frame(_AB)
-        return {"op": "dist", "logp": _UNIFORM.tolist()}
+class _Proto2Client(RemoteLM):
+    """A client that opens with the retired protocol 2 hello, as one written before protocol 3."""
 
-    with _running(ignores_proto) as (srv, endpoint), RemoteLM(endpoint) as client:
+    _hello = {"op": "hello", "proto": 2, "batch": True, "ctx": "u32le"}
+
+
+def test_v2_client_falls_back_when_server_rejects_proto_2(server, model):
+    hello = json.dumps(_Proto2Client._hello).encode()
+    assert _session(model, [hello]) == [{"op": "err", "code": "bad_proto", "msg": "unsupported protocol 2"}]
+    contexts = [[], [3], [4, 3], [0, 1, 2]]
+    with _Proto2Client(server.endpoint) as client:
         assert client.proto == 1
-        assert np.array_equal(client.next([3]), _UNIFORM)
-        assert len(srv.requests) == 2  # one hello, one step
+        remote = client.next_many(contexts)
+    assert [d.tobytes() for d in remote] == [model.next(c).tobytes() for c in contexts]  # JSON floats round-trip exactly
 
 
 @pytest.mark.parametrize(
@@ -418,35 +424,6 @@ def test_v1_client_is_answered_with_v1_frames(server, model):
         assert dist["logp"] == expected
 
 
-@pytest.mark.parametrize(
-    "logp_b64, error",
-    [
-        ("%%%not base64%%%", ProtocolError),
-        (_b64(_UNIFORM).rstrip("="), ProtocolError),  # padding stripped
-        (_b64(_UNIFORM)[:8], VocabularyMismatch),  # 6 bytes, not whole float64 values
-        (_b64(_UNIFORM[:-1]), VocabularyMismatch),
-        (_b64(np.append(_UNIFORM, -math.inf)), VocabularyMismatch),
-        (_b64(np.where(np.arange(len(_AB)) == 3, math.nan, _UNIFORM)), ProtocolError),
-        (_b64(np.where(np.arange(len(_AB)) == 3, math.inf, _UNIFORM)), ProtocolError),
-        (None, ProtocolError),
-    ],
-    ids=["alphabet", "padding", "partial_value", "short", "long", "nan", "pos_inf", "missing"],
-)
-def test_bad_v2_frames_raise_typed_errors(logp_b64, error):
-    def v2(request):
-        if request["op"] == "hello":
-            return _vocab_frame(_AB, proto=2)
-        return {"op": "dist", "logp_b64": logp_b64}
-
-    with _running(v2) as (_srv, endpoint), RemoteLM(endpoint) as client:
-        assert client.proto == 2
-        with pytest.raises(error) as exc_info:
-            client.next([3])
-        assert not exc_info.value.retryable
-        if error is ProtocolError:
-            assert not isinstance(exc_info.value, VocabularyMismatch)
-
-
 class _Exploding:
     """Wraps a model; contexts starting with id 4 raise a non-ValueError, and
     with id 5 a ValueError whose message holds a lone surrogate."""
@@ -473,7 +450,7 @@ def _session(model, lines):
 
 def test_server_reports_internal_errors_and_keeps_serving(model):
     replies = _session(_Exploding(model), [
-        b'{"op": "hello", "proto": 2}', b'{"op": "next", "ctx": [4]}', b'{"op": "next", "ctx": [5]}',
+        b'{"op": "hello", "proto": 3}', b'{"op": "next", "ctx": [4]}', b'{"op": "next", "ctx": [5]}',
         b'{"op": "next", "ctx": [3]}',
     ])
     assert [r["op"] for r in replies] == ["vocab", "err", "err", "dist"]
@@ -506,7 +483,8 @@ def test_v1_server_reports_nan_and_pos_inf_as_internal_errors(bad):
 
 def test_over_long_request_line_gets_one_error_then_close(model):
     long_line = b'{"op": "next", "ctx": [' + b"3, " * (MAX_REQUEST_BYTES // 3) + b"3]}"
-    replies = _session(model, [b'{"op": "hello", "proto": 2}', long_line, b'{"op": "next", "ctx": []}'])
+    # Protocol 1, where a malformed line that fits does not end the session.
+    replies = _session(model, [b'{"op": "hello", "proto": 1}', long_line, b'{"op": "next", "ctx": []}'])
     assert [r["op"] for r in replies] == ["vocab", "err"]
     assert replies[1]["code"] == "bad_frame"
 
@@ -522,7 +500,7 @@ def test_reply_line_longer_than_the_limit_is_a_protocol_error(monkeypatch):
         conn, _ = listener.accept()
         with conn, conn.makefile("rwb") as stream:
             stream.readline()
-            stream.write((json.dumps(_vocab_frame(_AB, proto=2)) + "\n").encode())
+            stream.write((json.dumps(_vocab_frame(_AB, proto=3)) + "\n").encode())
             stream.flush()
             stream.readline()
             stream.write(b"x" * 4096)  # and never a newline
@@ -548,9 +526,10 @@ _json_values = st.recursive(
     max_leaves=8,
 )
 _ids = st.integers(0, 8) | st.integers(-(2**70), 2**70)
+_protos = st.sampled_from([1, 2, 3, True, False, 1.0, 2.0, 3.0]) | _json_values
 _request_lines = st.one_of(
     st.fixed_dictionaries({"op": st.just("next"), "ctx": st.lists(_ids, max_size=5)}),
-    st.fixed_dictionaries({"op": st.just("hello"), "proto": st.sampled_from([1, 2]) | _json_values}),
+    st.fixed_dictionaries({"op": st.just("hello"), "proto": _protos}),
     st.fixed_dictionaries({"op": _json_values}, optional={"ctx": _json_values, "proto": _json_values}),
     _json_values,
 ).map(lambda obj: json.dumps(obj).encode())
@@ -559,23 +538,32 @@ _lines = st.lists(
 )
 
 
-@pytest.mark.parametrize("proto", [1, 2])
+@pytest.mark.parametrize("proto", [1, 3])
 @given(lines=_lines)
 @settings(max_examples=60, deadline=None)
+@example(lines=[b'{"op": "hello", "proto": true}', b'{"op": "hello", "proto": 1.0}', b'{"op": "hello", "proto": 3.0}'])
 def test_every_request_line_gets_exactly_one_reply(model, proto, lines):
     replies = _session(_Exploding(model), [json.dumps({"op": "hello", "proto": proto}).encode(), *lines])
-    assert len(replies) == 1 + len(lines)
-    assert all(r["op"] in ("vocab", "dist", "err") for r in replies)
-    session_proto = 1
-    for reply in replies:
+    assert replies[0] == _vocab_frame(model.vocabulary(), **({"proto": 3} if proto == 3 else {}))
+    session_proto = proto
+    for i, (line, reply) in enumerate(zip(lines, replies[1:])):
+        assert reply["op"] in ("vocab", "dist", "err")
         if reply["op"] == "vocab":
-            session_proto = reply.get("proto", 1)
+            requested = json.loads(line)["proto"]  # only the JSON integers 1 and 3 select a protocol
+            assert type(requested) is int and requested in (1, 3)
+            assert reply == _vocab_frame(model.vocabulary(), **({"proto": 3} if requested == 3 else {}))
+            session_proto = requested
         elif reply["op"] == "dist":
-            assert set(reply) == {"op", "logp_b64" if session_proto == 2 else "logp"}
-    assert replies[0] == _vocab_frame(model.vocabulary(), **({"proto": 2} if proto == 2 else {}))
+            assert set(reply) == {"op", "logp"}
+        elif reply["code"] == "bad_frame" and session_proto == 3:
+            # The line may be a binary header whose payload follows: the session ends.
+            assert len(replies) == 2 + i
+            break
+    else:
+        assert len(replies) == 1 + len(lines)
 
 
-# ------------------------------------------------------ the batch capability
+# ------------------------------------------------------- protocol 3 batches
 
 
 @pytest.fixture(scope="module")
@@ -598,20 +586,27 @@ def _frames(raw, size):
     return frames
 
 
-def _batch_session(model, lines):
+def _binary_request(ctxs, lens=None):
+    """A binary next_batch: its header line (``lens`` overrides the true one) and payload."""
+    header = {"op": "next_batch", "lens": [len(c) for c in ctxs] if lens is None else lens}
+    return json.dumps(header).encode() + b"\n" + np.array([i for c in ctxs for i in c], dtype="<u4").tobytes()
+
+
+_BINARY_HELLO = b'{"op": "hello", "proto": 3}\n'
+
+
+def _binary_session(model, reader):
     out = io.BytesIO()
-    hello = b'{"op": "hello", "proto": 2, "batch": true}'
-    serve_session(model, io.BytesIO(b"".join(line + b"\n" for line in [hello, *lines])), out)
+    serve_session(model, reader, out)
     return _frames(out.getvalue(), len(model.vocabulary()))
 
 
+def _batch_session(model, requests):
+    """The frames of a protocol 3 session that sends ``requests``, each a whole request's bytes."""
+    return _binary_session(model, io.BytesIO(_BINARY_HELLO + b"".join(requests)))
+
+
 _ctx_lists = st.lists(st.lists(st.integers(0, 5), max_size=5), min_size=1, max_size=2 * MAX_BATCH + 1)
-
-
-class _JsonCtxClient(RemoteLM):
-    """A client that does not ask for binary contexts, as one written before them."""
-
-    _hello = {"op": "hello", "proto": 2, "batch": True}
 
 
 class _V1Client(RemoteLM):
@@ -623,37 +618,37 @@ class _V1Client(RemoteLM):
 @given(contexts=_ctx_lists)
 @settings(max_examples=40, deadline=None)
 def test_next_many_is_bit_identical_to_local_next(batch_server, model, contexts):
-    for client_cls in (RemoteLM, _JsonCtxClient):  # binary contexts, then JSON ctxs
+    for client_cls in (RemoteLM, _V1Client):  # next_batch frames, then next frames
         with client_cls(batch_server.endpoint) as client:
-            assert client.batch == MAX_BATCH
-            assert client.binary_ctx == (client_cls is RemoteLM)
+            assert client.proto == (3 if client_cls is RemoteLM else 1)
             remote = client.next_many(contexts)
         assert len(remote) == len(contexts)
         for dist, ctx in zip(remote, contexts):
             assert dist.tobytes() == model.next(ctx).astype("<f8").tobytes()
 
 
-_batch_lines = st.one_of(
-    st.fixed_dictionaries({"op": st.just("next_batch"), "ctxs": st.lists(st.lists(_ids, max_size=4), max_size=4)}),
-    st.fixed_dictionaries({"op": st.just("next_batch"), "ctxs": _json_values}),
-    st.just({"op": "next_batch", "ctxs": [[]] * (MAX_BATCH + 1)}),
-    st.fixed_dictionaries({"op": st.just("next"), "ctx": st.lists(_ids, max_size=4)}),
-).map(lambda obj: json.dumps(obj).encode())
+_uint32_ctxs = st.lists(st.lists(st.integers(0, 7) | st.just(2**32 - 1), max_size=4), min_size=1, max_size=MAX_BATCH)
+_batch_requests = st.one_of(
+    _uint32_ctxs.map(lambda ctxs: ("batch", ctxs)),
+    st.lists(_ids, max_size=4).map(lambda ctx: ("next", ctx)),
+)
 
 
-@given(lines=st.lists(_batch_lines | st.binary(max_size=30).map(lambda raw: raw.replace(b"\n", b"")), max_size=10))
+@given(requests=st.lists(_batch_requests, max_size=10))
 @settings(max_examples=60, deadline=None)
-def test_every_batch_request_line_gets_exactly_one_frame(model, lines):
-    frames = _batch_session(_Exploding(model), lines)
-    assert len(frames) == 1 + len(lines)
-    assert frames[0] == (_vocab_frame(model.vocabulary(), proto=2, batch=MAX_BATCH), b"")
+def test_every_batch_request_line_gets_exactly_one_frame(model, requests):
+    frames = _batch_session(_Exploding(model), [
+        _binary_request(body) if kind == "batch" else json.dumps({"op": "next", "ctx": body}).encode() + b"\n"
+        for kind, body in requests
+    ])
+    assert len(frames) == 1 + len(requests)
+    assert frames[0] == (_vocab_frame(model.vocabulary(), proto=3), b"")
     size = len(model.vocabulary())
-    for line, (header, payload) in zip(lines, frames[1:]):
-        assert header["op"] in ("dist", "dists", "err")
+    for (kind, body), (header, payload) in zip(requests, frames[1:]):
+        assert header["op"] in (("dists", "err") if kind == "batch" else ("dist", "err"))
         if header["op"] == "dists":
-            ctxs = json.loads(line)["ctxs"]
-            assert header == {"op": "dists", "count": len(ctxs)} and 1 <= len(ctxs) <= MAX_BATCH
-            expected = b"".join(model.next(ctx).astype("<f8").tobytes() for ctx in ctxs)
+            assert header == {"op": "dists", "count": len(body)}
+            expected = b"".join(model.next(ctx).astype("<f8").tobytes() for ctx in body)
             assert payload == expected and len(payload) <= MAX_BATCH * size * 8
         else:
             assert payload == b""
@@ -661,14 +656,15 @@ def test_every_batch_request_line_gets_exactly_one_frame(model, lines):
 
 def test_batch_with_one_bad_context_gets_one_error_and_no_payload(model):
     frames = _batch_session(_Exploding(model), [
-        b'{"op": "next_batch", "ctxs": [[3], [5], [3]]}',
-        b'{"op": "next_batch", "ctxs": [[3], [4]]}',
-        b'{"op": "next_batch", "ctxs": [[3], [true]]}',
-        b'{"op": "next_batch", "ctxs": [[3]]}',
+        _binary_request([[3], [5], [3]]),
+        _binary_request([[3], [4]]),
+        _binary_request([[3], [9]]),
+        _binary_request([[3]]),
     ])
     assert [(h["op"], h.get("code")) for h, _ in frames[1:]] == [
         ("err", "bad_context"), ("err", "internal"), ("err", "bad_context"), ("dists", None),
     ]
+    assert frames[3][0]["msg"] == "ctxs[1]: token id 9 out of range for |V|=6"
     assert [p for _, p in frames[1:4]] == [b"", b"", b""]
 
 
@@ -683,37 +679,34 @@ class _ShortRows:
 
 
 def test_batch_row_of_the_wrong_length_is_an_internal_error():
-    frames = _batch_session(_ShortRows(), [b'{"op": "next_batch", "ctxs": [[3]]}'])
+    frames = _batch_session(_ShortRows(), [_binary_request([[3]])])
     assert frames[1] == ({"op": "err", "code": "internal", "msg": "model returned 2 entries for |V|=5"}, b"")
 
 
 @pytest.mark.parametrize("ctxs", [[[3]] * (MAX_BATCH + 1), [], "3", None])
 def test_batch_outside_one_to_max_batch_contexts_is_an_error(model, ctxs):
-    frames = _batch_session(model, [json.dumps({"op": "next_batch", "ctxs": ctxs}).encode()])
-    assert frames[1] == ({"op": "err", "code": "bad_frame",
-                          "msg": f"ctxs must be a list of 1 to {MAX_BATCH} contexts"}, b"")
+    request = _binary_request(ctxs) if isinstance(ctxs, list) else _binary_request([], lens=ctxs)
+    frames = _batch_session(model, [request, _binary_request([[3]])])
+    assert frames[1:] == [({"op": "err", "code": "bad_frame",
+                            "msg": f"lens must be a list of 1 to {MAX_BATCH} non-negative integers"}, b"")]
 
 
 def test_next_batch_needs_the_batch_capability(model):
-    replies = _session(model, [b'{"op": "hello", "proto": 2}', b'{"op": "next_batch", "ctxs": [[3]]}'])
-    assert replies[0] == _vocab_frame(model.vocabulary(), proto=2)
-    assert replies[1] == {"op": "err", "code": "bad_op", "msg": "unknown op 'next_batch'"}
-    # The capability needs protocol 2.
-    replies = _session(model, [b'{"op": "hello", "proto": 1, "batch": true}'])
-    assert replies[0] == _vocab_frame(model.vocabulary())
+    # Only a protocol 3 hello grants next_batch; the retired protocol 2 one leaves a protocol 1 session.
+    for hello in [b'{"op": "hello", "proto": 1}', b'{"op": "hello", "proto": 2, "batch": true, "ctx": "u32le"}']:
+        replies = _session(model, [hello, b'{"op": "next_batch", "lens": [0]}'])
+        assert replies[1] == {"op": "err", "code": "bad_op", "msg": "unknown op 'next_batch'"}
 
 
-@pytest.mark.parametrize("client_cls", [RemoteLM, _JsonCtxClient, _V1Client])
+@pytest.mark.parametrize("client_cls", [RemoteLM, _V1Client])
 def test_every_client_path_returns_read_only_rows(batch_server, client_cls):
     with client_cls(batch_server.endpoint) as client:
-        assert (client.proto, client.batch > 0, client.binary_ctx) == {
-            RemoteLM: (2, True, True), _JsonCtxClient: (2, True, False), _V1Client: (1, False, False),
-        }[client_cls]
+        assert client.proto == {RemoteLM: 3, _V1Client: 1}[client_cls]
         for dist in [client.next([3]), *client.next_many([[], [4, 3]])]:
             assert not dist.flags.writeable
 
 
-@pytest.mark.parametrize("client_cls", [RemoteLM, _JsonCtxClient, _V1Client])
+@pytest.mark.parametrize("client_cls", [RemoteLM, _V1Client])
 @pytest.mark.parametrize("bad", [1.5, -1, 2**32, "3", None])
 def test_client_rejects_ids_that_are_not_uint32(batch_server, model, client_cls, bad):
     with client_cls(batch_server.endpoint) as client:
@@ -726,42 +719,16 @@ def test_client_rejects_ids_that_are_not_uint32(batch_server, model, client_cls,
 def test_binary_contexts_need_a_batch_hello_that_asks_for_them(model):
     vocab = model.vocabulary()
     for hello, granted in [
-        (b'{"op": "hello", "proto": 2, "batch": true, "ctx": "u32le"}', {"proto": 2, "batch": MAX_BATCH, "ctx": "u32le"}),
-        (b'{"op": "hello", "proto": 2, "batch": true, "ctx": "u16be"}', {"proto": 2, "batch": MAX_BATCH}),
-        (b'{"op": "hello", "proto": 2, "ctx": "u32le"}', {"proto": 2}),
+        (b'{"op": "hello", "proto": 3}', {"proto": 3}),
+        (b'{"op": "hello", "proto": 3, "batch": true, "ctx": "u16be"}', {"proto": 3}),  # old fields are ignored
         (b'{"op": "hello", "proto": 1, "batch": true, "ctx": "u32le"}', {}),
     ]:
         assert _session(model, [hello])[0] == _vocab_frame(vocab, **granted)
+    for hello in [b'{"op": "hello", "proto": 2, "batch": true, "ctx": "u32le"}', b'{"op": "hello", "proto": 3.0}',
+                  b'{"op": "hello", "proto": true}', b'{"op": "hello"}']:
+        assert _session(model, [hello])[0]["code"] == "bad_proto"
 
 
-def test_json_and_binary_next_batch_get_the_same_frames(model):
-    ctxs = [[3], [], [4, 3, 2], [9]]
-    lines = [json.dumps({"op": "next_batch", "ctxs": ctxs[:3]}).encode(),
-             json.dumps({"op": "next_batch", "ctxs": ctxs}).encode()]
-    json_frames = _batch_session(model, lines)
-    binary_frames = _binary_session(model, io.BytesIO(_BINARY_HELLO + _binary_request(ctxs[:3]) + _binary_request(ctxs)))
-    assert binary_frames[0][0] == {**json_frames[0][0], "ctx": "u32le"}
-    assert binary_frames[1:] == json_frames[1:]
-    assert json_frames[2][0] == {"op": "err", "code": "bad_context",
-                                 "msg": "ctxs[3]: token id 9 out of range for |V|=6"}
-
-
-def _binary_request(ctxs, lens=None):
-    """A binary next_batch: its header line (``lens`` overrides the true one) and payload."""
-    header = {"op": "next_batch", "lens": [len(c) for c in ctxs] if lens is None else lens}
-    return json.dumps(header).encode() + b"\n" + np.array([i for c in ctxs for i in c], dtype="<u4").tobytes()
-
-
-_BINARY_HELLO = b'{"op": "hello", "proto": 2, "batch": true, "ctx": "u32le"}\n'
-
-
-def _binary_session(model, reader):
-    out = io.BytesIO()
-    serve_session(model, reader, out)
-    return _frames(out.getvalue(), len(model.vocabulary()))
-
-
-_uint32_ctxs = st.lists(st.lists(st.integers(0, 7) | st.just(2**32 - 1), max_size=4), min_size=1, max_size=MAX_BATCH)
 _bad_lens = st.one_of(
     _json_values.filter(lambda v: not isinstance(v, list)),  # not a list (None stands for a missing field)
     st.lists(st.integers(0, 3), max_size=3).flatmap(  # a bool or negative entry
@@ -790,7 +757,7 @@ _bad_lens = st.one_of(
 @example(goods=[[[3]]], bad=("header", [0] * (MAX_BATCH + 1)), tail=bytes(12))
 @example(goods=[[[3]]], bad=("header", [MAX_REQUEST_BYTES // 4 + 1]), tail=bytes(12))
 @example(goods=[[[3]]], bad=("cut", [[3, 4]]), tail=bytes(12))
-@example(goods=[[[3]]], bad=("line", b""), tail=b"\x0a\x0a\x0a\x0a" + b'{"op": "hello", "proto": 2}\n')
+@example(goods=[[[3]]], bad=("line", b""), tail=b"\x0a\x0a\x0a\x0a" + b'{"op": "hello", "proto": 3}\n')
 def test_every_binary_next_batch_gets_one_frame_and_a_bad_header_ends_the_session(model, goods, bad, tail):
     size = len(model.vocabulary())
     raw = _BINARY_HELLO + b"".join(_binary_request(ctxs) for ctxs in goods)
@@ -809,7 +776,7 @@ def test_every_binary_next_batch_gets_one_frame_and_a_bad_header_ends_the_sessio
         frames = _binary_session(model, reader)
     assert stderr.getvalue() == ""
     assert reader.tell() == stop
-    assert frames[0][0] == _vocab_frame(model.vocabulary(), proto=2, batch=MAX_BATCH, ctx="u32le")
+    assert frames[0][0] == _vocab_frame(model.vocabulary(), proto=3)
     assert len(frames) == 1 + len(goods) + (bad is not None)
     for ctxs, (header, payload) in zip(goods, frames[1:]):
         if any(i >= size for c in ctxs for i in c):
@@ -822,52 +789,28 @@ def test_every_binary_next_batch_gets_one_frame_and_a_bad_header_ends_the_sessio
         assert header["op"] == "err" and header["code"] == "bad_frame" and payload == b""
 
 
-def test_client_sends_json_contexts_when_the_server_does_not_grant_binary_ones():
-    requests = []
-
-    def row(ctx):
-        weights = np.arange(1.0, len(_AB) + 1) ** (1 + sum(ctx) % 3)
-        return np.log(weights / weights.sum())
-
-    def reply(request):
-        requests.append(request)
-        return _dists(len(request["ctxs"]), [row(ctx) for ctx in request["ctxs"]])
-
-    contexts = [[], [3], [4, 3], [2**32 - 1]]
-    srv = _BatchReplyServer(reply)
-    threading.Thread(target=srv.serve_forever, daemon=True).start()
-    host, port = srv.server_address[:2]
-    try:
-        with RemoteLM(f"{host}:{port}", timeout=5) as client:
-            assert (client.batch, client.binary_ctx) == (MAX_BATCH, False)
-            remote = client.next_many(contexts)
-    finally:
-        srv.shutdown()
-        srv.server_close()
-    assert requests == [{"op": "next_batch", "ctxs": contexts}]
-    assert [d.tobytes() for d in remote] == [row(c).astype("<f8").tobytes() for c in contexts]
-
-
 def test_client_without_server_capability_sends_next_frames(model):
-    def v2_only(request):
+    # A server that predates protocol 3, or ignores the requested version, sends no "proto": 3.
+    def v1_only(request):
         if request["op"] == "hello":
-            return _vocab_frame(model.vocabulary(), proto=2)
-        return {"op": "dist", "logp_b64": _b64(model.next(request["ctx"]))}
+            return _vocab_frame(model.vocabulary())
+        return {"op": "dist", "logp": _v1_logp(model.next(request["ctx"]))}
 
     contexts = [[], [3], [4, 3]]
-    with _running(v2_only) as (srv, endpoint), RemoteLM(endpoint) as client:
-        assert (client.proto, client.batch) == (2, 0)
+    with _running(v1_only) as (srv, endpoint), RemoteLM(endpoint) as client:
+        assert client.proto == 1
         remote = client.next_many(contexts)
-    assert srv.requests[0] == {"op": "hello", "proto": 2, "batch": True, "ctx": "u32le"}
+    assert srv.requests[0] == {"op": "hello", "proto": 3}
     assert srv.requests[1:] == [{"op": "next", "ctx": ctx} for ctx in contexts]
     assert all(d.tobytes() == model.next(c).tobytes() for d, c in zip(remote, contexts))
 
 
 class _BatchReplyServer(socketserver.ThreadingTCPServer):
-    """Grants the batch capability over _AB and answers each step with the bytes ``reply_fn(request)``.
+    """Speaks protocol 3 over _AB and answers each step with the bytes ``reply_fn(request)``.
 
-    With ``close_after_reply`` it closes the connection after its first
-    step reply, as a server that dies mid-payload would.
+    It reads each ``next_batch`` payload before it replies. With
+    ``close_after_reply`` it closes the connection after its first step
+    reply, as a server that dies mid-payload would.
     """
 
     allow_reuse_address = True
@@ -879,8 +822,9 @@ class _BatchReplyServer(socketserver.ThreadingTCPServer):
                 for line in handler.rfile:
                     request = json.loads(line)
                     if request["op"] == "hello":
-                        frame = json.dumps(_vocab_frame(_AB, proto=2, batch=MAX_BATCH)).encode() + b"\n"
+                        frame = json.dumps(_vocab_frame(_AB, proto=3)).encode() + b"\n"
                     else:
+                        handler.rfile.read(4 * sum(request["lens"]))
                         frame = reply_fn(request)
                     handler.wfile.write(frame)
                     handler.wfile.flush()
@@ -902,13 +846,13 @@ def _with_entry(value):
 @pytest.mark.parametrize(
     "reply_fn, error",
     [
-        (lambda req: _dists(len(req["ctxs"]), [_UNIFORM] * len(req["ctxs"]))[:-8], TransportError),
-        (lambda req: _dists(len(req["ctxs"]) + 1, [_UNIFORM] * (len(req["ctxs"]) + 1)), ProtocolError),
+        (lambda req: _dists(len(req["lens"]), [_UNIFORM] * len(req["lens"]))[:-8], TransportError),
+        (lambda req: _dists(len(req["lens"]) + 1, [_UNIFORM] * (len(req["lens"]) + 1)), ProtocolError),
         (lambda req: _dists(True, [_UNIFORM]), ProtocolError),
-        (lambda req: _dists(len(req["ctxs"]), [_UNIFORM, _with_entry(math.nan)]), ProtocolError),
-        (lambda req: _dists(len(req["ctxs"]), [_with_entry(math.inf), _UNIFORM]), ProtocolError),
-        (lambda req: _dists(len(req["ctxs"]), [_UNIFORM, _with_entry(0.0)]), ProtocolError),
-        (lambda req: (json.dumps({"op": "dist", "logp_b64": _b64(_UNIFORM)}) + "\n").encode(), ProtocolError),
+        (lambda req: _dists(len(req["lens"]), [_UNIFORM, _with_entry(math.nan)]), ProtocolError),
+        (lambda req: _dists(len(req["lens"]), [_with_entry(math.inf), _UNIFORM]), ProtocolError),
+        (lambda req: _dists(len(req["lens"]), [_UNIFORM, _with_entry(0.0)]), ProtocolError),
+        (lambda req: (json.dumps({"op": "dist", "logp": _UNIFORM.tolist()}) + "\n").encode(), ProtocolError),
     ],
     ids=["truncated", "wrong_count", "bool_count", "nan", "pos_inf", "sum_off", "wrong_op"],
 )
@@ -918,7 +862,7 @@ def test_bad_batch_replies_raise_typed_errors(reply_fn, error):
     host, port = srv.server_address[:2]
     try:
         with RemoteLM(f"{host}:{port}", timeout=5) as client:
-            assert client.batch == MAX_BATCH
+            assert client.proto == 3
             with pytest.raises(error) as exc_info:
                 client.next_many([[3], [4]])
         assert exc_info.value.retryable == (error is TransportError)
