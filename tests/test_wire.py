@@ -386,6 +386,19 @@ def test_v2_client_falls_back_when_server_rejects_proto_2(server, model):
     assert [d.tobytes() for d in remote] == [model.next(c).tobytes() for c in contexts]  # JSON floats round-trip exactly
 
 
+def test_v2_client_falls_back_when_vocab_frame_has_no_proto():
+    # The client asks for a newer protocol; a vocab frame without "proto" means protocol 1.
+    def ignores_proto(request):
+        if request["op"] == "hello":
+            return _vocab_frame(_AB)
+        return {"op": "dist", "logp": _UNIFORM.tolist()}
+
+    with _running(ignores_proto) as (srv, endpoint), RemoteLM(endpoint) as client:
+        assert client.proto == 1
+        assert np.array_equal(client.next([3]), _UNIFORM)
+        assert len(srv.requests) == 2  # one hello, one step
+
+
 @pytest.mark.parametrize(
     "frame, field",
     [
