@@ -37,15 +37,19 @@ order. A caller whose model returns the same read-only array for the
 same context may pass one plain dict as ``memo`` to one
 :func:`decode_many` call (or to :func:`decode`, and to every call that
 shares its model), so that each derivation runs once per distinct array,
-whichever row asked for it. Its key is ``id(log_probs)`` plus the
-derivation and its parameters, and its value ``(log_probs, derived)``,
-so the array stays alive and its ``id()`` cannot be reused while the
-memo lives. The caller owns the memo's scope and drops it to free the
-memory. The experiment grid passes one memo to every ``decode_many``
-call of one (model, decoder) pair, one call per prompt, since the
-prompts' rows step through many of the same arrays, and drops it after
-the pair's last prompt. ``memo=None`` derives every step afresh and
-stores nothing. A memo never skips a ``model.next`` call.
+whichever row asked for it while its entry lasts. Its key is
+``id(log_probs)`` plus the derivation and its parameters, and its value
+``(log_probs, derived)``, so the array stays alive and its ``id()``
+cannot be reused while the key is in the memo. The memo holds at most
+``max(1, lm.CACHE_BYTES // (8 * |V|))`` entries: a new entry evicts the
+oldest inserted one, and a hit is one ``dict.get``. A derivation is a
+pure function of its array, so an evicted one is recomputed bit-equal.
+The caller owns the memo's scope and drops it to free the memory. The
+experiment grid passes one memo to every ``decode_many`` call of one
+(model, decoder) pair, one call per prompt, since the prompts' rows
+step through many of the same arrays, and drops it after the pair's
+last prompt. ``memo=None`` derives every step afresh and stores
+nothing. A memo never skips a ``model.next`` call.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from typing import Callable, Generator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import lm
 from .jsonfields import required, typed
 from .lm import LanguageModel
 from .rng import SplitMix64
@@ -202,12 +207,14 @@ def _draw(cumulative: np.ndarray, rng: SplitMix64) -> int:
 
 
 def _derive(memo: Optional[dict], log_probs: np.ndarray, fn: Callable, *params) -> np.ndarray:
-    """``fn(log_probs, *params)``, computed once per array while ``memo`` lives."""
+    """``fn(log_probs, *params)``, computed once per array while its entry stays in ``memo``."""
     if memo is None:
         return fn(log_probs, *params)
     key = (id(log_probs), fn, params)
     hit = memo.get(key)
     if hit is None:
+        if len(memo) >= max(1, lm.CACHE_BYTES // (8 * len(log_probs))):
+            del memo[next(iter(memo))]  # the oldest inserted entry
         hit = memo[key] = (log_probs, fn(log_probs, *params))
     return hit[1]
 

@@ -7,7 +7,10 @@ song lyrics. The rows of one combination decode in lockstep
 for all of them: one round trip per step for a remote model. The grid
 runs serially, model by model, and within a model decoder-major: for
 each decoder, every prompt. The combinations of one (model, decoder)
-pair share one decode memo, dropped after the pair's last prompt.
+pair share one decode memo, dropped after the pair's last prompt, and a
+model is dropped (a remote one closed) after its last combination. The
+n-gram row cache and the memo are each bounded by ``lm.CACHE_BYTES``,
+so a pass holds at most one model's cache and one memo at a time.
 ``run_grid`` still writes ``grid.jsonl`` in combination order (model,
 prompt, decoder), each combination as soon as every one before it is
 written, so an interrupted run loses at most one model's combinations;
@@ -415,9 +418,11 @@ def run_grid(
     Combinations run one after another in the calling thread;
     ``workers`` is accepted so existing callers keep working, and is
     ignored. Within each model they run decoder-major, and each (model,
-    decoder) pair of an in-process n-gram model gets one decode memo,
-    since every prompt's rows step through the same cached arrays. A
-    remote model gets none. Outcomes are held until every combination
+    decoder) pair of an in-process n-gram model gets one bounded decode
+    memo, since every prompt's rows step through the same cached arrays.
+    A remote model gets none. After a model's last combination the grid
+    drops it if it was fit or loaded, and closes it if it is a connected
+    client; on an error every client is closed. Outcomes are held until every combination
     before them in combination order is written, so ``grid.jsonl`` and
     the result lists keep that order, and an interrupt loses at most one
     model's combinations. A combination that raises a wire error or a
@@ -474,6 +479,13 @@ def run_grid(
                             for line in lines:
                                 fh.write(json.dumps(line.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
                         fh.flush()
+                # Only this model's combinations use it: drop a fitted or
+                # loaded model, its row cache and its last memo before the
+                # next model decodes.
+                model = models.pop(model_spec.model_id)
+                if isinstance(model, RemoteLM):
+                    model.close()
+                memo = model = None
     finally:
         for model in models.values():
             if isinstance(model, RemoteLM):

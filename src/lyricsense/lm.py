@@ -13,9 +13,10 @@ tokenized once, and each vocabulary cap's vocabulary and flat id array
 are built once, whatever the number of orders. A fit keys every n-gram
 window with numpy and counts them all with one ``np.unique``; the counts
 are plain ``{context: {id: count}}`` dicts of Python ints. A fitted
-model caches one read-only distribution per context seen in training,
-so its cache never holds more than ``len(counts)`` arrays; every unseen
-context shares one uniform vector.
+model caches the read-only distributions of the contexts seen in
+training that it was last asked for, in at most ``CACHE_BYTES`` of
+arrays, evicting the least recently used; every unseen context shares
+one uniform vector, which is never cached.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterable, Protocol, Sequence, runtime_checkable
@@ -32,6 +34,9 @@ import numpy as np
 from .jsonfields import load_json, required, typed
 
 MAX_ORDER = 64  # far past any useful n-gram order, and small enough to pad with BOS
+# Bytes of |V|-wide float64 arrays that one model's row cache, or one decode
+# memo (see lyricsense.decoding), may hold: 419 rows at |V| = 5,003.
+CACHE_BYTES = 16 << 20
 BOS = "<bos>"
 EOS = "<eos>"
 UNK = "<unk>"
@@ -102,9 +107,10 @@ class LanguageModel(Protocol):
     after the ids ``context``: one float64 array over the vocabulary, each
     entry finite or ``-inf``. It must be deterministic: the same context
     always yields the same values. A model may return the same array for
-    the same context, as :class:`NGramModel` does, and must never mutate
-    an array it has returned: decoders may keep what they derived from it
-    (see :mod:`lyricsense.decoding`). Implementations must be safe for
+    the same context, as :class:`NGramModel` does while the context's row
+    stays in its cache, and must never mutate an array it has returned:
+    decoders may keep what they derived from it (see
+    :mod:`lyricsense.decoding`). Implementations must be safe for
     concurrent read-only use once constructed.
 
     A model may also offer ``next_many(contexts)``, the list of
@@ -127,7 +133,12 @@ class NGramModel:
     P(t | context) = (count(context, t) + k) / (count(context) + k * |V|),
     with the context truncated to the last n-1 ids and left-padded with
     BOS. Unseen contexts therefore give the uniform distribution, which
-    all of them share; only contexts with counts are cached.
+    all of them share; only contexts with counts are cached, at most
+    ``max(1, CACHE_BYTES // (8 * |V|))`` rows, read at construction. A hit
+    makes its row the most recently used, and a new row evicts the least
+    recently used one. A row is a pure function of the counts, so an
+    evicted row comes back bit-equal, as a new array. Threads stepping
+    one model may each add a row past the bound until their step ends.
     """
 
     def __init__(
@@ -143,7 +154,8 @@ class NGramModel:
         self._vocab = vocab
         self._counts = counts
         self._totals = {ctx: sum(counter.values()) for ctx, counter in counts.items()}
-        self._cache: dict[tuple[int, ...], np.ndarray] = {}
+        self._cache: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()  # least recently used first
+        self._cache_rows = max(1, CACHE_BYTES // (8 * len(vocab)))
         self._ids = frozenset(range(len(vocab)))
         # log(k) - log(0 + k*|V|): the add-k formula with no counts.
         self._uniform = np.full(len(vocab), math.log(k) - math.log(k * len(vocab)))
@@ -162,18 +174,31 @@ class NGramModel:
         tail = tuple(context[-width:]) if width else ()
         if len(tail) < width:
             tail = (self._vocab.bos_id,) * (width - len(tail)) + tail
-        cached = self._cache.get(tail)
-        if cached is None:
-            counter = self._counts.get(tail)
-            if not counter:
-                return self._uniform
-            size = len(self._vocab)
-            denom = math.log(self._totals[tail] + self.k * size)
-            cached = np.full(size, math.log(self.k) - denom)
-            for token_id, count in counter.items():
-                cached[token_id] = math.log(count + self.k) - denom
-            cached.setflags(write=False)
-            self._cache[tail] = cached
+        # Each cache call is atomic under the GIL, and a thread that finds
+        # its row or the oldest one gone goes on, so concurrent steps never fail.
+        cache = self._cache
+        cached = cache.get(tail)
+        if cached is not None:
+            try:
+                cache.move_to_end(tail)  # now the most recently used
+            except KeyError:  # another thread evicted it since the get
+                pass
+            return cached
+        counter = self._counts.get(tail)
+        if not counter:
+            return self._uniform
+        size = len(self._vocab)
+        denom = math.log(self._totals[tail] + self.k * size)
+        cached = np.full(size, math.log(self.k) - denom)
+        for token_id, count in counter.items():
+            cached[token_id] = math.log(count + self.k) - denom
+        cached.setflags(write=False)
+        cache[tail] = cached
+        if len(cache) > self._cache_rows:
+            try:
+                cache.popitem(last=False)  # the least recently used
+            except KeyError:  # other threads emptied it since the len
+                pass
         return cached
 
     def to_dict(self) -> dict:
@@ -308,8 +333,8 @@ def fit_ngram(texts: Iterable[str], order: int, k: float = 0.1, vocab_cap: int =
 
     ``texts`` that are not a :class:`TrainingTexts` are wrapped in one;
     pass one ``TrainingTexts`` to fit several orders or caps without
-    tokenizing the texts again. The fitted model caches at most one
-    distribution per context in its counts.
+    tokenizing the texts again. The fitted model's row cache is bounded
+    (see :class:`NGramModel`).
     """
     _check_order_and_k(order, k)
     if vocab_cap < 3:

@@ -66,10 +66,13 @@ header, gets one ``bad_frame`` error, after which the server closes the
 session. A reply line longer than
 ``MAX_REPLY_BYTES`` is a ``ProtocolError`` on the client.
 
-The default per-step timeout is 10 seconds. Failures are distinguishable
-by exception type: transport problems (connect, timeout, closed socket,
-a payload cut short) are retryable; protocol violations (malformed
-frames, wrong counts, wrong-length or invalid distributions) are not.
+The default per-step timeout is 10 seconds. An ``LMServer`` ends a
+session whose client has been silent for ``IDLE_TIMEOUT`` seconds, six
+times that, so an idle connection does not hold a server thread.
+Failures are distinguishable by exception type: transport problems
+(connect, timeout, closed socket, a payload cut short) are retryable;
+protocol violations (malformed frames, wrong counts, wrong-length or
+invalid distributions) are not.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ from .lm import LanguageModel, Vocabulary
 
 PROTO_VERSIONS = (1, 3)
 DEFAULT_TIMEOUT = 10.0
+IDLE_TIMEOUT = 6 * DEFAULT_TIMEOUT  # seconds an LMServer session may wait on its client
 MAX_REQUEST_BYTES = 1 << 20
 MAX_REPLY_BYTES = 16 << 20  # per reply line: room for the vocab frame of a 50k-token vocabulary
 MAX_BATCH = 64
@@ -447,7 +451,12 @@ def serve_session(model: LanguageModel, reader: BinaryIO, writer: BinaryIO) -> N
 
 
 class LMServer(socketserver.ThreadingTCPServer):
-    """TCP server exposing one LanguageModel to protocol clients."""
+    """TCP server exposing one LanguageModel to protocol clients.
+
+    Each connection is one session on its own thread. A session whose
+    client sends nothing for ``IDLE_TIMEOUT`` seconds, read when the
+    server is built, ends and its connection closes.
+    """
 
     allow_reuse_address = True
     daemon_threads = True
@@ -456,6 +465,8 @@ class LMServer(socketserver.ThreadingTCPServer):
         self.model = model
 
         class Handler(socketserver.StreamRequestHandler):
+            timeout = IDLE_TIMEOUT  # a blocked read raises, which ends serve_session
+
             def handle(handler) -> None:  # noqa: N805
                 serve_session(model, handler.rfile, handler.wfile)
 

@@ -34,6 +34,7 @@ from lyricsense.decoding import (
     top_k_sample,
     top_p_sample,
 )
+from lyricsense import lm
 from lyricsense.lm import Vocabulary, fit_ngram, sequence_log_prob
 from lyricsense.rng import SplitMix64
 
@@ -729,6 +730,46 @@ def test_decode_many_matches_per_row_decode(pooled, rows, num_beams, no_repeat, 
                 # One model round per step, every live row in it.
                 assert len(lockstep.batches) <= max_new_tokens
                 assert lockstep.batches[0] == len(rows)
+
+
+class _MemoWatcher(_BatchRecorder):
+    """``_BatchRecorder`` that checks, at every model round, that ``memo`` is within ``bound`` entries."""
+
+    def __init__(self, model, memo, bound):
+        super().__init__(model)
+        self.memo, self.bound = memo, bound
+
+    def next_many(self, contexts):
+        assert len(self.memo) <= self.bound
+        return super().next_many(contexts)
+
+
+@given(
+    pooled=pooled_models(),
+    rows=st.lists(st.tuples(st.lists(st.integers(0, len(POOL_VOCAB) - 1), max_size=4), st.integers(0, 2**32)),
+                  min_size=1, max_size=3),
+    bound=st.integers(1, 3),
+    k=st.integers(1, len(POOL_VOCAB)),
+    p=st.sampled_from([0.3, 0.62, 0.92]),
+    max_new_tokens=st.integers(1, 10),
+)
+@settings(max_examples=150, deadline=None)
+def test_bounded_memo_decodes_as_no_memo(pooled, rows, bound, k, p, max_new_tokens):
+    model, _pool = pooled
+    # Every strategy on every row, so that one memo holds orders and CDFs of several parameters.
+    prompts = [prompt for _strategy in Strategy for prompt, _seed in rows]
+    cfgs = [
+        cfg(strategy, k=k, p=p, max_new_tokens=max_new_tokens, seed=seed)
+        for strategy in Strategy
+        for _prompt, seed in rows
+    ]
+    expected = decode_many(model, prompts, cfgs, memo=None)
+    memo = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lm, "CACHE_BYTES", bound * 8 * len(POOL_VOCAB))
+        got = decode_many(_MemoWatcher(model, memo, bound), prompts, cfgs, memo=memo)
+    assert got == expected
+    assert 1 <= len(memo) <= bound
 
 
 def test_decode_many_of_one_row_is_each_strategy_function():

@@ -10,7 +10,7 @@ import pytest
 
 from lyricsense.corpus import clean_corpus, flatten, load_corpus, split
 from lyricsense.decoding import DecodeConfig, Strategy, decode
-from lyricsense import wire
+from lyricsense import lm, wire
 from lyricsense.harness import (
     CombinationMean,
     ExperimentGrid,
@@ -172,16 +172,32 @@ def test_workers_do_not_change_output(mini_corpus_path, tmp_path):
     assert (tmp_path / "a" / "grid.jsonl").read_bytes() == (tmp_path / "b" / "grid.jsonl").read_bytes()
 
 
-def test_default_grid_reports_match_golden_hashes(mini_corpus_path, tmp_path):
+@pytest.mark.parametrize("budget_rows", [None, 3], ids=["real_budget", "three_rows"])
+def test_default_grid_reports_match_golden_hashes(mini_corpus_path, tmp_path, monkeypatch, budget_rows):
     # The hashes pin the reports' bytes: a change that alters any output
-    # byte must say why and update tests/data/default_grid.sha256.
+    # byte must say why and update tests/data/default_grid.sha256. A budget
+    # of three rows makes the row caches and decode memos evict all the time.
     golden = os.path.join(os.path.dirname(__file__), "data", "default_grid.sha256")
     with open(golden, encoding="ascii") as fh:
         expected = {name: digest for digest, name in map(str.split, fh)}
+    fitted = []
+    if budget_rows:
+        import lyricsense.harness as harness
+
+        monkeypatch.setattr(lm, "CACHE_BYTES", budget_rows * 8 * 794)  # |V| = 794 on the mini corpus
+
+        def recording_fit(*args, **kwargs):
+            fitted.append(fit_ngram(*args, **kwargs))
+            return fitted[-1]
+
+        monkeypatch.setattr(harness, "fit_ngram", recording_fit)
     emit_report(run_grid(default_grid(0), mini_corpus_path, str(tmp_path)), str(tmp_path))
     actual = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
     assert sorted(expected) == ["grid.jsonl", "plotdata.json", "summary.csv"]
     assert actual == expected
+    # Every cache filled up to the budget, or to its model's contexts (one for order 1).
+    assert [len(model._cache) for model in fitted] == [min(budget_rows, len(model._counts)) for model in fitted]
+    assert len(fitted) == (3 if budget_rows else 0)
 
 
 def test_rank_combinations_orders_and_breaks_ties():
@@ -490,6 +506,60 @@ def test_one_connection_per_remote_model_closed_before_run_grid_returns(mini_cor
     assert not result.failures and len(result.rows) == 2 * 2 * 5 * 3
     assert len(opened) == len(grid.models)
     assert sorted(map(id, closed)) == sorted(map(id, opened))
+
+
+def test_each_model_is_released_before_the_next_one_decodes(mini_corpus_path, tmp_path, monkeypatch):
+    import weakref
+
+    import lyricsense.harness as harness
+
+    samples = flatten(clean_corpus(load_corpus(mini_corpus_path).records))
+    train, _, _ = split(samples, (0.8, 0.1, 0.1), seed=0)
+    fitted = fit_ngram(training_texts(train), order=2, k=0.1, vocab_cap=400)
+    fitted.save(str(tmp_path / "m.json"))
+    server = wire.LMServer(fitted)
+    server.start_background()
+    opened, closed = [], []
+
+    class RecordingRemoteLM(wire.RemoteLM):
+        def __init__(self, endpoint):
+            super().__init__(endpoint)
+            self.index = len(opened)
+            opened.append(self.index)
+
+        def close(self):
+            closed.append(self.index)
+            super().close()
+
+    seen = []  # a weak reference to each model, in the order they first decode
+    real_decode_many = harness.decode_many
+
+    def checking_decode_many(model, prompts, cfgs, memo=None):
+        if not seen or seen[-1]() is not model:
+            assert [ref() for ref in seen] == [None] * len(seen), "an earlier model is still alive"
+            assert sorted(closed) == [i for i in opened if i != getattr(model, "index", None)]
+            seen.append(weakref.ref(model))
+        return real_decode_many(model, prompts, cfgs, memo=memo)
+
+    monkeypatch.setattr(harness, "RemoteLM", RecordingRemoteLM)
+    monkeypatch.setattr(harness, "decode_many", checking_decode_many)
+    grid = small_grid(
+        models=[
+            {"id": "fit", "type": "ngram", "order": 2},
+            {"id": "remote", "type": "remote", "endpoint": server.endpoint},
+            {"id": "file", "type": "ngram_file", "path": str(tmp_path / "m.json")},
+        ],
+        prompts=["lyrics_meaning", "none"],
+        decoders=[{"strategy": "greedy", "max_new_tokens": 8}, {"strategy": "top_p", "max_new_tokens": 8}],
+    )
+    try:
+        result = run_grid(grid, mini_corpus_path, str(tmp_path / "out"))
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert not result.failures and len(result.rows) == 3 * 2 * 2 * 3
+    assert len(seen) == 3 and [ref() for ref in seen] == [None] * 3
+    assert opened == closed == [0]
 
 
 # ------------------------------------------------------- lockstep over the wire

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_model, random_ngram_model
+from lyricsense import lm
 from lyricsense.lm import (
     BOS,
     EOS,
@@ -370,6 +373,38 @@ def test_unseen_contexts_share_one_uniform_vector_and_stay_uncached():
     assert uniform.tobytes() == expected.tobytes()
 
 
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from("abcdef"), min_size=1, max_size=12).map(" ".join), min_size=1, max_size=5
+    ),
+    order=st.integers(1, 4),
+    rows=st.integers(1, 4),
+    contexts=st.lists(st.lists(st.integers(0, 8), max_size=5), min_size=1, max_size=60),
+)
+@settings(max_examples=200, deadline=None)
+def test_bounded_row_cache_is_lru_and_serves_the_uncapped_rows(texts, order, rows, contexts):
+    uncapped = fit_ngram(texts, order=order, k=0.3, vocab_cap=10)
+    size = len(uncapped.vocabulary())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lm, "CACHE_BYTES", rows * 8 * size + 7)  # a budget a few bytes past `rows` rows
+        capped = fit_ngram(texts, order=order, k=0.3, vocab_cap=10)
+    bos = capped.vocabulary().bos_id
+    recent = []  # counted tails, least recently used first, as an LRU cache of `rows` keeps them
+    for ctx in contexts:
+        ctx = [i % size for i in ctx]
+        row = capped.next(ctx)
+        assert row.tobytes() == uncapped.next(ctx).tobytes()
+        assert not row.flags.writeable
+        tail = tuple(([bos] * order + ctx)[len(ctx) + 1 :])
+        if tail in capped._counts:
+            if tail in recent:
+                recent.remove(tail)
+            recent = (recent + [tail])[-rows:]
+            assert capped._cache[tail] is row
+        assert list(capped._cache) == recent
+        assert len(capped._cache) <= rows
+
+
 @pytest.mark.parametrize("order", [MAX_ORDER + 1, 10**21])
 def test_order_is_bounded_from_above(order):
     with pytest.raises(ValueError, match="order"):
@@ -381,3 +416,36 @@ def test_order_is_bounded_from_above(order):
         NGramModel.from_dict(saved, "m.json")
     assert fit_ngram(["a b"], order=MAX_ORDER).order == MAX_ORDER
 
+
+
+def test_bounded_row_cache_under_concurrent_steps(monkeypatch):
+    texts = [" ".join(f"w{i % 23}" for i in range(0, 400, 7)), " ".join(f"w{i}" for i in range(23))]
+    uncapped = fit_ngram(texts, order=2, k=0.2, vocab_cap=40)
+    size = len(uncapped.vocabulary())
+    monkeypatch.setattr(lm, "CACHE_BYTES", 2 * 8 * size)
+    shared = fit_ngram(texts, order=2, k=0.2, vocab_cap=40)
+    expected = [uncapped.next([i]).tobytes() for i in range(size)]
+    errors = []
+
+    def steps(offset):
+        try:
+            for n in range(20_000):
+                i = (n * 7 + offset) % size
+                if shared.next([i]).tobytes() != expected[i]:
+                    errors.append(f"row of {i} differs")
+        except Exception as exc:  # any exception in a thread fails the test below
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=steps, args=(offset,)) for offset in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(shared._cache) <= 2

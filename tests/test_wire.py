@@ -5,6 +5,7 @@ import math
 import socket
 import socketserver
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -880,6 +881,82 @@ def test_bad_batch_replies_raise_typed_errors(reply_fn, error):
                 client.next_many([[3], [4]])
         assert exc_info.value.retryable == (error is TransportError)
         assert not isinstance(exc_info.value, StepTimeout)
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+class _CacheWatcher:
+    """``model``, recording the most rows its cache held after any ``next``."""
+
+    def __init__(self, model):
+        self._model = model
+        self.peak = 0
+
+    def vocabulary(self):
+        return self._model.vocabulary()
+
+    def next(self, context):
+        row = self._model.next(context)
+        self.peak = max(self.peak, len(self._model._cache))
+        return row
+
+
+def test_served_model_cache_stays_within_its_budget(monkeypatch):
+    import lyricsense.lm as lm
+
+    texts = [" ".join(f"w{i}" for i in range(40))]
+    uncapped = fit_ngram(texts, order=2, k=0.1, vocab_cap=100)
+    size = len(uncapped.vocabulary())
+    monkeypatch.setattr(lm, "CACHE_BYTES", 5 * 8 * size)
+    served = _CacheWatcher(fit_ngram(texts, order=2, k=0.1, vocab_cap=100))
+    contexts = [[i] for i in range(size)]  # 41 of them have counts: BOS and each word
+    batches = [contexts[i:i + 16] for i in range(0, len(contexts), 16)] * 2
+    frames = _batch_session(served, [_binary_request(batch) for batch in batches] + [
+        json.dumps({"op": "next", "ctx": ctx}).encode() + b"\n" for ctx in contexts
+    ])
+    assert len(frames) == 1 + len(batches) + len(contexts)
+    for batch, (header, payload) in zip(batches, frames[1:]):
+        assert header == {"op": "dists", "count": len(batch)}
+        assert payload == b"".join(uncapped.next(ctx).astype("<f8").tobytes() for ctx in batch)
+    for ctx, (header, _payload) in zip(contexts, frames[1 + len(batches):]):
+        assert header["op"] == "dist" and header["logp"] == uncapped.next(ctx).tolist()  # every entry is finite
+    assert served.peak == 5 and len(uncapped._cache) == 41
+
+
+def test_idle_sessions_end_and_their_threads_exit(model, monkeypatch):
+    import lyricsense.wire as wire
+
+    monkeypatch.setattr(wire, "IDLE_TIMEOUT", 0.2)
+    threads = []
+    real_serve_session = wire.serve_session
+
+    def recording_serve_session(*args):
+        threads.append(threading.current_thread())
+        real_serve_session(*args)
+
+    monkeypatch.setattr(wire, "serve_session", recording_serve_session)
+    srv = LMServer(model)
+    srv.start_background()
+    host, port = srv.server_address[:2]
+    try:
+        start = time.monotonic()
+        idle = [socket.create_connection((host, port), timeout=5) for _ in range(3)]
+        try:
+            assert [conn.recv(1) for conn in idle] == [b""] * 3  # EOF, not a recv timeout
+        finally:
+            for conn in idle:
+                conn.close()
+        assert time.monotonic() - start >= 0.15
+        for thread in threads:
+            thread.join(timeout=5)
+        assert len(threads) == 3 and not any(thread.is_alive() for thread in threads)
+        # A client that steps more often than the idle timeout keeps its session.
+        with RemoteLM(srv.endpoint) as client:
+            for ctx in ([], [3], [3, 4], [4], [3], [], [4, 3], [3]):
+                time.sleep(0.1)
+                assert client.next(ctx).tobytes() == model.next(ctx).tobytes()
+        assert len(threads) == 4
     finally:
         srv.shutdown()
         srv.server_close()
