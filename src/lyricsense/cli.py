@@ -21,6 +21,7 @@ import sys
 from typing import Optional, Sequence
 
 from .corpus import (
+    SPLIT_RATIOS,
     CorpusError,
     CorpusStats,
     Sample,
@@ -214,7 +215,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     if args.endpoint:
         remote = ModelSpec(model_id="remote0", kind="remote", endpoint=args.endpoint)
         grid = dataclasses.replace(grid, models=(remote,))
-    result = run_grid(grid, args.corpus, args.out, workers=args.workers)
+    result = run_grid(grid, args.corpus, args.out)
     paths = emit_report(result, args.out)
     print(
         f"grid complete: {len(result.means)} combinations, {len(result.rows)} rows, "
@@ -250,23 +251,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generate and evaluate natural-language meanings for song lyrics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ratios_help = "train,validation,test ratios (default {},{},{})".format(*SPLIT_RATIOS)
 
     p_ingest = sub.add_parser("ingest", help="load, clean, split and summarize a corpus")
     p_ingest.add_argument("--corpus", required=True, help="JSONL corpus file")
     p_ingest.add_argument("--out", required=True, help="output directory")
     p_ingest.add_argument("--seed", type=int, default=0)
-    p_ingest.add_argument("--ratios", type=_parse_ratios, default=(0.8, 0.1, 0.1),
-                          help="train,validation,test ratios (default 0.8,0.1,0.1)")
+    p_ingest.add_argument("--ratios", type=_parse_ratios, default=SPLIT_RATIOS, help=ratios_help)
     p_ingest.set_defaults(func=_cmd_ingest)
 
     p_fit = sub.add_parser("fit-lm", help="fit the reference n-gram model on the train split")
     p_fit.add_argument("--corpus", required=True)
     p_fit.add_argument("--out", required=True, help="model file to write")
-    p_fit.add_argument("--order", type=int, default=2)
-    p_fit.add_argument("--smoothing-k", type=float, default=0.1)
-    p_fit.add_argument("--vocab-cap", type=int, default=5000)
+    p_fit.add_argument("--order", type=int, default=ModelSpec.order)
+    p_fit.add_argument("--smoothing-k", type=float, default=ModelSpec.k)
+    p_fit.add_argument("--vocab-cap", type=int, default=ModelSpec.vocab_cap)
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--ratios", type=_parse_ratios, default=(0.8, 0.1, 0.1))
+    p_fit.add_argument("--ratios", type=_parse_ratios, default=SPLIT_RATIOS, help=ratios_help)
     p_fit.set_defaults(func=_cmd_fit_lm)
 
     p_gen = sub.add_parser("generate", help="decode one sample with one prompt and one decoder")
@@ -285,21 +286,20 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=[s.value for s in Strategy])
     p_gen.add_argument("--decode-config",
                        help="JSON file with a full decoder config (overrides the flags below)")
-    p_gen.add_argument("--temperature", type=float, default=0.95)
-    p_gen.add_argument("--top-k", type=int, default=50)
-    p_gen.add_argument("--top-p", type=float, default=0.92)
-    p_gen.add_argument("--num-beams", type=int, default=3)
-    p_gen.add_argument("--max-new-tokens", type=int, default=64)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--temperature", type=float, default=DecodeConfig.temperature)
+    p_gen.add_argument("--top-k", type=int, default=DecodeConfig.k)
+    p_gen.add_argument("--top-p", type=float, default=DecodeConfig.p)
+    p_gen.add_argument("--num-beams", type=int, default=DecodeConfig.num_beams)
+    p_gen.add_argument("--max-new-tokens", type=int, default=DecodeConfig.max_new_tokens)
+    p_gen.add_argument("--seed", type=int, default=DecodeConfig.seed)
     p_gen.set_defaults(func=_cmd_generate)
 
     p_eval = sub.add_parser("evaluate", help="score a JSONL file of prediction triples")
     p_eval.add_argument("--predictions", required=True,
                         help="JSONL with prediction/annotation/lyrics fields")
     p_eval.add_argument("--out", help="write reports here instead of stdout")
-    p_eval.add_argument("--alpha1", type=float, default=0.5)
-    p_eval.add_argument("--alpha2", type=float, default=0.5)
-    p_eval.add_argument("--alpha3", type=float, default=0.5)
+    for alpha in dataclasses.fields(TotalScoreWeights):
+        p_eval.add_argument(f"--{alpha.name}", type=float, default=alpha.default)
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_grid = sub.add_parser("grid", help="run the full experiment grid")
@@ -307,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("--out", required=True, help="output directory")
     p_grid.add_argument("--config", help="ExperimentGrid JSON file (default: built-in grid)")
     p_grid.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p_grid.add_argument("--workers", type=int, default=1,
-                        help="accepted and ignored: the grid runs serially")
     p_grid.add_argument("--endpoint", help="run against this remote model only")
     p_grid.set_defaults(func=_cmd_grid)
 

@@ -20,6 +20,7 @@ from .rng import SplitMix64
 
 SCHEMA_KEY = "trbll_schema"
 GENRES = ("pop", "rap", "rock", "country", "rnb", "other")
+SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, validation, test shares of the songs by default
 
 # Maximal http(s)/www runs up to the next whitespace.
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
@@ -227,7 +228,7 @@ def flatten(records: list[SongRecord]) -> list[Sample]:
 
 def split(
     samples: list[Sample],
-    ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
+    ratios: tuple[float, float, float] = SPLIT_RATIOS,
     seed: int = 0,
 ) -> tuple[list[Sample], list[Sample], list[Sample]]:
     """Deterministic song-level train/validation/test split.

@@ -24,30 +24,32 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
 from . import __version__
-from .corpus import Sample, clean_corpus, flatten, load_corpus, split
+from .corpus import SPLIT_RATIOS, Sample, clean_corpus, flatten, load_corpus, split
 # ``decode`` stays importable as ``harness.decode``: bench/tracing.py wraps it by name.
 from .decoding import DecodeConfig, Strategy, decode, decode_many  # noqa: F401
 from .jsonfields import required, typed
-from .lm import MAX_ORDER, LanguageModel, NGramModel, TrainingTexts, fit_ngram
-from .metrics import MetricReport, TotalScoreWeights, evaluate, mean_report
-from .prompts import PromptSpec, extract_generation, render, render_with_target
+from .lm import MAX_ORDER, SMOOTHING_K, VOCAB_CAP, LanguageModel, NGramModel, TrainingTexts, fit_ngram
+from .metrics import METRIC_FIELDS, MetricReport, TotalScoreWeights, evaluate, mean_report
+from .prompts import PromptSpec, render, render_with_target
 from .rng import derive_seed
 from .wire import RemoteLM, WireError
 
-METRIC_FIELDS = ("rouge1", "cos_pred_annotation", "cos_pred_lyrics", "total_score")
+# Each model config key: its ModelSpec field and its JSON type.
+_MODEL_KEYS = {"id": ("model_id", str), "type": ("kind", str), "order": ("order", int), "k": ("k", float),
+               "vocab_cap": ("vocab_cap", int), "path": ("path", str), "endpoint": ("endpoint", str)}
 
 
 @dataclass(frozen=True)
 class ModelSpec:
     model_id: str
-    kind: str  # "ngram" (fit on the train split), "ngram_file", or "remote"
+    kind: str = "ngram"  # "ngram" (fit on the train split), "ngram_file", or "remote"
     order: int = 2
-    k: float = 0.1
-    vocab_cap: int = 5000
+    k: float = SMOOTHING_K
+    vocab_cap: int = VOCAB_CAP
     path: Optional[str] = None
     endpoint: Optional[str] = None
 
@@ -76,21 +78,10 @@ class ModelSpec:
         """Read a model spec; errors name the config path ``where``, such as ``models[0]``."""
         typed(obj, dict, where)
         required(obj, "id", where)
-
-        def field(name: str, kind: type, default):
-            return typed(obj[name], kind, f"{where}.{name}") if name in obj else default
-
-        fields = dict(
-            model_id=field("id", str, None),
-            kind=field("type", str, "ngram"),
-            order=field("order", int, 2),
-            k=field("k", float, 0.1),
-            vocab_cap=field("vocab_cap", int, 5000),
-            path=field("path", str, None),
-            endpoint=field("endpoint", str, None),
-        )
+        present = {attr: typed(obj[key], kind, f"{where}.{key}")
+                   for key, (attr, kind) in _MODEL_KEYS.items() if key in obj}
         try:
-            return cls(**fields)
+            return cls(**present)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
 
@@ -102,13 +93,13 @@ def default_decoders() -> list[tuple[str, DecodeConfig]]:
 
 @dataclass(frozen=True)
 class ExperimentGrid:
-    models: tuple[ModelSpec, ...]
-    prompts: tuple[PromptSpec, ...]
-    decoders: tuple[tuple[str, DecodeConfig], ...]
+    models: tuple[ModelSpec, ...] = tuple(ModelSpec(f"ngram{n}", order=n) for n in (1, 2, 3))
+    prompts: tuple[PromptSpec, ...] = tuple(PromptSpec.all_variants())
+    decoders: tuple[tuple[str, DecodeConfig], ...] = tuple(default_decoders())
     eval_samples: Optional[tuple[str, ...]] = None  # pinned sample ids, else top page views
     eval_count: int = 10
     weights: TotalScoreWeights = TotalScoreWeights()
-    split_ratios: tuple[float, float, float] = (0.8, 0.1, 0.1)
+    split_ratios: tuple[float, float, float] = SPLIT_RATIOS
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -120,6 +111,8 @@ class ExperimentGrid:
             raise ValueError("decoder ids must be unique")
         if len({p.spec_id for p in self.prompts}) != len(self.prompts):
             raise ValueError("prompt variants must be unique")
+        if self.eval_count < 1:
+            raise ValueError("eval_samples: expected at least one evaluation sample")
 
     def combination_count(self) -> int:
         return len(self.models) * len(self.prompts) * len(self.decoders)
@@ -132,11 +125,7 @@ class ExperimentGrid:
                 {"id": decoder_id, **json.loads(cfg.to_json())} for decoder_id, cfg in self.decoders
             ],
             "eval_samples": list(self.eval_samples) if self.eval_samples else {"top_page_views": self.eval_count},
-            "weights": {
-                "alpha1": self.weights.alpha1,
-                "alpha2": self.weights.alpha2,
-                "alpha3": self.weights.alpha3,
-            },
+            "weights": asdict(self.weights),
             "split_ratios": list(self.split_ratios),
             "seed": self.seed,
         }
@@ -146,49 +135,40 @@ class ExperimentGrid:
         """Read a grid config; a malformed one is a ``ValueError`` naming its config path."""
         typed(obj, dict, "grid config")
 
-        def items(name: str, default, kind: type, read: Callable = lambda item, where: item) -> tuple:
+        def items(name: str, kind: type, read: Callable = lambda item, where: item) -> tuple:
             """The list field ``name``: each item checked to be a ``kind``, then ``read(item, where)``."""
-            values = typed(obj.get(name, default), list, name)
+            values = typed(obj[name], list, name)
             return tuple(read(typed(v, kind, f"{name}[{i}]"), f"{name}[{i}]") for i, v in enumerate(values))
 
-        models = items("models", _default_model_dicts(), dict, ModelSpec.from_dict)
-        if obj.get("prompts", "all") == "all":
-            prompts = tuple(PromptSpec.all_variants())
-        else:
-            prompts = items("prompts", None, str, PromptSpec.from_id)
-        if obj.get("decoders", "all") == "all":
-            decoders = tuple(default_decoders())
-        else:
-            decoders = items("decoders", None, dict, _decoder)
-        raw_eval = obj.get("eval_samples", {"top_page_views": 10})
+        present: dict = {}
+        if "models" in obj:
+            present["models"] = items("models", dict, ModelSpec.from_dict)
+        if obj.get("prompts", "all") != "all":
+            present["prompts"] = items("prompts", str, PromptSpec.from_id)
+        if obj.get("decoders", "all") != "all":
+            present["decoders"] = items("decoders", dict, _decoder)
+        raw_eval = obj.get("eval_samples", {})
         if isinstance(raw_eval, dict):
-            eval_samples = None
-            eval_count = typed(raw_eval.get("top_page_views", 10), int, "eval_samples.top_page_views")
+            if "top_page_views" in raw_eval:
+                present["eval_count"] = typed(raw_eval["top_page_views"], int, "eval_samples.top_page_views")
         elif isinstance(raw_eval, list):
-            eval_samples = items("eval_samples", None, str)
-            eval_count = len(eval_samples)
+            eval_samples = present["eval_samples"] = items("eval_samples", str)
+            present["eval_count"] = len(eval_samples)
         else:
             raise ValueError(f"eval_samples: expected a list or an object, got {type(raw_eval).__name__}")
-        if eval_count < 1:
-            raise ValueError("eval_samples: expected at least one evaluation sample")
-        raw_weights = typed(obj.get("weights", {}), dict, "weights")
-        unknown = sorted(set(raw_weights) - {"alpha1", "alpha2", "alpha3"})
-        if unknown:
-            raise ValueError(f"weights: unknown fields {unknown}")
-        weights = TotalScoreWeights(**{k: typed(v, float, f"weights.{k}") for k, v in raw_weights.items()})
-        ratios = items("split_ratios", [0.8, 0.1, 0.1], float)
-        if len(ratios) != 3:
-            raise ValueError(f"split_ratios: expected 3 ratios, got {len(ratios)}")
-        return cls(
-            models=models,
-            prompts=prompts,
-            decoders=decoders,
-            eval_samples=eval_samples,
-            eval_count=eval_count,
-            weights=weights,
-            split_ratios=ratios,  # type: ignore[arg-type]
-            seed=typed(obj.get("seed", 0), int, "seed"),
-        )
+        if "weights" in obj:
+            raw = typed(obj["weights"], dict, "weights")
+            unknown = sorted(set(raw) - set(TotalScoreWeights.__dataclass_fields__))
+            if unknown:
+                raise ValueError(f"weights: unknown fields {unknown}")
+            present["weights"] = TotalScoreWeights(**{k: typed(v, float, f"weights.{k}") for k, v in raw.items()})
+        if "split_ratios" in obj:
+            ratios = present["split_ratios"] = items("split_ratios", float)
+            if len(ratios) != 3:
+                raise ValueError(f"split_ratios: expected 3 ratios, got {len(ratios)}")
+        if "seed" in obj:
+            present["seed"] = typed(obj["seed"], int, "seed")
+        return cls(**present)
 
 
 def _decoder(obj: dict, where: str) -> tuple[str, DecodeConfig]:
@@ -197,13 +177,9 @@ def _decoder(obj: dict, where: str) -> tuple[str, DecodeConfig]:
     return typed(obj.get("id", obj.get("strategy")), str, f"{where}.id"), cfg
 
 
-def _default_model_dicts() -> list[dict]:
-    return [{"id": f"ngram{n}", "type": "ngram", "order": n} for n in (1, 2, 3)]
-
-
 def default_grid(seed: int = 0) -> ExperimentGrid:
     """Three reference model orders, all seven prompts, all five decoders."""
-    return ExperimentGrid.from_dict({"seed": seed})
+    return ExperimentGrid(seed=seed)
 
 
 @dataclass(frozen=True)
@@ -315,17 +291,12 @@ def generate_meaning(
     """Render each sample under ``spec``, decode all of them in lockstep and return each generated meaning.
 
     ``cfgs[i]`` decodes ``samples[i]``; ``memo`` is shared by the rows
-    (see :mod:`lyricsense.decoding`).
+    (see :mod:`lyricsense.decoding`). A meaning is the decoded continuation,
+    left-stripped: what ``extract_generation`` finds after the prompt text.
     """
     vocab = model.vocabulary()
-    rendered = [render(spec, sample) for sample in samples]
-    generations = decode_many(model, [vocab.encode_text(r.text) for r in rendered], cfgs, memo=memo)
-    meanings = []
-    for prompt, generation in zip(rendered, generations):
-        continuation = vocab.decode_text(generation.ids)
-        full_output = prompt.text + (" " + continuation if continuation else "")
-        meanings.append(extract_generation(full_output, prompt))
-    return meanings
+    prompts = [vocab.encode_text(render(spec, sample).text) for sample in samples]
+    return [vocab.decode_text(g.ids).lstrip() for g in decode_many(model, prompts, cfgs, memo=memo)]
 
 
 def _run_combination(
@@ -415,11 +386,11 @@ def run_grid(
 ) -> GridResult:
     """Execute the full grid, streaming rows to ``out_dir/grid.jsonl``.
 
-    Combinations run one after another in the calling thread;
-    ``workers`` is accepted so existing callers keep working, and is
-    ignored. Within each model they run decoder-major, and each (model,
-    decoder) pair of an in-process n-gram model gets one bounded decode
-    memo, since every prompt's rows step through the same cached arrays.
+    ``workers`` is ignored; ``bench/grid_proc.py`` passes it.
+    Combinations run one after another in the calling thread. Within
+    each model they run decoder-major, and each (model, decoder) pair of
+    an in-process n-gram model gets one bounded decode memo, since every
+    prompt's rows step through the same cached arrays.
     A remote model gets none. After a model's last combination the grid
     drops it if it was fit or loaded, and closes it if it is a connected
     client; on an error every client is closed. Outcomes are held until every combination
@@ -531,8 +502,8 @@ def emit_report(result: GridResult, out_dir: str) -> list[str]:
             cells.append("ok")
             fh.write(",".join(cells) + "\n")
         for failure in result.failures:
-            cells = [failure.model_id, failure.prompt_id, failure.decoder_id, "0", "", "", "", ""]
-            cells.append(failure.error_type)
+            cells = [failure.model_id, failure.prompt_id, failure.decoder_id, "0"]
+            cells += [""] * len(METRIC_FIELDS) + [failure.error_type]
             fh.write(",".join(cells) + "\n")
 
     plot_path = os.path.join(out_dir, "plotdata.json")

@@ -34,6 +34,8 @@ import numpy as np
 from .jsonfields import load_json, required, typed
 
 MAX_ORDER = 64  # far past any useful n-gram order, and small enough to pad with BOS
+SMOOTHING_K = 0.1  # add-k constant of a fit that names none
+VOCAB_CAP = 5000  # content tokens a fit that names no cap keeps
 # Bytes of |V|-wide float64 arrays that one model's row cache, or one decode
 # memo (see lyricsense.decoding), may hold: 419 rows at |V| = 5,003.
 CACHE_BYTES = 16 << 20
@@ -156,7 +158,7 @@ class NGramModel:
         self._totals = {ctx: sum(counter.values()) for ctx, counter in counts.items()}
         self._cache: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()  # least recently used first
         self._cache_rows = max(1, CACHE_BYTES // (8 * len(vocab)))
-        self._ids = frozenset(range(len(vocab)))
+        self._ids = frozenset(range(2, len(vocab)))  # 0 and 1 are left out: see ``next``
         # log(k) - log(0 + k*|V|): the add-k formula with no counts.
         self._uniform = np.full(len(vocab), math.log(k) - math.log(k * len(vocab)))
         self._uniform.setflags(write=False)
@@ -165,11 +167,12 @@ class NGramModel:
         return self._vocab
 
     def next(self, context: Sequence[int]) -> np.ndarray:
-        # Every id is checked, not just the tail: one set lookup per id is
-        # cheaper than a range comparison in Python on this per-step path.
-        if not self._ids.issuperset(context):
-            bad = next(i for i in context if i not in self._ids)
-            raise ValueError(f"token id {bad} out of range for |V|={len(self._vocab)}")
+        # Every id is checked, not just the tail, in two C-speed passes: a set
+        # lookup per id, and a sum, an int only if no id is a float. False and
+        # True equal 0 and 1, so ``_ids`` leaves those out: a context holding
+        # either takes the exact check.
+        if not (self._ids.issuperset(context) and type(sum(context)) is int):
+            _check_ids(context, len(self._vocab))
         width = self.order - 1
         tail = tuple(context[-width:]) if width else ()
         if len(tail) < width:
@@ -244,6 +247,22 @@ class NGramModel:
     @classmethod
     def load(cls, path: str) -> "NGramModel":
         return cls.from_dict(load_json(path), path)
+
+
+def _check_ids(ids: Sequence[int], size: int) -> None:
+    """Raise a ``ValueError`` naming the first of ``ids`` that is not an integer id below ``size``.
+
+    A bool or a float is no id, even one equal to an integer.
+    """
+    # Most contexts that get here from ``next`` are good ones holding id 0
+    # or 1 (decoders emit BOS): pass those at C speed, search the rest.
+    if set(map(type, ids)) <= {int} and min(ids, default=0) >= 0 and max(ids, default=0) < size:
+        return
+    for position, token_id in enumerate(ids):
+        if isinstance(token_id, bool) or not isinstance(token_id, (int, np.integer)):
+            raise ValueError(f"token id {token_id!r} at position {position} is not an integer")
+        if not 0 <= token_id < size:
+            raise ValueError(f"token id {token_id} out of range for |V|={size}")
 
 
 def _check_order_and_k(order: int, k: float) -> None:
@@ -323,7 +342,7 @@ class TrainingTexts(tuple):
         return built
 
 
-def fit_ngram(texts: Iterable[str], order: int, k: float = 0.1, vocab_cap: int = 5000) -> NGramModel:
+def fit_ngram(texts: Iterable[str], order: int, k: float = SMOOTHING_K, vocab_cap: int = VOCAB_CAP) -> NGramModel:
     """Fit an add-k n-gram model on raw texts.
 
     The vocabulary keeps the ``vocab_cap`` most frequent tokens (ties by
@@ -390,10 +409,8 @@ def sequence_log_prob(model: LanguageModel, ids: Sequence[int]) -> float:
     """Chain-rule log probability sum(t) log P(ids[t] | ids[:t])."""
     if len(ids) == 0:
         raise ValueError("sequence must be non-empty")
+    _check_ids(ids, len(model.vocabulary()))
     total = 0.0
     for t, token_id in enumerate(ids):
-        log_probs = model.next(ids[:t])
-        if not 0 <= token_id < len(log_probs):
-            raise ValueError(f"token id {token_id} out of range")
-        total += float(log_probs[token_id])
+        total += float(model.next(ids[:t])[token_id])
     return total

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Sequence
 
@@ -26,8 +26,7 @@ class TotalScoreWeights:
     alpha3: float = 0.5
 
     def __post_init__(self) -> None:
-        for name in ("alpha1", "alpha2", "alpha3"):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if self.alpha1 + self.alpha2 == 0:
@@ -42,12 +41,11 @@ class MetricReport:
     total_score: float
 
     def to_dict(self) -> dict[str, float]:
-        return {
-            "rouge1": self.rouge1,
-            "cos_pred_annotation": self.cos_pred_annotation,
-            "cos_pred_lyrics": self.cos_pred_lyrics,
-            "total_score": self.total_score,
-        }
+        return {name: getattr(self, name) for name in METRIC_FIELDS}
+
+
+# The metric names, in report and column order.
+METRIC_FIELDS = tuple(field.name for field in fields(MetricReport))
 
 
 def tokenize_for_metrics(text: str) -> list[str]:
@@ -182,9 +180,4 @@ def evaluate(
 def mean_report(reports: Sequence[MetricReport]) -> MetricReport:
     """Field-wise mean of a non-empty sequence of reports."""
     n = len(reports)
-    return MetricReport(
-        rouge1=sum(r.rouge1 for r in reports) / n,
-        cos_pred_annotation=sum(r.cos_pred_annotation for r in reports) / n,
-        cos_pred_lyrics=sum(r.cos_pred_lyrics for r in reports) / n,
-        total_score=sum(r.total_score for r in reports) / n,
-    )
+    return MetricReport(*(sum(getattr(r, name) for r in reports) / n for name in METRIC_FIELDS))

@@ -2,7 +2,8 @@
 
 Seven variants: three template kinds, each with and without song metadata,
 plus the bare ``none`` kind that passes the fragment through untouched.
-The template strings are frozen; golden tests pin every byte.
+``TEMPLATES`` is the one table of them, in the grid's variant order. The
+template strings are frozen; golden tests pin every byte.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ class PromptSpec:
     with_metadata: bool = False
 
     def __post_init__(self) -> None:
-        if self.kind == PromptKind.NONE and self.with_metadata:
-            raise ValueError("the bare prompt has no metadata variant")
+        if (self.kind, self.with_metadata) not in TEMPLATES:
+            raise ValueError(f"no prompt variant for kind {self.kind!r} with_metadata={self.with_metadata}")
 
     @property
     def spec_id(self) -> str:
@@ -40,21 +41,30 @@ class PromptSpec:
 
     @classmethod
     def from_id(cls, spec_id: str, where: str = "prompt") -> "PromptSpec":
-        with_metadata = spec_id.endswith("_meta")
-        kind_value = spec_id[: -len("_meta")] if with_metadata else spec_id
-        try:
-            return cls(PromptKind(kind_value), with_metadata)
-        except ValueError:
-            raise ValueError(f"{where}: unknown prompt spec {spec_id!r}") from None
+        for spec in cls.all_variants():
+            if spec.spec_id == spec_id:
+                return spec
+        raise ValueError(f"{where}: unknown prompt spec {spec_id!r}")
 
     @classmethod
     def all_variants(cls) -> list["PromptSpec"]:
-        variants = []
-        for kind in (PromptKind.LYRICS_MEANING, PromptKind.SONG_TASK, PromptKind.QUESTION_CONTEXT):
-            variants.append(cls(kind, False))
-            variants.append(cls(kind, True))
-        variants.append(cls(PromptKind.NONE, False))
-        return variants
+        return [cls(kind, with_metadata) for kind, with_metadata in TEMPLATES]
+
+
+# (kind, with_metadata) -> (template, continuation marker), in the grid's variant order.
+TEMPLATES: dict[tuple[PromptKind, bool], tuple[str, str]] = {
+    (PromptKind.LYRICS_MEANING, False): ("lyrics: {fragment}. meaning:", "meaning:"),
+    (PromptKind.LYRICS_MEANING, True):
+        ("artist: {artist}. title: {title}. lyrics: {fragment}. meaning:", "meaning:"),
+    (PromptKind.SONG_TASK, False): ("explain the song. lyrics: {fragment}. meaning:", "meaning:"),
+    (PromptKind.SONG_TASK, True):
+        ("explain the song {title}, written by {artist}. lyrics: {fragment}. meaning:", "meaning:"),
+    (PromptKind.QUESTION_CONTEXT, False):
+        ("question: what is the meaning of this song? context: {fragment}. answer:", "answer:"),
+    (PromptKind.QUESTION_CONTEXT, True):
+        ('question: what is the meaning of {artist} in his song "{title}"? context: {fragment}. answer:', "answer:"),
+    (PromptKind.NONE, False): ("{fragment}", ""),
+}
 
 
 @dataclass(frozen=True)
@@ -69,41 +79,8 @@ def render(spec: PromptSpec, sample: Sample) -> RenderedPrompt:
         raise PromptError("sample fragment is empty")
     if spec.with_metadata and (not sample.artist or not sample.title):
         raise PromptError(f"prompt {spec.spec_id!r} needs artist and title metadata")
-
-    kind = spec.kind
-    if kind == PromptKind.NONE:
-        return RenderedPrompt(text=sample.fragment, continuation_marker="")
-    if kind == PromptKind.LYRICS_MEANING:
-        if spec.with_metadata:
-            text = (
-                f"artist: {sample.artist}. title: {sample.title}. "
-                f"lyrics: {sample.fragment}. meaning:"
-            )
-        else:
-            text = f"lyrics: {sample.fragment}. meaning:"
-        return RenderedPrompt(text=text, continuation_marker="meaning:")
-    if kind == PromptKind.SONG_TASK:
-        if spec.with_metadata:
-            text = (
-                f"explain the song {sample.title}, written by {sample.artist}. "
-                f"lyrics: {sample.fragment}. meaning:"
-            )
-        else:
-            text = f"explain the song. lyrics: {sample.fragment}. meaning:"
-        return RenderedPrompt(text=text, continuation_marker="meaning:")
-    if kind == PromptKind.QUESTION_CONTEXT:
-        if spec.with_metadata:
-            text = (
-                f'question: what is the meaning of {sample.artist} in his song "{sample.title}"? '
-                f"context: {sample.fragment}. answer:"
-            )
-        else:
-            text = (
-                f"question: what is the meaning of this song? "
-                f"context: {sample.fragment}. answer:"
-            )
-        return RenderedPrompt(text=text, continuation_marker="answer:")
-    raise ValueError(f"unhandled prompt kind {kind!r}")
+    template, marker = TEMPLATES[spec.kind, spec.with_metadata]
+    return RenderedPrompt(template.format(artist=sample.artist, title=sample.title, fragment=sample.fragment), marker)
 
 
 def render_with_target(spec: PromptSpec, sample: Sample) -> str:

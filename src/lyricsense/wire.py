@@ -60,7 +60,8 @@ every path.
 
 The server answers every request line with exactly one frame. Requests the
 model cannot serve get ``bad_context`` (a ``ValueError`` from the model) or
-``internal`` (any other exception), and the session continues. A request
+``internal`` (any other exception, or a row that is not |V| long, in
+either protocol), and the session continues. A request
 line longer than ``MAX_REQUEST_BYTES``, like a bad binary ``next_batch``
 header, gets one ``bad_frame`` error, after which the server closes the
 session. A reply line longer than
@@ -357,26 +358,34 @@ def _build_reply(model: LanguageModel, vocab: Vocabulary, request: dict) -> dict
         ctx = request.get("ctx")
         if not _is_context(ctx):
             return {"op": "err", "code": "bad_context", "msg": "ctx must be a list of ids"}
-        try:
-            logp = model.next(ctx)
-        except ValueError as exc:
-            return {"op": "err", "code": "bad_context", "msg": str(exc)}
-        return {"op": "dist", "logp": _encode_logp(logp)}
+        rows = _model_rows(model, vocab, [ctx], batch=False)
+        return rows if isinstance(rows, dict) else {"op": "dist", "logp": _encode_logp(rows[0])}
     return {"op": "err", "code": "bad_op", "msg": f"unknown op {op!r}"}
+
+
+def _model_rows(model: LanguageModel, vocab: Vocabulary, contexts: list[list[int]], batch: bool) -> list | dict:
+    """The model's row for each context, or the ``err`` reply for the first it cannot serve.
+
+    A ``ValueError`` from the model is ``bad_context``, its message led by
+    ``ctxs[i]: `` in a batch; a row that is not |V| long is ``internal``.
+    """
+    rows = []
+    for i, ctx in enumerate(contexts):
+        try:
+            row = model.next(ctx)
+        except ValueError as exc:
+            return {"op": "err", "code": "bad_context", "msg": f"ctxs[{i}]: {exc}" if batch else str(exc)}
+        if len(row) != len(vocab):
+            return {"op": "err", "code": "internal", "msg": f"model returned {len(row)} entries for |V|={len(vocab)}"}
+        rows.append(row)
+    return rows
 
 
 def _dists_reply(model: LanguageModel, vocab: Vocabulary, contexts: list[list[int]]) -> tuple[dict, bytes]:
     """The reply to a ``next_batch`` of well-formed contexts: every row, or the first error."""
-    rows = []
-    for i, ctx in enumerate(contexts):
-        try:
-            rows.append(model.next(ctx))
-        except ValueError as exc:
-            return {"op": "err", "code": "bad_context", "msg": f"ctxs[{i}]: {exc}"}, b""
-        if len(rows[-1]) != len(vocab):
-            # A short or long row would shift every byte after it.
-            return {"op": "err", "code": "internal",
-                    "msg": f"model returned {len(rows[-1])} entries for |V|={len(vocab)}"}, b""
+    rows = _model_rows(model, vocab, contexts, batch=True)
+    if isinstance(rows, dict):
+        return rows, b""
     return {"op": "dists", "count": len(rows)}, b"".join(row.astype("<f8", copy=False).tobytes() for row in rows)
 
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -7,9 +8,12 @@ from collections import Counter
 
 import pytest
 
-from lyricsense.cli import cli_main
-from lyricsense.corpus import AnnotatedFragment, SongRecord, write_corpus
-from lyricsense.lm import NGramModel, Vocabulary
+from lyricsense.cli import build_parser, cli_main
+from lyricsense.corpus import AnnotatedFragment, SongRecord, split, write_corpus
+from lyricsense.decoding import DecodeConfig
+from lyricsense.harness import ExperimentGrid, ModelSpec
+from lyricsense.lm import NGramModel, Vocabulary, fit_ngram
+from lyricsense.metrics import TotalScoreWeights
 from lyricsense.wire import RemoteLM
 
 
@@ -389,6 +393,35 @@ def test_serve_mock_subprocess_speaks_protocol(tmp_path):
         proc.wait(timeout=5)
         proc.stdout.close()
         proc.stderr.close()
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = build_parser()
+    ratios = inspect.signature(split).parameters["ratios"].default
+    assert parser.parse_args(["ingest", "--corpus", "c", "--out", "o"]).ratios == ratios
+    assert ExperimentGrid.from_dict({}).split_ratios == ratios
+
+    fit = parser.parse_args(["fit-lm", "--corpus", "c", "--out", "o"])
+    spec = ModelSpec.from_dict({"id": "m"})
+    assert spec == ModelSpec("m", kind="ngram")
+    assert (fit.order, fit.smoothing_k, fit.vocab_cap, fit.ratios) == (spec.order, spec.k, spec.vocab_cap, ratios)
+    fit_params = inspect.signature(fit_ngram).parameters
+    assert (fit_params["k"].default, fit_params["vocab_cap"].default) == (spec.k, spec.vocab_cap)
+
+    gen = parser.parse_args(["generate", "--model", "m", "--fragment", "f"])
+    cfg = DecodeConfig(strategy=gen.strategy)
+    assert (gen.temperature, gen.top_k, gen.top_p, gen.num_beams, gen.max_new_tokens, gen.seed) == (
+        cfg.temperature, cfg.k, cfg.p, cfg.num_beams, cfg.max_new_tokens, cfg.seed
+    )
+
+    evaluate = parser.parse_args(["evaluate", "--predictions", "p"])
+    assert TotalScoreWeights(evaluate.alpha1, evaluate.alpha2, evaluate.alpha3) == TotalScoreWeights()
+
+
+def test_grid_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["grid", "--corpus", "c", "--out", "o", "--workers", "2"])
+    assert "--workers" in capsys.readouterr().err
 
 
 def test_missing_file_reports_error(tmp_path, capsys):

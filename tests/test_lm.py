@@ -168,6 +168,44 @@ def test_every_context_id_is_range_checked_for_any_order(order, context):
         model.next(context)
 
 
+_ID_MODEL = fit_ngram(["a b c", "b c a"], order=2, k=0.1, vocab_cap=10)
+_ID_SIZE = len(_ID_MODEL.vocabulary())
+_good_ids = st.integers(0, _ID_SIZE - 1)
+_bad_ids = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=True),
+    st.integers(max_value=-1),
+    st.integers(min_value=_ID_SIZE),
+)
+
+
+def _first_bad(ids):
+    for position, token_id in enumerate(ids):
+        if isinstance(token_id, (bool, float)):
+            return f"token id {token_id!r} at position {position} is not an integer"
+        if not 0 <= token_id < _ID_SIZE:
+            return f"token id {token_id} out of range for |V|={_ID_SIZE}"
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.lists(st.one_of(_good_ids, _good_ids, _bad_ids), min_size=1, max_size=6))
+@example(ids=[True])
+@example(ids=[1.0])
+@example(ids=[3, True])
+@example(ids=[2.0, 3])
+def test_bad_ids_are_value_errors_naming_the_id(ids):
+    """Bools and floats are no ids, even those equal to one; the first bad id is named."""
+    message = _first_bad(ids)
+    for call in (lambda: _ID_MODEL.next(ids), lambda: sequence_log_prob(_ID_MODEL, ids)):
+        if message is None:
+            call()
+        else:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+
+
 def test_vocab_cap_and_unk():
     texts = ["common common common rare apple", "common unusual"]
     model = fit_ngram(texts, order=1, k=0.1, vocab_cap=3)

@@ -697,6 +697,14 @@ def test_batch_row_of_the_wrong_length_is_an_internal_error():
     assert frames[1] == ({"op": "err", "code": "internal", "msg": "model returned 2 entries for |V|=5"}, b"")
 
 
+@pytest.mark.parametrize("proto", [1, 3])
+def test_next_row_of_the_wrong_length_is_an_internal_error(proto):
+    hello = json.dumps({"op": "hello", "proto": proto}).encode()
+    replies = _session(_ShortRows(), [hello, b'{"op": "next", "ctx": [3]}', b'{"op": "next", "ctx": [4]}'])
+    short = {"op": "err", "code": "internal", "msg": "model returned 2 entries for |V|=5"}
+    assert replies[1:] == [short, short]
+
+
 @pytest.mark.parametrize("ctxs", [[[3]] * (MAX_BATCH + 1), [], "3", None])
 def test_batch_outside_one_to_max_batch_contexts_is_an_error(model, ctxs):
     request = _binary_request(ctxs) if isinstance(ctxs, list) else _binary_request([], lens=ctxs)
