@@ -19,6 +19,19 @@ Conventions, pinned by tests:
   no-repeat constraint bans any continuation that would repeat an
   n-gram already present in prompt + hypothesis.
 
+Beam bookkeeping. Hypotheses and candidates are plain tuples that sort
+best first, and a candidate holds its parent's ids and its token apart:
+every running hypothesis has as many ids as the others, so ordering by
+(parent ids, token) is ordering by ids, and the ids of a candidate are
+joined only if it survives. The no-repeat bans are follower maps (each
+(n-1)-gram mapped to the ids that follow it): every hypothesis of a row
+shares the prompt's map, and holds a small map of its own of the
+n-grams that end in its ids.
+
+In place. The sampling derivations divide the distribution into a fresh
+array, then shift, exponentiate, normalize, filter and accumulate that
+array in place. The distribution a model returns is never written.
+
 Lockstep. Each strategy is a step generator for one row: it yields the
 contexts it needs (one, or one per running beam hypothesis), is sent
 their log-prob arrays, and returns its :class:`Generation`.
@@ -59,13 +72,12 @@ import math
 from dataclasses import dataclass, asdict
 from enum import Enum
 from functools import partial
-from operator import attrgetter
-from typing import Callable, Generator, NamedTuple, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
 
 from . import lm
-from .jsonfields import required, typed
+from .jsonfields import no_unknown_fields, required, typed
 from .lm import LanguageModel
 from .rng import SplitMix64
 
@@ -125,9 +137,7 @@ class DecodeConfig:
     def from_dict(cls, obj: dict, where: str = "decode config") -> "DecodeConfig":
         """Read a decode config; a malformed one is a ``ValueError`` naming ``where`` and its field."""
         typed(obj, dict, where)
-        unknown = set(obj) - set(cls.__dataclass_fields__)
-        if unknown:
-            raise ValueError(f"{where}: unknown fields {sorted(unknown)}")
+        no_unknown_fields(obj, cls.__dataclass_fields__, where)
         required(obj, "strategy", where)
         kinds = {"strategy": str, "early_stopping": bool, "temperature": float, "p": float}  # the rest are int
         fields = {name: required(obj, name, where, kinds.get(name, int)) for name in obj}
@@ -150,13 +160,17 @@ _Steps = Generator[Sequence[Sequence[int]], list, Generation]
 
 
 def _softmax(log_probs: np.ndarray, temperature: float) -> np.ndarray:
-    scaled = log_probs / max(temperature, _MIN_TEMPERATURE)
-    finite = scaled[np.isfinite(scaled)]
-    if finite.size == 0:
-        raise ValueError("distribution has no finite entries")
-    shifted = scaled - finite.max()
-    probs = np.exp(shifted)
-    return probs / probs.sum()
+    probs = log_probs / max(temperature, _MIN_TEMPERATURE)  # a fresh array, so the rest works in place
+    top = probs.max(initial=-math.inf)
+    if not math.isfinite(top):  # NaN, +inf, or nothing finite: shift by the largest finite entry
+        finite = probs[np.isfinite(probs)]
+        if finite.size == 0:
+            raise ValueError("distribution has no finite entries")
+        top = finite.max()
+    probs -= top
+    np.exp(probs, out=probs)
+    probs /= probs.sum()
+    return probs
 
 
 def _descending_order(probs: np.ndarray) -> np.ndarray:
@@ -174,6 +188,7 @@ def _filter_top_k(probs: np.ndarray, k: int) -> np.ndarray:
 
 
 def _filter_top_p(probs: np.ndarray, p: float) -> np.ndarray:
+    """``probs`` with every id outside the nucleus zeroed, in place."""
     # p == 1 keeps the entire distribution by definition; short-circuiting
     # avoids a float-cumsum boundary and keeps the identity with plain
     # sampling exact.
@@ -184,10 +199,8 @@ def _filter_top_p(probs: np.ndarray, p: float) -> np.ndarray:
     cut = int(np.searchsorted(cumulative, p, side="left"))
     if cut >= len(probs):
         return probs
-    keep = order[: cut + 1]
-    out = np.zeros_like(probs)
-    out[keep] = probs[keep]
-    return out
+    probs[order[cut + 1 :]] = 0.0
+    return probs
 
 
 def _sampling_cdf(log_probs: np.ndarray, temperature: float, strategy: Strategy, k: int, p: float) -> np.ndarray:
@@ -197,7 +210,7 @@ def _sampling_cdf(log_probs: np.ndarray, temperature: float, strategy: Strategy,
         probs = _filter_top_k(probs, k)
     elif strategy == Strategy.TOP_P:
         probs = _filter_top_p(probs, p)
-    return np.cumsum(probs)
+    return np.cumsum(probs, out=probs)
 
 
 def _draw(cumulative: np.ndarray, rng: SplitMix64) -> int:
@@ -276,19 +289,6 @@ def top_p_sample(
     return _decode_one(model, Strategy.TOP_P, prompt_ids, cfg, memo)
 
 
-def _banned_tokens(sequence: Sequence[int], ngram_size: int) -> set[int]:
-    """Tokens whose emission would repeat an ngram_size-gram of sequence.
-
-    The reference definition; beam search looks the same set up in a
-    follower map (:func:`_banned_from`).
-    """
-    if ngram_size < 1 or len(sequence) < ngram_size - 1:
-        return set()
-    prefix = tuple(sequence[len(sequence) - ngram_size + 1 :])
-    grams = zip(*(sequence[i:] for i in range(ngram_size)))
-    return {gram[-1] for gram in grams if gram[:-1] == prefix}
-
-
 _Followers = dict[tuple[int, ...], frozenset[int]]
 _NO_TOKENS: frozenset[int] = frozenset()
 
@@ -316,80 +316,75 @@ def _add_last_gram(followers: _Followers, sequence: Sequence[int], ngram_size: i
 
 
 def _banned_from(followers: _Followers, sequence: Sequence[int], ngram_size: int) -> frozenset[int]:
-    """``_banned_tokens(sequence, ngram_size)``, looked up in ``followers``, the follower map of ``sequence``."""
-    if ngram_size < 1 or len(sequence) < ngram_size - 1:
-        return _NO_TOKENS
-    return followers.get(tuple(sequence[len(sequence) - ngram_size + 1 :]), _NO_TOKENS)
+    """The ids that follow the last ``ngram_size - 1`` ids of ``sequence`` in ``followers``, a follower map.
 
-
-class _Hypothesis(NamedTuple):
-    neg_score: float
-    ids: tuple[int, ...]
-    score: float
-    # The follower map of prompt + ids for the no-repeat constraint. A
-    # candidate holds its parent's map, and extends a copy only if it survives.
-    followers: _Followers
-
-
-# Best first: highest score, then the lexicographically smallest ids.
-_rank = attrgetter("neg_score", "ids")
+    With the follower map of ``sequence`` itself, these are the ids whose
+    emission would repeat an ``ngram_size``-gram of ``sequence``.
+    """
+    # A sequence shorter than ngram_size - 1 gives a shorter key, which no key of the map equals.
+    return followers.get(tuple(sequence[len(sequence) + 1 - ngram_size :]), _NO_TOKENS)
 
 
 def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]) -> _Steps:
     """Beam search of one row; see :func:`beam_search`."""
     prompt = tuple(prompt_ids)
     ngram_size = cfg.no_repeat_ngram_size
-    width = cfg.num_beams + 1
-    running: list[_Hypothesis] = [_Hypothesis(0.0, (), 0.0, _follower_map(prompt, ngram_size))]
-    finished: list[_Hypothesis] = []
+    num_beams = cfg.num_beams
+    width = num_beams + 1
+    prompt_followers = _follower_map(prompt, ngram_size)
+    running: list[tuple] = [(0.0, (), 0.0, {}, prompt)]  # (-score, ids, score, own follower map, prompt + ids)
+    finished: list[tuple] = []  # (-score, ids, score)
 
     for _ in range(cfg.max_new_tokens):
-        candidates: list[_Hypothesis] = []
-        contexts = [prompt + hyp.ids for hyp in running]
-        rows = yield contexts
-        for hyp, context, raw in zip(running, contexts, rows):
-            banned = _banned_from(hyp.followers, context, ngram_size)
+        candidates: list[tuple] = []  # (-score, parent ids, token, score, parent), best first once sorted
+        rows = yield [hyp[4] for hyp in running]
+        for hyp, raw in zip(running, rows):
+            _neg, ids, score, own, context = hyp
+            banned = _banned_from(prompt_followers, context, ngram_size)
+            own_banned = _banned_from(own, context, ngram_size)
+            if own_banned:
+                banned = banned | own_banned
             # A candidate can matter only if it ranks within the global
             # top num_beams, hence within its own hypothesis's top
-            # num_beams; one extra slot cannot hurt. Finite ids sort
-            # before every -inf one, so the walk stops at the first
-            # non-finite id it meets.
+            # num_beams; one extra slot cannot hurt. At most len(banned)
+            # ids are skipped. Finite ids sort before every -inf one, so
+            # the walk stops at the first non-finite id it meets.
             expanded = 0
-            for token in _derive(memo, raw, _descending_order):
-                token = int(token)
+            for token in _derive(memo, raw, _descending_order)[: width + len(banned)].tolist():
                 if token in banned:
                     continue
                 step = float(raw[token])
                 if not math.isfinite(step):
                     break
-                score = hyp.score + step
-                candidates.append(_Hypothesis(-score, hyp.ids + (token,), score, hyp.followers))
+                total = score + step
+                candidates.append((-total, ids, token, total, hyp))
                 expanded += 1
                 if expanded == width:
                     break
             if not expanded:
-                finished.append(hyp)
-        candidates.sort(key=_rank)
-        new_running: list[_Hypothesis] = []
-        for rank, candidate in enumerate(candidates):
-            if candidate.ids[-1] == eos:
-                if rank < cfg.num_beams:
-                    finished.append(candidate._replace(ids=candidate.ids[:-1]))
-            elif len(new_running) < cfg.num_beams:
-                followers = _add_last_gram(candidate.followers, prompt + candidate.ids, ngram_size)
-                new_running.append(candidate._replace(followers=followers))
-            if len(new_running) == cfg.num_beams and rank + 1 >= cfg.num_beams:
+                finished.append(hyp[:3])
+        candidates.sort()
+        new_running: list[tuple] = []
+        for rank, (neg, ids, token, score, parent) in enumerate(candidates):
+            if token == eos:
+                if rank < num_beams:
+                    finished.append((neg, ids, score))
+            elif len(new_running) < num_beams:
+                context = parent[4] + (token,)
+                own = _add_last_gram(parent[3], context, ngram_size)
+                new_running.append((neg, ids + (token,), score, own, context))
+            if len(new_running) == num_beams and rank + 1 >= num_beams:
                 break
         running = new_running
         if not running:
             break
-        if cfg.early_stopping and len(finished) >= cfg.num_beams:
+        if cfg.early_stopping and len(finished) >= num_beams:
             break
 
-    pool = finished if finished else running
-    best = min(pool, key=_rank)
+    # Best first: highest score, then the lexicographically smallest ids.
+    best = min(finished or running)
     reason = FinishReason.EOS if finished else FinishReason.MAX_LEN
-    return Generation(best.ids, best.score, reason)
+    return Generation(best[1], best[2], reason)
 
 
 def beam_search(

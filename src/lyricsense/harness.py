@@ -31,7 +31,7 @@ from . import __version__
 from .corpus import SPLIT_RATIOS, Sample, clean_corpus, flatten, load_corpus, split
 # ``decode`` stays importable as ``harness.decode``: bench/tracing.py wraps it by name.
 from .decoding import DecodeConfig, Strategy, decode, decode_many  # noqa: F401
-from .jsonfields import required, typed
+from .jsonfields import no_unknown_fields, required, typed
 from .lm import MAX_ORDER, SMOOTHING_K, VOCAB_CAP, LanguageModel, NGramModel, TrainingTexts, fit_ngram
 from .metrics import METRIC_FIELDS, MetricReport, TotalScoreWeights, evaluate, mean_report
 from .prompts import PromptSpec, render, render_with_target
@@ -77,6 +77,7 @@ class ModelSpec:
     def from_dict(cls, obj: dict, where: str = "model") -> "ModelSpec":
         """Read a model spec; errors name the config path ``where``, such as ``models[0]``."""
         typed(obj, dict, where)
+        no_unknown_fields(obj, _MODEL_KEYS, where)
         required(obj, "id", where)
         present = {attr: typed(obj[key], kind, f"{where}.{key}")
                    for key, (attr, kind) in _MODEL_KEYS.items() if key in obj}
@@ -134,6 +135,8 @@ class ExperimentGrid:
     def from_dict(cls, obj: dict) -> "ExperimentGrid":
         """Read a grid config; a malformed one is a ``ValueError`` naming its config path."""
         typed(obj, dict, "grid config")
+        # eval_count is read from eval_samples, not a key of its own.
+        no_unknown_fields(obj, set(cls.__dataclass_fields__) - {"eval_count"}, "grid config")
 
         def items(name: str, kind: type, read: Callable = lambda item, where: item) -> tuple:
             """The list field ``name``: each item checked to be a ``kind``, then ``read(item, where)``."""
@@ -149,6 +152,7 @@ class ExperimentGrid:
             present["decoders"] = items("decoders", dict, _decoder)
         raw_eval = obj.get("eval_samples", {})
         if isinstance(raw_eval, dict):
+            no_unknown_fields(raw_eval, ("top_page_views",), "eval_samples")
             if "top_page_views" in raw_eval:
                 present["eval_count"] = typed(raw_eval["top_page_views"], int, "eval_samples.top_page_views")
         elif isinstance(raw_eval, list):
@@ -158,9 +162,7 @@ class ExperimentGrid:
             raise ValueError(f"eval_samples: expected a list or an object, got {type(raw_eval).__name__}")
         if "weights" in obj:
             raw = typed(obj["weights"], dict, "weights")
-            unknown = sorted(set(raw) - set(TotalScoreWeights.__dataclass_fields__))
-            if unknown:
-                raise ValueError(f"weights: unknown fields {unknown}")
+            no_unknown_fields(raw, TotalScoreWeights.__dataclass_fields__, "weights")
             present["weights"] = TotalScoreWeights(**{k: typed(v, float, f"weights.{k}") for k, v in raw.items()})
         if "split_ratios" in obj:
             ratios = present["split_ratios"] = items("split_ratios", float)

@@ -34,6 +34,13 @@ def required(obj: dict, name: str, where: str, kind: type | None = None):
     return obj[name] if kind is None else typed(obj[name], kind, f"{where}: field {name!r}")
 
 
+def no_unknown_fields(obj: dict, names, where: str) -> None:
+    """A ``ValueError`` naming ``where`` and the keys of ``obj`` outside ``names``, if there are any."""
+    unknown = sorted(set(obj) - set(names))
+    if unknown:
+        raise ValueError(f"{where}: unknown fields {unknown}")
+
+
 def load_json(path: str):
     """The JSON value in the file at ``path``; bad or too deeply nested JSON is a ``ValueError`` naming it."""
     with open(path, encoding="utf-8") as fh:

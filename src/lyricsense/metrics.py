@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 @dataclass(frozen=True)
@@ -70,43 +70,52 @@ def bag_of_words(text: str) -> Counter:
     return Counter(tokenize_for_metrics(text))
 
 
+class _Bag(NamedTuple):
+    counts: Counter
+    total: int  # the number of tokens
+    norm_sq: int  # the sum of squared counts
+
+
+def _bag(text: str) -> _Bag:
+    counts = bag_of_words(text)
+    return _Bag(counts, sum(counts.values()), sum(c * c for c in counts.values()))
+
+
 # Distinct reference texts a run keeps bags for; a grid scores against a
 # few dozen annotations and lyrics, so this bounds memory, not reuse.
 _REFERENCE_BAGS = 256
 
 
 @lru_cache(maxsize=_REFERENCE_BAGS)
-def _reference_bag(text: str) -> Counter:
-    """Shared bag of an annotation or lyrics text; callers never mutate it.
+def _reference_bag(text: str) -> _Bag:
+    """Shared bag of an annotation or lyrics text, with its sums; callers never mutate it.
 
     Indexing a ``Counter`` on a missing word returns 0 without inserting
     it, so the formulas below only read the cached bag.
     """
-    return bag_of_words(text)
+    return _bag(text)
 
 
-def _rouge1_bags(pred: Counter, ref: Counter) -> float:
-    pred_total = sum(pred.values())
-    ref_total = sum(ref.values())
-    if pred_total == 0 and ref_total == 0:
+def _rouge1_bags(pred: _Bag, ref: _Bag) -> float:
+    if pred.total == 0 and ref.total == 0:
         return 1.0
-    if pred_total == 0 or ref_total == 0:
+    if pred.total == 0 or ref.total == 0:
         return 0.0
-    overlap = sum(min(count, ref[word]) for word, count in pred.items())
+    ref_counts = ref.counts
+    overlap = sum(min(count, ref_counts[word]) for word, count in pred.counts.items())
     if overlap == 0:
         return 0.0
-    precision = overlap / pred_total
-    recall = overlap / ref_total
+    precision = overlap / pred.total
+    recall = overlap / ref.total
     return 2 * precision * recall / (precision + recall)
 
 
-def _cosine_bags(bag_a: Counter, bag_b: Counter) -> float:
-    if not bag_a or not bag_b:
+def _cosine_bags(bag_a: _Bag, bag_b: _Bag) -> float:
+    if not bag_a.counts or not bag_b.counts:
         return 0.0
-    dot = sum(count * bag_b[word] for word, count in bag_a.items())
-    norm_sq_a = sum(c * c for c in bag_a.values())
-    norm_sq_b = sum(c * c for c in bag_b.values())
-    value = dot / math.sqrt(norm_sq_a * norm_sq_b)
+    counts_b = bag_b.counts
+    dot = sum(count * counts_b[word] for word, count in bag_a.counts.items())
+    value = dot / math.sqrt(bag_a.norm_sq * bag_b.norm_sq)
     return min(1.0, max(0.0, value))
 
 
@@ -117,7 +126,7 @@ def rouge1(prediction: str, reference: str) -> float:
     P = overlap/|pred|, R = overlap/|ref|, F1 = 2PR/(P+R). Two empty
     texts score 1.0; exactly one empty scores 0.0.
     """
-    return _rouge1_bags(bag_of_words(prediction), bag_of_words(reference))
+    return _rouge1_bags(_bag(prediction), _bag(reference))
 
 
 def cosine_bow(a: str, b: str) -> float:
@@ -127,7 +136,7 @@ def cosine_bow(a: str, b: str) -> float:
     always lies there, so only float rounding is ever clipped. Identical
     texts score exactly 1.0.
     """
-    return _cosine_bags(bag_of_words(a), bag_of_words(b))
+    return _cosine_bags(_bag(a), _bag(b))
 
 
 def total_score(
@@ -160,11 +169,11 @@ def evaluate(
 ) -> MetricReport:
     """Full metric report for one generated meaning.
 
-    The prediction is tokenized once per call; the annotation and lyrics
-    bags are kept across calls, since a grid scores every row of a sample
-    against the same two texts.
+    The prediction is tokenized and summed once per call; the annotation
+    and lyrics bags and their sums are kept across calls, since a grid
+    scores every row of a sample against the same two texts.
     """
-    pred = bag_of_words(prediction)
+    pred = _bag(prediction)
     annotation_bag = _reference_bag(annotation)
     r = _rouge1_bags(pred, annotation_bag)
     cs_pa = _cosine_bags(pred, annotation_bag)

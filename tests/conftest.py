@@ -79,7 +79,7 @@ def chain_model(chain):
     return StubLM(vocab, fn)
 
 
-def random_ngram_model(rng: random.Random, max_content: int = 4, max_order: int = 3):
+def random_ngram_model(rng: random.Random, max_content: int = 4, max_order: int = 3, min_order: int = 1):
     """Small random n-gram model fit on random token soup."""
     alphabet = list("abcd")[: rng.randint(2, max_content)]
     texts = [
@@ -88,7 +88,7 @@ def random_ngram_model(rng: random.Random, max_content: int = 4, max_order: int 
     ]
     return fit_ngram(
         texts,
-        order=rng.randint(1, max_order),
+        order=rng.randint(min_order, max_order),
         k=rng.choice([0.05, 0.1, 0.5, 1.0]),
         vocab_cap=10,
     )

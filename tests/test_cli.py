@@ -298,6 +298,10 @@ def test_grid_cli_with_config(mini_corpus_path, tmp_path, capsys):
         ({"prompts": ["bogus"]}, "prompts[0]"),
         ({"models": [{"id": "a", "order": 0}]}, "models[0]"),
         ({"models": [{"id": "a", "order": 10**21}]}, "models[0]"),
+        ({"seeds": 5}, "grid config"),
+        ({"prompt": ["none"]}, "grid config"),
+        ({"models": [{"id": "m", "oder": 3}]}, "models[0]"),
+        ({"eval_samples": {"top_page_view": 3}}, "eval_samples"),
     ],
 )
 def test_grid_cli_malformed_config_is_a_typed_error(mini_corpus_path, tmp_path, capsys, config, where):

@@ -24,8 +24,8 @@ from lyricsense.decoding import (
     Strategy,
     _add_last_gram,
     _banned_from,
-    _banned_tokens,
     _follower_map,
+    _sampling_cdf,
     beam_search,
     decode,
     decode_many,
@@ -185,6 +185,15 @@ def test_no_repeat_disabled_allows_cycles():
     )
     a, b = vocab.id_of("a"), vocab.id_of("b")
     assert generation.ids == (a, b, a, b, a, b)
+
+
+def _banned_tokens(sequence, ngram_size):
+    """Tokens whose emission would repeat an ngram_size-gram of sequence: the reference for follower maps."""
+    if ngram_size < 1 or len(sequence) < ngram_size - 1:
+        return set()
+    prefix = tuple(sequence[len(sequence) - ngram_size + 1 :])
+    grams = zip(*(sequence[i:] for i in range(ngram_size)))
+    return {gram[-1] for gram in grams if gram[:-1] == prefix}
 
 
 @given(
@@ -646,6 +655,74 @@ def test_memo_and_fresh_decoders_match_straight_line_oracle(
     # At most one derivation per distinct array and decoder, each holding its array.
     assert len(memo) <= len(pool) * len(decoders)
     assert all(any(held is array for array in pool) for held, _derived in memo.values())
+
+
+# Finite values, the non-finite ones, and a few that recur in one array, so that entries tie.
+distribution_entries = st.one_of(st.floats(), st.sampled_from([-math.inf, math.inf, math.nan, 0.0, -0.5, -1.0, -3.0]))
+
+
+@given(
+    values=st.lists(distribution_entries, max_size=12),
+    strategy=st.sampled_from([Strategy.SAMPLING, Strategy.TOP_K, Strategy.TOP_P]),
+    temperature=st.sampled_from([1e-5, 0.05, 0.5, 0.95, 1.0, 2.5]),
+    k=st.integers(1, 14),
+    p=st.sampled_from([0.05, 0.3, 0.62, 0.92, 1.0]),
+)
+@settings(max_examples=500, deadline=None)
+def test_sampling_cdf_is_the_oracle_bit_for_bit(values, strategy, temperature, k, p):
+    raw = np.array(values, dtype=float)
+    raw.setflags(write=False)
+    before = raw.tobytes()
+    c = cfg(strategy, temperature=temperature, k=k, p=p)
+    with np.errstate(all="ignore"):
+        try:
+            expected = np.cumsum(oracle_filter(oracle_softmax(raw, temperature), c))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                _sampling_cdf(raw, temperature, strategy, k, p)
+            assert str(raised.value) == str(exc)
+        else:
+            got = _sampling_cdf(raw, temperature, strategy, k, p)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert raw.tobytes() == before
+
+
+@st.composite
+def order3_beam_rows(draw):
+    """An order-3 n-gram model, whose rows depend on two ids, and a prompt that repeats an n-gram."""
+    model = random_ngram_model(random.Random(draw(st.integers(0, 2**32))), min_order=3)
+    ids = st.integers(0, len(model.vocabulary()) - 1)
+    gram = draw(st.lists(ids, min_size=1, max_size=3))
+    prompt = draw(st.lists(ids, max_size=3)) + gram * draw(st.integers(1, 3)) + draw(st.lists(ids, max_size=2))
+    return model, prompt
+
+
+@given(
+    rows=order3_beam_rows(),
+    num_beams=st.integers(1, 4),
+    no_repeat=st.integers(0, 4),
+    early_stopping=st.booleans(),
+    max_new_tokens=st.integers(1, 10),
+)
+@settings(max_examples=200, deadline=None)
+def test_beam_matches_oracle_on_order3_models_with_repeating_prompts(
+    rows, num_beams, no_repeat, early_stopping, max_new_tokens
+):
+    model, prompt = rows
+    assert model.order == 3
+    c = cfg(
+        Strategy.BEAM,
+        num_beams=num_beams,
+        no_repeat_ngram_size=no_repeat,
+        early_stopping=early_stopping,
+        max_new_tokens=max_new_tokens,
+    )
+    expected = oracle_beam(model, prompt, c)
+    for memo in ({}, None):
+        got = decode(model, prompt, c, memo=memo)
+        assert got.ids == expected.ids
+        assert got.log_prob.hex() == expected.log_prob.hex()
+        assert got.finish_reason == expected.finish_reason
 
 
 # ------------------------------------------------------------------- lockstep

@@ -66,6 +66,32 @@ def test_grid_config_round_trip():
     assert again == grid
 
 
+@pytest.mark.parametrize(
+    "config, where, unknown",
+    [
+        ({"seeds": 5}, "grid config", ["seeds"]),
+        ({"prompt": ["none"], "seed": 1}, "grid config", ["prompt"]),
+        ({"models": [{"id": "m", "oder": 3}]}, "models[0]", ["oder"]),
+        ({"eval_samples": {"top_page_view": 3}}, "eval_samples", ["top_page_view"]),
+    ],
+)
+def test_grid_config_rejects_unknown_keys(config, where, unknown):
+    with pytest.raises(ValueError) as raised:
+        ExperimentGrid.from_dict(config)
+    assert str(raised.value) == f"{where}: unknown fields {unknown}"
+    # Every key that to_dict writes is still read back, for each kind of model and both eval_samples forms.
+    grid = ExperimentGrid(
+        models=(ModelSpec("f", "ngram_file", path="m.json"), ModelSpec("r", "remote", endpoint="tcp://h:1")),
+        eval_samples=("s1", "s2"),
+        eval_count=2,
+        weights=TotalScoreWeights(0.25, 0.5, 0.75),
+        split_ratios=(0.7, 0.2, 0.1),
+        seed=4,
+    )
+    assert ExperimentGrid.from_dict(grid.to_dict()) == grid
+    assert ExperimentGrid.from_dict(default_grid(seed=3).to_dict()) == default_grid(seed=3)
+
+
 def test_model_spec_validation():
     with pytest.raises(ValueError):
         ModelSpec(model_id="x", kind="transformer")
