@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections.abc import Iterable
 
 _KIND_NAMES = {
     dict: "a JSON object", list: "a list", str: "a string",
@@ -34,7 +35,7 @@ def required(obj: dict, name: str, where: str, kind: type | None = None):
     return obj[name] if kind is None else typed(obj[name], kind, f"{where}: field {name!r}")
 
 
-def no_unknown_fields(obj: dict, names, where: str) -> None:
+def no_unknown_fields(obj: dict, names: Iterable[str], where: str) -> None:
     """A ``ValueError`` naming ``where`` and the keys of ``obj`` outside ``names``, if there are any."""
     unknown = sorted(set(obj) - set(names))
     if unknown:

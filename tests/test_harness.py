@@ -79,7 +79,9 @@ def test_grid_config_rejects_unknown_keys(config, where, unknown):
     with pytest.raises(ValueError) as raised:
         ExperimentGrid.from_dict(config)
     assert str(raised.value) == f"{where}: unknown fields {unknown}"
-    # Every key that to_dict writes is still read back, for each kind of model and both eval_samples forms.
+
+
+def test_every_key_that_to_dict_writes_is_read_back():
     grid = ExperimentGrid(
         models=(ModelSpec("f", "ngram_file", path="m.json"), ModelSpec("r", "remote", endpoint="tcp://h:1")),
         eval_samples=("s1", "s2"),
@@ -89,7 +91,6 @@ def test_grid_config_rejects_unknown_keys(config, where, unknown):
         seed=4,
     )
     assert ExperimentGrid.from_dict(grid.to_dict()) == grid
-    assert ExperimentGrid.from_dict(default_grid(seed=3).to_dict()) == default_grid(seed=3)
 
 
 def test_model_spec_validation():
