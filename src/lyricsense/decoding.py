@@ -32,6 +32,17 @@ In place. The sampling derivations divide the distribution into a fresh
 array, then shift, exponentiate, normalize, filter and accumulate that
 array in place. The distribution a model returns is never written.
 
+Checked ids. :func:`decode_many` checks every prompt's ids once, before
+the first model call: a bool, a float or an id outside the vocabulary is
+a ``ValueError`` naming the prompt's index, the id and its position. Each
+row's context is then an ``lm._Context``, built from the checked prompt
+and extended only by ids picked from the model's own |V|-long rows (an
+argmax, a stable argsort or a ``searchsorted`` of its CDF), so
+``NGramModel.next`` does not scan it again (see :mod:`lyricsense.lm`). A
+row that is not |V| long, or that holds NaN or ``+inf``, is a
+``ValueError``: the samplers find it in ``_softmax``, beam search when it
+orders a row, greedy in the log prob of the id it picked.
+
 Lockstep. Each strategy is a step generator for one row: it yields the
 contexts it needs (one, or one per running beam hypothesis), is sent
 their log-prob arrays, and returns its :class:`Generation`.
@@ -159,14 +170,14 @@ class Generation:
 _Steps = Generator[Sequence[Sequence[int]], list, Generation]
 
 
+_NOT_LOG_PROBS = "distribution holds NaN or +inf"
+
+
 def _softmax(log_probs: np.ndarray, temperature: float) -> np.ndarray:
     probs = log_probs / max(temperature, _MIN_TEMPERATURE)  # a fresh array, so the rest works in place
-    top = probs.max(initial=-math.inf)
-    if not math.isfinite(top):  # NaN, +inf, or nothing finite: shift by the largest finite entry
-        finite = probs[np.isfinite(probs)]
-        if finite.size == 0:
-            raise ValueError("distribution has no finite entries")
-        top = finite.max()
+    top = probs.max(initial=-math.inf)  # NaN if any entry is NaN
+    if not math.isfinite(top):
+        raise ValueError("distribution has no finite entries" if top == -math.inf else _NOT_LOG_PROBS)
     probs -= top
     np.exp(probs, out=probs)
     probs /= probs.sum()
@@ -176,6 +187,15 @@ def _softmax(log_probs: np.ndarray, temperature: float) -> np.ndarray:
 def _descending_order(probs: np.ndarray) -> np.ndarray:
     """Token ids sorted by probability descending, ties toward lower id."""
     return np.argsort(-probs, kind="stable")
+
+
+def _beam_order(log_probs: np.ndarray) -> np.ndarray:
+    """The descending order that beam search walks; a row holding NaN or +inf is a ``ValueError``."""
+    order = _descending_order(log_probs)
+    # +inf sorts first and NaN last.
+    if log_probs[order[0]] == math.inf or math.isnan(log_probs[order[-1]]):
+        raise ValueError(_NOT_LOG_PROBS)
+    return order
 
 
 def _filter_top_k(probs: np.ndarray, k: int) -> np.ndarray:
@@ -249,13 +269,16 @@ def _token_steps(
         def pick(raw: np.ndarray) -> int:
             return _draw(_derive(memo, raw, _sampling_cdf, *params), rng)
 
-    context = list(prompt_ids)
+    context = lm._Context(prompt_ids)
     emitted: list[int] = []
     log_prob = 0.0
     for _ in range(cfg.max_new_tokens):
         (raw,) = yield (context,)
         token = pick(raw)
-        log_prob += float(raw[token])
+        step = float(raw[token])
+        if not step < math.inf:  # greedy picked NaN or +inf; a sampler's CDF would have raised
+            raise ValueError(_NOT_LOG_PROBS)
+        log_prob += step
         if token == eos:
             return Generation(tuple(emitted), log_prob, FinishReason.EOS)
         emitted.append(token)
@@ -327,7 +350,7 @@ def _banned_from(followers: _Followers, sequence: Sequence[int], ngram_size: int
 
 def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]) -> _Steps:
     """Beam search of one row; see :func:`beam_search`."""
-    prompt = tuple(prompt_ids)
+    prompt = lm._Context(prompt_ids)
     ngram_size = cfg.no_repeat_ngram_size
     num_beams = cfg.num_beams
     width = num_beams + 1
@@ -350,7 +373,7 @@ def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Op
             # ids are skipped. Finite ids sort before every -inf one, so
             # the walk stops at the first non-finite id it meets.
             expanded = 0
-            for token in _derive(memo, raw, _descending_order)[: width + len(banned)].tolist():
+            for token in _derive(memo, raw, _beam_order)[: width + len(banned)].tolist():
                 if token in banned:
                     continue
                 step = float(raw[token])
@@ -370,7 +393,7 @@ def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Op
                 if rank < num_beams:
                     finished.append((neg, ids, score))
             elif len(new_running) < num_beams:
-                context = parent[4] + (token,)
+                context = lm._Context(parent[4] + [token])
                 own = _add_last_gram(parent[3], context, ngram_size)
                 new_running.append((neg, ids + (token,), score, own, context))
             if len(new_running) == num_beams and rank + 1 >= num_beams:
@@ -413,22 +436,46 @@ _STEPS: dict[Strategy, Callable[..., _Steps]] = {
 }
 
 
-def _next_many(model: LanguageModel, contexts: list[Sequence[int]]) -> list[np.ndarray]:
-    """The model's log probs for each context: one ``next_many`` call if it has one, else ``next`` each."""
+def _next_many(model: LanguageModel, contexts: list[Sequence[int]], size: int) -> list[np.ndarray]:
+    """The model's log probs for each context: one ``next_many`` call if it has one, else ``next`` each.
+
+    Each must be ``size`` (|V|) entries long, so that every id a decoder
+    picks from one is in the vocabulary.
+    """
     next_many = getattr(model, "next_many", None)
     dists = [model.next(context) for context in contexts] if next_many is None else next_many(contexts)
     if len(dists) != len(contexts):
         raise ValueError(f"model answered {len(dists)} distributions for {len(contexts)} contexts")
+    lengths = set(map(len, dists))
+    if not lengths <= {size}:
+        raise ValueError(f"model answered a row of {min(lengths - {size})} entries for |V|={size}")
     return dists
 
 
-def _lockstep(model: LanguageModel, rows: list[_Steps]) -> list[Generation]:
-    """Run the step generators ``rows`` together: one model round per step for every live row."""
+def _lockstep(
+    model: LanguageModel,
+    strategies: Sequence[Strategy],
+    prompts: Sequence[Sequence[int]],
+    cfgs: Sequence[DecodeConfig],
+    memo: Optional[dict],
+) -> list[Generation]:
+    """Decode row i's prompt under its strategy and config; one model round per step for every live row.
+
+    Every prompt is checked before the first round (see "Checked ids" above).
+    """
+    vocab = model.vocabulary()
+    size = len(vocab)
+    for i, prompt in enumerate(prompts):
+        try:
+            lm._check_ids(prompt, size)
+        except ValueError as exc:
+            raise ValueError(f"prompt {i}: {exc}") from None
+    rows = [_STEPS[s](vocab.eos_id, prompt, cfg, memo) for s, prompt, cfg in zip(strategies, prompts, cfgs)]
     generations: list[Optional[Generation]] = [None] * len(rows)
     # Every step generator asks at least once, since max_new_tokens >= 1.
     live = [(i, steps, next(steps)) for i, steps in enumerate(rows)]
     while live:
-        answers = _next_many(model, [context for _i, _steps, asked in live for context in asked])
+        answers = _next_many(model, [context for _i, _steps, asked in live for context in asked], size)
         still_live = []
         start = 0
         for i, steps, asked in live:
@@ -445,8 +492,7 @@ def _lockstep(model: LanguageModel, rows: list[_Steps]) -> list[Generation]:
 def _decode_one(
     model: LanguageModel, strategy: Strategy, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]
 ) -> Generation:
-    steps = _STEPS[strategy](model.vocabulary().eos_id, prompt_ids, cfg, memo)
-    return _lockstep(model, [steps])[0]
+    return _lockstep(model, [strategy], [prompt_ids], [cfg], memo)[0]
 
 
 def decode_many(
@@ -462,11 +508,13 @@ def decode_many(
     contexts of all live rows (see :func:`_next_many`), so a remote
     model answers a whole grid combination's step in one round trip.
     ``memo`` follows the module's memo contract and is shared by the rows.
+    Every prompt is checked before the model is first asked: a bad id is a
+    ``ValueError`` such as ``prompt 3: token id 9 at position 2 out of
+    range for |V|=6``.
     """
     if len(prompts) != len(cfgs):
         raise ValueError(f"{len(prompts)} prompts but {len(cfgs)} configs")
-    eos = model.vocabulary().eos_id
-    return _lockstep(model, [_STEPS[cfg.strategy](eos, prompt, cfg, memo) for prompt, cfg in zip(prompts, cfgs)])
+    return _lockstep(model, [cfg.strategy for cfg in cfgs], prompts, cfgs, memo)
 
 
 def decode(

@@ -17,6 +17,17 @@ model caches the read-only distributions of the contexts seen in
 training that it was last asked for, in at most ``CACHE_BYTES`` of
 arrays, evicting the least recently used; every unseen context shares
 one uniform vector, which is never cached.
+
+Token ids are checked where they enter: ``NGramModel.next`` and
+:func:`sequence_log_prob` check every id they are given, and
+:func:`lyricsense.decoding.decode_many` checks each prompt once. Each
+check rejects a bool, a float or an out-of-range int with a
+``ValueError`` naming the id and its position (:func:`_check_ids`). A
+decoder then holds each row's context in ``_Context``, a private list
+type that only :mod:`lyricsense.decoding` and :func:`sequence_log_prob`
+build: from ids already checked, extended only by ids picked from the
+model's own |V|-long rows. ``NGramModel.next`` trusts a context whose
+type is exactly ``_Context`` and scans any other, subclasses included.
 """
 
 from __future__ import annotations
@@ -122,6 +133,12 @@ class LanguageModel(Protocol):
     one ``next_many`` call for the contexts of every live row, all running
     beam hypotheses included; a model with ``next`` alone is asked once
     per context instead and works unchanged.
+
+    A decoder checks its prompts' ids before the first call and extends
+    them only with ids picked from the model's own rows, so every id of a
+    context it sends is an integer below ``len(vocabulary())``. A model
+    that forwards such a context to a model of another vocabulary should
+    pass it as a plain list, which that model checks in full.
     """
 
     def vocabulary(self) -> Vocabulary: ...
@@ -167,11 +184,12 @@ class NGramModel:
         return self._vocab
 
     def next(self, context: Sequence[int]) -> np.ndarray:
-        # Every id is checked, not just the tail, in two C-speed passes: a set
-        # lookup per id, and a sum, an int only if no id is a float. False and
-        # True equal 0 and 1, so ``_ids`` leaves those out: a context holding
-        # either takes the exact check.
-        if not (self._ids.issuperset(context) and type(sum(context)) is int):
+        # A ``_Context`` holds checked ids only (see the module docstring).
+        # Any other context has every id checked, not just the tail, in two
+        # C-speed passes: a set lookup per id, and a sum, an int only if no
+        # id is a float. False and True equal 0 and 1, so ``_ids`` leaves
+        # those out: a context holding either takes the exact check.
+        if type(context) is not _Context and not (self._ids.issuperset(context) and type(sum(context)) is int):
             _check_ids(context, len(self._vocab))
         width = self.order - 1
         tail = tuple(context[-width:]) if width else ()
@@ -249,6 +267,12 @@ class NGramModel:
         return cls.from_dict(load_json(path), path)
 
 
+class _Context(list):
+    """Token ids already checked against one vocabulary: see the module docstring."""
+
+    __slots__ = ()
+
+
 def _check_ids(ids: Sequence[int], size: int) -> None:
     """Raise a ``ValueError`` naming the first of ``ids`` that is not an integer id below ``size``.
 
@@ -262,7 +286,7 @@ def _check_ids(ids: Sequence[int], size: int) -> None:
         if isinstance(token_id, bool) or not isinstance(token_id, (int, np.integer)):
             raise ValueError(f"token id {token_id!r} at position {position} is not an integer")
         if not 0 <= token_id < size:
-            raise ValueError(f"token id {token_id} out of range for |V|={size}")
+            raise ValueError(f"token id {token_id} at position {position} out of range for |V|={size}")
 
 
 def _check_order_and_k(order: int, k: float) -> None:
@@ -406,11 +430,16 @@ def _count_ngrams(padded: np.ndarray, order: int, vocab: Vocabulary) -> dict[tup
 
 
 def sequence_log_prob(model: LanguageModel, ids: Sequence[int]) -> float:
-    """Chain-rule log probability sum(t) log P(ids[t] | ids[:t])."""
+    """Chain-rule log probability sum(t) log P(ids[t] | ids[:t]).
+
+    ``ids`` are checked once; the model is sent each prefix as a ``_Context``.
+    """
     if len(ids) == 0:
         raise ValueError("sequence must be non-empty")
     _check_ids(ids, len(model.vocabulary()))
     total = 0.0
-    for t, token_id in enumerate(ids):
-        total += float(model.next(ids[:t])[token_id])
+    prefix = _Context()
+    for token_id in ids:
+        total += float(model.next(prefix)[token_id])
+        prefix.append(token_id)
     return total

@@ -481,6 +481,8 @@ def test_generation_is_frozen_value_object():
 
 def oracle_softmax(log_probs, temperature):
     scaled = log_probs / max(temperature, 1e-4)
+    if np.isnan(scaled).any() or np.isposinf(scaled).any():
+        raise ValueError("distribution holds NaN or +inf")
     finite = scaled[np.isfinite(scaled)]
     if finite.size == 0:
         raise ValueError("distribution has no finite entries")
@@ -874,3 +876,126 @@ def test_decode_many_rejects_mismatched_rows_and_answers():
 
     with pytest.raises(ValueError, match="1 distributions for 2 contexts"):
         decode_many(ShortAnswers(model), [[1], [2]], [cfg(), cfg()])
+
+
+# ------------------------------------------------------------- checked ids
+
+class _Counting:
+    """Over POOL_VOCAB, a uniform row for every context; counts the contexts asked."""
+
+    def __init__(self):
+        self.calls = 0
+        self._row = np.full(len(POOL_VOCAB), -math.log(len(POOL_VOCAB)))
+
+    def vocabulary(self):
+        return POOL_VOCAB
+
+    def next(self, context):
+        self.calls += 1
+        return self._row
+
+    def next_many(self, contexts):
+        return [self.next(context) for context in contexts]
+
+
+_bad_prompt_ids = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=True),
+    st.integers(max_value=-1),
+    st.integers(min_value=len(POOL_VOCAB)),
+)
+
+
+@given(
+    prompts=st.lists(st.lists(st.integers(0, len(POOL_VOCAB) - 1), max_size=5), min_size=1, max_size=4),
+    strategies=st.lists(st.sampled_from(list(Strategy)), min_size=4, max_size=4),
+    data=st.data(),
+    bad=_bad_prompt_ids,
+)
+@settings(max_examples=200, deadline=None)
+def test_decode_many_checks_every_prompt_before_the_first_model_call(prompts, strategies, data, bad):
+    row = data.draw(st.integers(0, len(prompts) - 1), label="row")
+    position = data.draw(st.integers(0, len(prompts[row])), label="position")
+    prompts[row].insert(position, bad)
+    if isinstance(bad, (bool, float)):
+        message = f"prompt {row}: token id {bad!r} at position {position} is not an integer"
+    else:
+        message = f"prompt {row}: token id {bad} at position {position} out of range for |V|={len(POOL_VOCAB)}"
+    model = _Counting()
+    with pytest.raises(ValueError) as info:
+        decode_many(model, prompts, [cfg(s, max_new_tokens=3) for s in strategies[: len(prompts)]])
+    assert str(info.value) == message
+    assert model.calls == 0
+
+
+class _ListContexts:
+    """``model`` seen through contexts copied into plain lists, which ``NGramModel.next`` scans in full."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def vocabulary(self):
+        return self._model.vocabulary()
+
+    def next(self, context):
+        return self._model.next(list(context))
+
+
+_CHECKED_TEXTS = ["a b c a b", "b c a d c", "c a b d a", "a d b c"]
+
+
+@given(
+    order=st.integers(1, 3),
+    prompts=st.lists(st.lists(st.integers(0, 6), max_size=5), min_size=1, max_size=4),
+    decoder=decoder_params,
+    num_beams=st.integers(1, 3),
+    no_repeat=st.integers(0, 3),
+    max_new_tokens=st.integers(1, 12),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_unscanned_contexts_decode_as_scanned_ones(order, prompts, decoder, num_beams, no_repeat, max_new_tokens, seed):
+    model = fit_ngram(_CHECKED_TEXTS, order=order, vocab_cap=10)
+    assert len(model.vocabulary()) == 7
+    strategy, temperature, k, p = decoder
+    cfgs = [
+        cfg(strategy, temperature=temperature, k=k, p=p, num_beams=num_beams,
+            no_repeat_ngram_size=no_repeat, max_new_tokens=max_new_tokens, seed=seed + i)
+        for i in range(len(prompts))
+    ]
+    assert decode_many(model, prompts, cfgs, memo={}) == decode_many(_ListContexts(model), prompts, cfgs, memo={})
+
+
+def test_ngram_next_scans_a_subclass_of_the_checked_context_type():
+    class Sub(lm._Context):
+        __slots__ = ()
+
+    model = fit_ngram(_CHECKED_TEXTS, order=2, vocab_cap=10)
+    with pytest.raises(ValueError, match=r"^token id 99 at position 1 out of range for \|V\|=7$"):
+        model.next(Sub([3, 99]))
+    with pytest.raises(ValueError, match="token id True at position 0 is not an integer"):
+        model.next(Sub([True]))
+    with pytest.raises(ValueError, match="token id 1.0 at position 0 is not an integer"):
+        model.next(Sub([1.0, 3]))
+
+
+_FIVE = Vocabulary.build(["x", "y"])
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+@pytest.mark.parametrize("row", [[-1, -1, -1, math.inf, -1], [-1, -1, math.nan, -1, -1], [math.nan] * 5])
+def test_rows_holding_nan_or_inf_are_value_errors(strategy, row):
+    logp = np.array(row)
+    logp.setflags(write=False)
+    model = StubLM(_FIVE, lambda ctx: logp)
+    for memo in ({}, None):
+        with pytest.raises(ValueError, match=r"^distribution holds NaN or \+inf$"):
+            decode(model, [3], cfg(strategy, max_new_tokens=4), memo=memo)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_rows_not_vocabulary_long_are_value_errors(strategy):
+    long_row = np.log(np.full(6, 1 / 6))
+    model = StubLM(_FIVE, lambda ctx: long_row)
+    with pytest.raises(ValueError, match=r"model answered a row of 6 entries for \|V\|=5"):
+        decode(model, [3], cfg(strategy))

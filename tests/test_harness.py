@@ -402,6 +402,46 @@ def test_model_value_error_recorded_as_failure_and_grid_continues(mini_corpus_pa
     assert len(lines) == len(result.rows) + len(result.failures)
 
 
+class _PoisonedRows:
+    """Wraps a model; every row it answers holds ``value`` (NaN or +inf) in the middle."""
+
+    def __init__(self, model, value):
+        self._model = model
+        self._value = value
+
+    def vocabulary(self):
+        return self._model.vocabulary()
+
+    def next(self, context):
+        row = self._model.next(context).copy()
+        row[len(row) // 2] = self._value
+        return row
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_row_holding_nan_or_inf_recorded_as_failure_for_every_decoder(mini_corpus_path, tmp_path, monkeypatch, value):
+    import lyricsense.harness as harness
+
+    models = [{"id": "good", "type": "ngram", "order": 2}, {"id": "poisoned", "type": "ngram", "order": 3}]
+    decoders = [{"id": s.value, "strategy": s.value, "max_new_tokens": 6, "seed": 1} for s in Strategy]
+    alone = run_grid(small_grid(models=models[:1], decoders=decoders), mini_corpus_path, str(tmp_path / "alone"))
+
+    real_fit = harness.fit_ngram
+
+    def fit(texts, order, **kwargs):
+        model = real_fit(texts, order, **kwargs)
+        return _PoisonedRows(model, value) if order == 3 else model
+
+    monkeypatch.setattr(harness, "fit_ngram", fit)
+    result = run_grid(small_grid(models=models, decoders=decoders), mini_corpus_path, str(tmp_path / "mixed"))
+    assert [r for r in result.rows if r.model_id == "good"] == alone.rows
+    assert not [r for r in result.rows if r.model_id == "poisoned"]
+    assert {f.decoder_id for f in result.failures} == {s.value for s in Strategy}
+    assert {(f.model_id, f.error_type, f.message) for f in result.failures} == {
+        ("poisoned", "ValueError", "distribution holds NaN or +inf")
+    }
+
+
 def test_training_texts_cover_all_variants(mini_corpus_path):
     records = clean_corpus(load_corpus(mini_corpus_path).records)
     samples = flatten(records)[:2]

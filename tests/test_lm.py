@@ -184,7 +184,7 @@ def _first_bad(ids):
         if isinstance(token_id, (bool, float)):
             return f"token id {token_id!r} at position {position} is not an integer"
         if not 0 <= token_id < _ID_SIZE:
-            return f"token id {token_id} out of range for |V|={_ID_SIZE}"
+            return f"token id {token_id} at position {position} out of range for |V|={_ID_SIZE}"
     return None
 
 

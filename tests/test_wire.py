@@ -678,7 +678,7 @@ def test_batch_with_one_bad_context_gets_one_error_and_no_payload(model):
     assert [(h["op"], h.get("code")) for h, _ in frames[1:]] == [
         ("err", "bad_context"), ("err", "internal"), ("err", "bad_context"), ("dists", None),
     ]
-    assert frames[3][0]["msg"] == "ctxs[1]: token id 9 out of range for |V|=6"
+    assert frames[3][0]["msg"] == "ctxs[1]: token id 9 at position 0 out of range for |V|=6"
     assert [p for _, p in frames[1:4]] == [b"", b"", b""]
 
 
