@@ -195,10 +195,10 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         for prediction, annotation, lyrics in triples:
             report = evaluate(prediction, annotation, lyrics, weights)
             reports.append(report)
-            out.write(json.dumps(report.to_dict(), sort_keys=True) + "\n")
+            out.write(json.dumps(report.to_dict(), sort_keys=True, allow_nan=False) + "\n")
         if reports:
             aggregate = {"aggregate": True, "n": len(reports), **mean_report(reports).to_dict()}
-            out.write(json.dumps(aggregate, sort_keys=True) + "\n")
+            out.write(json.dumps(aggregate, sort_keys=True, allow_nan=False) + "\n")
     finally:
         if args.out:
             out.close()

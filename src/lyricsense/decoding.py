@@ -43,15 +43,17 @@ row that is not |V| long, or that holds NaN or ``+inf``, is a
 ``ValueError``: the samplers find it in ``_softmax``, beam search when it
 orders a row, greedy in the log prob of the id it picked.
 
-Lockstep. Each strategy is a step generator for one row: it yields the
+Lockstep. Each row is a step generator, picked by its config's
+strategy (beam search, or one for greedy and the samplers): it yields the
 contexts it needs (one, or one per running beam hypothesis), is sent
 their log-prob arrays, and returns its :class:`Generation`.
 :func:`decode_many` advances every live row of a batch together and asks
 the model once per round for all of their contexts, through
 ``next_many`` when the model has it and ``next`` per context when it
 does not. A row's generation depends on its own prompt and config alone,
-so it is the same whether decoded alone or in any batch; ``decode`` and
-the five strategy functions are one-row calls of the same driver.
+so it is the same whether decoded alone or in any batch. ``decode`` is
+``decode_many`` of one row, and each of the five strategy functions is
+``decode`` under its config with the strategy set to its own.
 
 Memo contract. What a step derives from a distribution array depends on
 that array and on the config alone: the sampling strategies search a
@@ -80,9 +82,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from functools import partial
 from typing import Callable, Generator, Optional, Sequence
 
 import numpy as np
@@ -256,15 +257,13 @@ def _argmax(raw: np.ndarray) -> int:
     return int(raw.argmax())  # argmax takes the lowest id on ties
 
 
-def _token_steps(
-    strategy: Strategy, eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]
-) -> _Steps:
+def _token_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]) -> _Steps:
     """Greedy or sampling steps of one row; they differ only in how a token is picked, chosen once here."""
-    if strategy == Strategy.GREEDY:
+    if cfg.strategy == Strategy.GREEDY:
         pick = _argmax
     else:
         rng = SplitMix64(cfg.seed)
-        params = (cfg.temperature, strategy, cfg.k, cfg.p)
+        params = (cfg.temperature, cfg.strategy, cfg.k, cfg.p)
 
         def pick(raw: np.ndarray) -> int:
             return _draw(_derive(memo, raw, _sampling_cdf, *params), rng)
@@ -288,28 +287,28 @@ def _token_steps(
 
 def greedy(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -> Generation:
     """Emit the argmax token at every step; deterministic, seed-free."""
-    return _decode_one(model, Strategy.GREEDY, prompt_ids, cfg, None)
+    return decode(model, prompt_ids, replace(cfg, strategy=Strategy.GREEDY))
 
 
 def sample(
     model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
 ) -> Generation:
     """Draw each token from the temperature-rescaled distribution."""
-    return _decode_one(model, Strategy.SAMPLING, prompt_ids, cfg, memo)
+    return decode(model, prompt_ids, replace(cfg, strategy=Strategy.SAMPLING), memo)
 
 
 def top_k_sample(
     model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
 ) -> Generation:
     """Sampling restricted to the k most probable tokens per step."""
-    return _decode_one(model, Strategy.TOP_K, prompt_ids, cfg, memo)
+    return decode(model, prompt_ids, replace(cfg, strategy=Strategy.TOP_K), memo)
 
 
 def top_p_sample(
     model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
 ) -> Generation:
     """Sampling restricted to the smallest prefix with cumulative mass >= p."""
-    return _decode_one(model, Strategy.TOP_P, prompt_ids, cfg, memo)
+    return decode(model, prompt_ids, replace(cfg, strategy=Strategy.TOP_P), memo)
 
 
 _Followers = dict[tuple[int, ...], frozenset[int]]
@@ -427,13 +426,7 @@ def beam_search(
     no-repeat constraint bans every continuation of a hypothesis, that
     hypothesis is finished as-is (degenerate forced stop).
     """
-    return _decode_one(model, Strategy.BEAM, prompt_ids, cfg, memo)
-
-
-# Each strategy's step generator, called as (eos id, prompt ids, config, memo).
-_STEPS: dict[Strategy, Callable[..., _Steps]] = {
-    s: _beam_steps if s == Strategy.BEAM else partial(_token_steps, s) for s in Strategy
-}
+    return decode(model, prompt_ids, replace(cfg, strategy=Strategy.BEAM), memo)
 
 
 def _next_many(model: LanguageModel, contexts: list[Sequence[int]], size: int) -> list[np.ndarray]:
@@ -452,17 +445,25 @@ def _next_many(model: LanguageModel, contexts: list[Sequence[int]], size: int) -
     return dists
 
 
-def _lockstep(
+def decode_many(
     model: LanguageModel,
-    strategies: Sequence[Strategy],
     prompts: Sequence[Sequence[int]],
     cfgs: Sequence[DecodeConfig],
-    memo: Optional[dict],
+    memo: Optional[dict] = None,
 ) -> list[Generation]:
-    """Decode row i's prompt under its strategy and config; one model round per step for every live row.
+    """Decode each prompt under its config's strategy, all rows in lockstep.
 
-    Every prompt is checked before the first round (see "Checked ids" above).
+    Row i's generation is ``decode(model, prompts[i], cfgs[i])``, bit for
+    bit, but every round of the decode asks the model once for the
+    contexts of all live rows (see :func:`_next_many`), so a remote
+    model answers a whole grid combination's step in one round trip.
+    ``memo`` follows the module's memo contract and is shared by the rows.
+    Every prompt is checked before the model is first asked: a bad id is a
+    ``ValueError`` such as ``prompt 3: token id 9 at position 2 out of
+    range for |V|=6``.
     """
+    if len(prompts) != len(cfgs):
+        raise ValueError(f"{len(prompts)} prompts but {len(cfgs)} configs")
     vocab = model.vocabulary()
     size = len(vocab)
     for i, prompt in enumerate(prompts):
@@ -470,7 +471,10 @@ def _lockstep(
             lm._check_ids(prompt, size)
         except ValueError as exc:
             raise ValueError(f"prompt {i}: {exc}") from None
-    rows = [_STEPS[s](vocab.eos_id, prompt, cfg, memo) for s, prompt, cfg in zip(strategies, prompts, cfgs)]
+    rows = [
+        (_beam_steps if cfg.strategy == Strategy.BEAM else _token_steps)(vocab.eos_id, prompt, cfg, memo)
+        for prompt, cfg in zip(prompts, cfgs)
+    ]
     generations: list[Optional[Generation]] = [None] * len(rows)
     # Every step generator asks at least once, since max_new_tokens >= 1.
     live = [(i, steps, next(steps)) for i, steps in enumerate(rows)]
@@ -487,34 +491,6 @@ def _lockstep(
             start = end
         live = still_live
     return generations  # type: ignore[return-value]
-
-
-def _decode_one(
-    model: LanguageModel, strategy: Strategy, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]
-) -> Generation:
-    return _lockstep(model, [strategy], [prompt_ids], [cfg], memo)[0]
-
-
-def decode_many(
-    model: LanguageModel,
-    prompts: Sequence[Sequence[int]],
-    cfgs: Sequence[DecodeConfig],
-    memo: Optional[dict] = None,
-) -> list[Generation]:
-    """Decode each prompt under its config, all rows in lockstep.
-
-    Row i's generation is ``decode(model, prompts[i], cfgs[i])``, bit for
-    bit, but every round of the decode asks the model once for the
-    contexts of all live rows (see :func:`_next_many`), so a remote
-    model answers a whole grid combination's step in one round trip.
-    ``memo`` follows the module's memo contract and is shared by the rows.
-    Every prompt is checked before the model is first asked: a bad id is a
-    ``ValueError`` such as ``prompt 3: token id 9 at position 2 out of
-    range for |V|=6``.
-    """
-    if len(prompts) != len(cfgs):
-        raise ValueError(f"{len(prompts)} prompts but {len(cfgs)} configs")
-    return _lockstep(model, [cfg.strategy for cfg in cfgs], prompts, cfgs, memo)
 
 
 def decode(

@@ -163,7 +163,11 @@ class ExperimentGrid:
         if "weights" in obj:
             raw = typed(obj["weights"], dict, "weights")
             no_unknown_fields(raw, TotalScoreWeights.__dataclass_fields__, "weights")
-            present["weights"] = TotalScoreWeights(**{k: typed(v, float, f"weights.{k}") for k, v in raw.items()})
+            alphas = {k: typed(v, float, f"weights.{k}") for k, v in raw.items()}
+            try:
+                present["weights"] = TotalScoreWeights(**alphas)
+            except ValueError as exc:
+                raise ValueError(f"weights: {exc}") from None
         if "split_ratios" in obj:
             ratios = present["split_ratios"] = items("split_ratios", float)
             if len(ratios) != 3:
@@ -421,7 +425,7 @@ def run_grid(
     os.makedirs(out_dir, exist_ok=True)
     try:
         with open(os.path.join(out_dir, "grid.jsonl"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"provenance": provenance}, sort_keys=True) + "\n")
+            fh.write(json.dumps({"provenance": provenance}, sort_keys=True, allow_nan=False) + "\n")
             # Outcomes by combination index, (model, prompt, decoder) order, until written.
             pending: dict[int, Union[tuple[list[GridRow], CombinationMean], GridFailure]] = {}
             written = 0
@@ -450,7 +454,8 @@ def run_grid(
                                 rows.extend(lines)
                                 means.append(mean)
                             for line in lines:
-                                fh.write(json.dumps(line.to_dict(), ensure_ascii=False, sort_keys=True) + "\n")
+                                text = json.dumps(line.to_dict(), ensure_ascii=False, sort_keys=True, allow_nan=False)
+                                fh.write(text + "\n")
                         fh.flush()
                 # Only this model's combinations use it: drop a fitted or
                 # loaded model, its row cache and its last memo before the
@@ -492,7 +497,7 @@ def emit_report(result: GridResult, out_dir: str) -> list[str]:
     ``grid.jsonl`` is written by ``run_grid`` alone.
     """
     os.makedirs(out_dir, exist_ok=True)
-    provenance_line = json.dumps({"provenance": result.provenance}, sort_keys=True)
+    provenance_line = json.dumps({"provenance": result.provenance}, sort_keys=True, allow_nan=False)
 
     summary_path = os.path.join(out_dir, "summary.csv")
     with open(summary_path, "w", encoding="utf-8", newline="") as fh:
@@ -515,7 +520,7 @@ def emit_report(result: GridResult, out_dir: str) -> list[str]:
         "total_score_by_decoder": _group_total_scores(result.means, "decoder_id"),
     }
     with open(plot_path, "w", encoding="utf-8") as fh:
-        json.dump(plotdata, fh, ensure_ascii=False, sort_keys=True, indent=2)
+        json.dump(plotdata, fh, ensure_ascii=False, sort_keys=True, allow_nan=False, indent=2)
         fh.write("\n")
 
     return [summary_path, plot_path]

@@ -16,7 +16,8 @@ are plain ``{context: {id: count}}`` dicts of Python ints. A fitted
 model caches the read-only distributions of the contexts seen in
 training that it was last asked for, in at most ``CACHE_BYTES`` of
 arrays, evicting the least recently used; every unseen context shares
-one uniform vector, which is never cached.
+one uniform vector, which is never cached. One thread steps a model at
+a time (see :class:`LanguageModel`), so the cache takes no lock.
 
 Token ids are checked where they enter: ``NGramModel.next`` and
 :func:`sequence_log_prob` check every id they are given, and
@@ -123,8 +124,9 @@ class LanguageModel(Protocol):
     the same context, as :class:`NGramModel` does while the context's row
     stays in its cache, and must never mutate an array it has returned:
     decoders may keep what they derived from it (see
-    :mod:`lyricsense.decoding`). Implementations must be safe for
-    concurrent read-only use once constructed.
+    :mod:`lyricsense.decoding`). One thread steps a model at a time, so a
+    model may update its state, such as a cache, without locks;
+    :class:`lyricsense.wire.LMServer` guarantees this for its sessions.
 
     A model may also offer ``next_many(contexts)``, the list of
     ``next(context)`` for each context in order, when answering several
@@ -155,9 +157,9 @@ class NGramModel:
     all of them share; only contexts with counts are cached, at most
     ``max(1, CACHE_BYTES // (8 * |V|))`` rows, read at construction. A hit
     makes its row the most recently used, and a new row evicts the least
-    recently used one. A row is a pure function of the counts, so an
-    evicted row comes back bit-equal, as a new array. Threads stepping
-    one model may each add a row past the bound until their step ends.
+    recently used one, so the cache never holds more rows than that. A
+    row is a pure function of the counts, so an evicted row comes back
+    bit-equal, as a new array.
     """
 
     def __init__(
@@ -195,15 +197,10 @@ class NGramModel:
         tail = tuple(context[-width:]) if width else ()
         if len(tail) < width:
             tail = (self._vocab.bos_id,) * (width - len(tail)) + tail
-        # Each cache call is atomic under the GIL, and a thread that finds
-        # its row or the oldest one gone goes on, so concurrent steps never fail.
         cache = self._cache
         cached = cache.get(tail)
         if cached is not None:
-            try:
-                cache.move_to_end(tail)  # now the most recently used
-            except KeyError:  # another thread evicted it since the get
-                pass
+            cache.move_to_end(tail)  # now the most recently used
             return cached
         counter = self._counts.get(tail)
         if not counter:
@@ -216,10 +213,7 @@ class NGramModel:
         cached.setflags(write=False)
         cache[tail] = cached
         if len(cache) > self._cache_rows:
-            try:
-                cache.popitem(last=False)  # the least recently used
-            except KeyError:  # other threads emptied it since the len
-                pass
+            cache.popitem(last=False)  # the least recently used
         return cached
 
     def to_dict(self) -> dict:
@@ -251,16 +245,24 @@ class NGramModel:
             raise ValueError(f"{where}: not a recognized model file")
         vocab = Vocabulary.read(obj, where, ("bos_id", "eos_id", "unk_id"))
         order, k = required(obj, "order", where, int), required(obj, "k", where, float)
-        at = f"{where}: field 'counts'"
+        saved = required(obj, "counts", where, dict)
         counts = {}
-        for ctx, counter in required(obj, "counts", where, dict).items():
-            if not all(t.isdecimal() and int(t) < len(vocab) for t in (*ctx.split(), *typed(counter, dict, at))):
-                raise ValueError(f"{at}: expected token ids below {len(vocab)}")
-            counts[tuple(map(int, ctx.split()))] = {int(t): typed(c, int, at) for t, c in counter.items()}
         try:
-            return cls(order=order, k=k, vocab=vocab, counts=counts)
+            _check_order_and_k(order, k)
+            for key, counter in saved.items():
+                at = f"field 'counts' key {json.dumps(key)}"
+                ctx = key.split()
+                if len(ctx) != order - 1:
+                    raise ValueError(f"{at}: expected {order - 1} token ids for order {order}, got {len(ctx)}")
+                for t in (*ctx, *typed(counter, dict, at)):
+                    if not t.isdecimal():
+                        raise ValueError(f"{at}: token id {t!r} is not a decimal integer")
+                    if int(t) >= len(vocab):
+                        raise ValueError(f"{at}: token id {t} out of range for |V|={len(vocab)}")
+                counts[tuple(map(int, ctx))] = {int(t): typed(c, int, at) for t, c in counter.items()}
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
+        return cls(order=order, k=k, vocab=vocab, counts=counts)
 
     @classmethod
     def load(cls, path: str) -> "NGramModel":

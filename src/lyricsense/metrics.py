@@ -29,8 +29,9 @@ class TotalScoreWeights:
         for name, value in vars(self).items():
             if not math.isfinite(value) or value < 0:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
-        if self.alpha1 + self.alpha2 == 0:
-            raise ValueError("alpha1 + alpha2 must be positive")
+        # A sum that overflows would make an exact match score inf / inf, which is NaN.
+        if not 0 < self.alpha1 + self.alpha2 < math.inf:
+            raise ValueError(f"alpha1 + alpha2 must be positive and finite, got {self.alpha1 + self.alpha2}")
 
 
 @dataclass(frozen=True)

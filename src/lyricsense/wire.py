@@ -67,9 +67,11 @@ header, gets one ``bad_frame`` error, after which the server closes the
 session. A reply line longer than
 ``MAX_REPLY_BYTES`` is a ``ProtocolError`` on the client.
 
-The default per-step timeout is 10 seconds. An ``LMServer`` ends a
-session whose client has been silent for ``IDLE_TIMEOUT`` seconds, six
-times that, so an idle connection does not hold a server thread.
+The default per-step timeout is 10 seconds. An ``LMServer`` runs each
+session on its own thread and computes replies under one lock, so its
+sessions call the model one request at a time. It ends a session whose
+client has been silent for ``IDLE_TIMEOUT`` seconds, six times the step
+timeout, so an idle connection does not hold a server thread.
 Failures are distinguishable by exception type: transport problems
 (connect, timeout, closed socket, a payload cut short) are retryable;
 protocol violations (malformed frames, wrong counts, wrong-length or
@@ -86,6 +88,7 @@ import sys
 import threading
 import traceback
 from array import array
+from contextlib import AbstractContextManager, nullcontext
 from typing import BinaryIO, Optional, Sequence
 
 import numpy as np
@@ -423,14 +426,18 @@ def _read_contexts(reader: BinaryIO, lens: object) -> list[list[int]]:
     return contexts
 
 
-def serve_session(model: LanguageModel, reader: BinaryIO, writer: BinaryIO) -> None:
+def serve_session(
+    model: LanguageModel, reader: BinaryIO, writer: BinaryIO, _lock: AbstractContextManager = nullcontext()
+) -> None:
     """Answer protocol requests on a stream pair until it closes.
 
     Every request line gets exactly one reply frame; the session speaks
     protocol 1 until a ``hello`` selects protocol 3. A request after which
     the next one cannot be found (an over-long line, a bad binary
     ``next_batch``, any malformed line in a protocol 3 session) ends the
-    session after its ``bad_frame`` reply.
+    session after its ``bad_frame`` reply. The session holds ``_lock``
+    while it computes each reply, and reads and writes the streams
+    without it; :class:`LMServer` passes the lock its sessions share.
     """
     vocab = model.vocabulary()
     proto = 1  # as chosen by the session's last accepted hello
@@ -447,9 +454,12 @@ def serve_session(model: LanguageModel, reader: BinaryIO, writer: BinaryIO) -> N
                 raise ProtocolError(f"request line exceeds {MAX_REQUEST_BYTES} bytes")
             request = _parse(line)
             if proto == 3 and request["op"] == "next_batch":
-                reply, payload = _dists_reply(model, vocab, _read_contexts(reader, request.get("lens")))
+                contexts = _read_contexts(reader, request.get("lens"))
+                with _lock:
+                    reply, payload = _dists_reply(model, vocab, contexts)
             else:
-                reply = _build_reply(model, vocab, request)
+                with _lock:
+                    reply = _build_reply(model, vocab, request)
         except ProtocolError as exc:
             reply = {"op": "err", "code": "bad_frame", "msg": str(exc)}
             # In protocol 3, a malformed request may be a header whose payload follows.
@@ -470,9 +480,12 @@ def serve_session(model: LanguageModel, reader: BinaryIO, writer: BinaryIO) -> N
 class LMServer(socketserver.ThreadingTCPServer):
     """TCP server exposing one LanguageModel to protocol clients.
 
-    Each connection is one session on its own thread. A session whose
-    client sends nothing for ``IDLE_TIMEOUT`` seconds, read when the
-    server is built, ends and its connection closes.
+    Each connection is one session. Sessions run on their own threads,
+    and call the model one request at a time: the server owns one lock,
+    and a session holds it while it computes a reply, so no two threads
+    ever step the model at once (see :class:`~lyricsense.lm.LanguageModel`).
+    A session whose client sends nothing for ``IDLE_TIMEOUT`` seconds,
+    read when the server is built, ends and its connection closes.
     """
 
     allow_reuse_address = True
@@ -480,12 +493,13 @@ class LMServer(socketserver.ThreadingTCPServer):
 
     def __init__(self, model: LanguageModel, host: str = "127.0.0.1", port: int = 0) -> None:
         self.model = model
+        lock = threading.Lock()
 
         class Handler(socketserver.StreamRequestHandler):
             timeout = IDLE_TIMEOUT  # a blocked read raises, which ends serve_session
 
             def handle(handler) -> None:  # noqa: N805
-                serve_session(model, handler.rfile, handler.wfile)
+                serve_session(model, handler.rfile, handler.wfile, lock)
 
         super().__init__((host, port), Handler)
 

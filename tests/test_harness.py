@@ -2,6 +2,7 @@ import contextlib
 import csv
 import hashlib
 import json
+import math
 import os
 from collections import Counter
 from itertools import product, takewhile
@@ -262,6 +263,13 @@ def test_emit_report_empty_result(tmp_path):
     assert not (tmp_path / "grid.jsonl").exists()
     plot = json.loads((tmp_path / "plotdata.json").read_text())
     assert plot["total_score_by_prompt"] == {"mean": {}, "best": {}}
+
+
+def test_emit_report_refuses_to_write_a_non_finite_score(tmp_path):
+    mean = CombinationMean("m", "none", "greedy", 1, MetricReport(1.0, 1.0, 0.0, math.nan))
+    result = GridResult(rows=[], means=[mean], failures=[], provenance={"seed": 0})
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        emit_report(result, str(tmp_path))
 
 
 def test_csv_numeric_cells_round_trip(mini_corpus_path, tmp_path):
@@ -698,9 +706,9 @@ def test_dropped_connection_is_retried_with_the_same_rows(mini_corpus_path, tmp_
     real_session = wire.serve_session
     sessions = []
 
-    def first_session_cut(model, reader, writer):
+    def first_session_cut(model, reader, writer, lock):
         sessions.append(reader)
-        real_session(model, _LinesThenEOF(reader, 40) if len(sessions) == 1 else reader, writer)
+        real_session(model, _LinesThenEOF(reader, 40) if len(sessions) == 1 else reader, writer, lock)
 
     with _serving(served_model) as server:
         grid = small_grid(models=_remote(server), prompts=["lyrics_meaning", "none"], decoders="all")

@@ -1,8 +1,7 @@
 import itertools
+import json
 import math
 import random
-import sys
-import threading
 from collections import Counter
 
 import numpy as np
@@ -455,35 +454,50 @@ def test_order_is_bounded_from_above(order):
     assert fit_ngram(["a b"], order=MAX_ORDER).order == MAX_ORDER
 
 
+_SAVED = {order: fit_ngram(["a b c a b", "c a b"], order=order, k=0.1).to_dict() for order in (1, 2, 3)}  # |V| = 6
 
-def test_bounded_row_cache_under_concurrent_steps(monkeypatch):
-    texts = [" ".join(f"w{i % 23}" for i in range(0, 400, 7)), " ".join(f"w{i}" for i in range(23))]
-    uncapped = fit_ngram(texts, order=2, k=0.2, vocab_cap=40)
-    size = len(uncapped.vocabulary())
-    monkeypatch.setattr(lm, "CACHE_BYTES", 2 * 8 * size)
-    shared = fit_ngram(texts, order=2, k=0.2, vocab_cap=40)
-    expected = [uncapped.next([i]).tobytes() for i in range(size)]
-    errors = []
 
-    def steps(offset):
-        try:
-            for n in range(20_000):
-                i = (n * 7 + offset) % size
-                if shared.next([i]).tobytes() != expected[i]:
-                    errors.append(f"row of {i} differs")
-        except Exception as exc:  # any exception in a thread fails the test below
-            errors.append(repr(exc))
+def test_saved_counts_name_a_bad_key_and_its_id():
+    saved = {**_SAVED[3], "counts": {"3 4": {"9": 1}}}
+    with pytest.raises(ValueError) as exc_info:
+        NGramModel.from_dict(saved, "m.json")
+    assert str(exc_info.value) == "m.json: field 'counts' key \"3 4\": token id 9 out of range for |V|=6"
+    saved = {**_SAVED[2], "counts": {**_SAVED[2]["counts"], "3 4 5": {"4": 1}}}
+    with pytest.raises(ValueError) as exc_info:
+        NGramModel.from_dict(saved, "m.json")
+    assert str(exc_info.value) == "m.json: field 'counts' key \"3 4 5\": expected 1 token ids for order 2, got 3"
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=steps, args=(offset,)) for offset in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert errors == []
-    assert len(shared._cache) <= 2
+
+_bad_ids = st.integers(6, 10**6).map(str) | st.sampled_from(["-1", "x", "3.0", "+3", "0x3", "\u00bd"])
+
+
+@given(order=st.sampled_from([1, 2, 3]), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_corrupted_saved_counts_are_a_value_error_naming_the_key_and_id(order, data):
+    """One bad entry among good counts: a key of the wrong length, or a bad id in a key or a count table."""
+    saved = _SAVED[order]
+    counts = {key: dict(counter) for key, counter in saved["counts"].items()}
+    good_ids = st.integers(0, 5).map(str)
+    kinds = ["key_length", "count_id"] + (["key_id"] if order > 1 else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "key_length":
+        length = data.draw(st.integers(0, 4).filter(lambda n: n != order - 1))
+        key = " ".join(data.draw(st.lists(good_ids, min_size=length, max_size=length)))
+        counts[key] = {"3": 1}
+        reason = f"expected {order - 1} token ids for order {order}, got {length}"
+    else:
+        bad = data.draw(_bad_ids | st.just("") if kind == "count_id" else _bad_ids)
+        if kind == "count_id":
+            key = data.draw(st.sampled_from(sorted(counts)))
+            counts[key][bad] = data.draw(st.integers(1, 5))
+        else:
+            ids = data.draw(st.lists(good_ids, min_size=order - 1, max_size=order - 1))
+            ids[data.draw(st.integers(0, order - 2))] = bad
+            key = " ".join(ids)
+            counts[key] = {"3": 1}
+        reason = f"token id {bad} out of range for |V|=6"
+        if not bad.isdecimal():
+            reason = f"token id {bad!r} is not a decimal integer"
+    with pytest.raises(ValueError) as exc_info:
+        NGramModel.from_dict({**saved, "counts": counts}, "m.json")
+    assert str(exc_info.value) == f"m.json: field 'counts' key {json.dumps(key)}: {reason}"

@@ -109,6 +109,26 @@ def test_total_score_validates_inputs():
         TotalScoreWeights(alpha1=math.inf)
 
 
+def test_weights_whose_sum_overflows_are_rejected():
+    with pytest.raises(ValueError, match=r"^alpha1 \+ alpha2 must be positive and finite, got inf$"):
+        TotalScoreWeights(1e308, 1e308, 0.5)
+
+
+_alphas = st.floats(min_value=0.0, max_value=1.7e308)
+_unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@given(alphas=st.tuples(_alphas, _alphas, _alphas), metrics=st.tuples(_unit, _unit, _unit))
+@settings(max_examples=200, deadline=None)
+def test_any_accepted_weights_score_within_0_and_1(alphas, metrics):
+    try:
+        weights = TotalScoreWeights(*alphas)
+    except ValueError:
+        assert not 0 < alphas[0] + alphas[1] < math.inf
+        return
+    assert 0.0 <= total_score(*metrics, weights) <= 1.0
+
+
 def test_total_score_custom_weights_normalization():
     w = TotalScoreWeights(alpha1=1.0, alpha2=3.0, alpha3=0.5)
     assert total_score(1.0, 1.0, 0.0, w) == 1.0  # max raw = alpha1+alpha2

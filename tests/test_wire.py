@@ -4,6 +4,7 @@ import json
 import math
 import socket
 import socketserver
+import sys
 import threading
 import time
 
@@ -930,6 +931,70 @@ def test_served_model_cache_stays_within_its_budget(monkeypatch):
     for ctx, (header, _payload) in zip(contexts, frames[1 + len(batches):]):
         assert header["op"] == "dist" and header["logp"] == uncapped.next(ctx).tolist()  # every entry is finite
     assert served.peak == 5 and len(uncapped._cache) == 41
+
+
+class _OverlapWatcher(_CacheWatcher):
+    """``model``, also counting the ``next`` calls that begin while another is running."""
+
+    def __init__(self, model):
+        super().__init__(model)
+        self._busy = threading.Lock()
+        self.overlaps = 0
+
+    def next(self, context):
+        alone = self._busy.acquire(blocking=False)
+        self.overlaps += not alone
+        try:
+            time.sleep(0)  # hand over the GIL, so that a thread stepping alongside runs now
+            return super().next(context)
+        finally:
+            if alone:
+                self._busy.release()
+
+
+def test_concurrent_sessions_step_the_model_one_request_at_a_time(monkeypatch):
+    import lyricsense.lm as lm
+
+    texts = [" ".join(f"w{i % 23}" for i in range(0, 400, 7)), " ".join(f"w{i}" for i in range(23))]
+    uncapped = fit_ngram(texts, order=2, k=0.2, vocab_cap=40)
+    size = len(uncapped.vocabulary())
+    expected = [uncapped.next([i]).tobytes() for i in range(size)]
+    monkeypatch.setattr(lm, "CACHE_BYTES", 2 * 8 * size)
+    served = _OverlapWatcher(fit_ngram(texts, order=2, k=0.2, vocab_cap=40))
+    clients = [RemoteLM, RemoteLM, _V1Client, _V1Client]  # protocol 3 and protocol 1 sessions
+    together = threading.Barrier(len(clients))
+    errors = []
+
+    def steps(client_cls, offset):
+        try:
+            with client_cls(srv.endpoint, timeout=5) as client:
+                together.wait(timeout=5)
+                for n in range(25):
+                    ids = [(n * 7 + offset + j) % size for j in range(3)]
+                    for i, row in zip(ids, client.next_many([[i] for i in ids])):
+                        if row.tobytes() != expected[i]:
+                            errors.append(f"row of {i} differs")
+        except Exception as exc:  # an err frame raises ServerReported; any exception fails the test below
+            errors.append(repr(exc))
+
+    srv = LMServer(served)
+    srv.start_background()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=steps, args=(cls, offset)) for offset, cls in enumerate(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+        srv.shutdown()
+        srv.server_close()
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert served.overlaps == 0
+    assert served.peak == 2
 
 
 def test_idle_sessions_end_and_their_threads_exit(model, monkeypatch):
