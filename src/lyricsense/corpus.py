@@ -19,6 +19,7 @@ from .metrics import tokenize_for_metrics
 from .rng import SplitMix64
 
 SCHEMA_KEY = "trbll_schema"
+SCHEMA_VERSION = 1  # the only corpus schema this toolkit reads and writes
 GENRES = ("pop", "rap", "rock", "country", "rnb", "other")
 SPLIT_RATIOS = (0.8, 0.1, 0.1)  # train, validation, test shares of the songs by default
 
@@ -122,7 +123,7 @@ def _parse_record(obj: object) -> SongRecord:
     return SongRecord(genre=genre, page_views=page_views, fragments=fragments, **texts)
 
 
-def load_corpus(path: str, schema_version: int = 1) -> LoadResult:
+def load_corpus(path: str) -> LoadResult:
     """Read a JSONL corpus file, collecting per-line errors instead of dying.
 
     The first line must be the schema header; a missing or mismatched
@@ -143,8 +144,8 @@ def load_corpus(path: str, schema_version: int = 1) -> LoadResult:
         version = required(typed(json.loads(lines[0]), dict, "line 1"), SCHEMA_KEY, "line 1")
     except (ValueError, RecursionError) as exc:
         raise CorpusError(f"invalid schema header: {exc}") from exc
-    if version != schema_version:
-        raise CorpusError(f"schema version mismatch: file declares {version}, expected {schema_version}")
+    if version != SCHEMA_VERSION:
+        raise CorpusError(f"schema version mismatch: file declares {version}, expected {SCHEMA_VERSION}")
 
     records: list[SongRecord] = []
     errors: list[LoadError] = []
@@ -268,10 +269,6 @@ def split(
     return parts
 
 
-# The metrics tokenizer under the name the corpus API has always exported.
-stats_tokenize = tokenize_for_metrics
-
-
 def compute_stats(records: list[SongRecord]) -> CorpusStats:
     """Exploration statistics over a cleaned corpus.
 
@@ -303,10 +300,10 @@ def compute_stats(records: list[SongRecord]) -> CorpusStats:
     )
 
 
-def write_corpus(path: str, records: Iterable[SongRecord], schema_version: int = 1) -> None:
+def write_corpus(path: str, records: Iterable[SongRecord]) -> None:
     """Write records in the JSONL corpus format (header line first)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({SCHEMA_KEY: schema_version}) + "\n")
+        fh.write(json.dumps({SCHEMA_KEY: SCHEMA_VERSION}) + "\n")
         for record in records:
             obj = {
                 "song_id": record.song_id,

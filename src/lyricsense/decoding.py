@@ -348,7 +348,20 @@ def _banned_from(followers: _Followers, sequence: Sequence[int], ngram_size: int
 
 
 def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]) -> _Steps:
-    """Beam search of one row; see :func:`beam_search`."""
+    """Beam search of one row: width-limited best-first search over summed log probabilities.
+
+    At each step every running hypothesis is expanded (their
+    distributions come from one ``next_many`` call when the model offers
+    one, see :class:`~lyricsense.lm.LanguageModel`) and the candidates
+    are ranked globally; an EOS candidate finishes its hypothesis (with
+    the EOS log prob added to the score) only when it ranks within the
+    top ``num_beams``, and the best ``num_beams`` non-EOS candidates form
+    the next running set. With ``early_stopping`` the search ends once
+    ``num_beams`` hypotheses have finished. The best finished hypothesis
+    wins; only if nothing finished does the best running one. If the
+    no-repeat constraint bans every continuation of a hypothesis, that
+    hypothesis is finished as-is (degenerate forced stop).
+    """
     prompt = lm._Context(prompt_ids)
     ngram_size = cfg.no_repeat_ngram_size
     num_beams = cfg.num_beams
@@ -412,20 +425,7 @@ def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Op
 def beam_search(
     model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
 ) -> Generation:
-    """Width-limited best-first search over summed log probabilities.
-
-    At each step every running hypothesis is expanded (their
-    distributions come from one ``next_many`` call when the model offers
-    one, see :class:`~lyricsense.lm.LanguageModel`) and the candidates
-    are ranked globally; an EOS candidate finishes its hypothesis (with
-    the EOS log prob added to the score) only when it ranks within the
-    top ``num_beams``, and the best ``num_beams`` non-EOS candidates form
-    the next running set. With ``early_stopping`` the search ends once
-    ``num_beams`` hypotheses have finished. The best finished hypothesis
-    wins; only if nothing finished does the best running one. If the
-    no-repeat constraint bans every continuation of a hypothesis, that
-    hypothesis is finished as-is (degenerate forced stop).
-    """
+    """Width-limited best-first search over summed log probabilities; see :func:`_beam_steps`."""
     return decode(model, prompt_ids, replace(cfg, strategy=Strategy.BEAM), memo)
 
 

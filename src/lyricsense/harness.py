@@ -5,12 +5,15 @@ continuation, and scores it against the gold annotation and the full
 song lyrics. The rows of one combination decode in lockstep
 (``decoding.decode_many``), so the model is asked once per decode step
 for all of them: one round trip per step for a remote model. The grid
-runs serially, model by model, and within a model decoder-major: for
-each decoder, every prompt. The combinations of one (model, decoder)
-pair share one decode memo, dropped after the pair's last prompt, and a
-model is dropped (a remote one closed) after its last combination. The
-n-gram row cache and the memo are each bounded by ``lm.CACHE_BYTES``,
-so a pass holds at most one model's cache and one memo at a time.
+runs serially, one model's turn at a time, and within a turn
+decoder-major: for each decoder, every prompt. A model exists only for
+its turn: fit or loaded as the turn opens (a remote one connects on its
+first combination), dropped (a remote one closed) with its row cache and
+last memo as it ends. A spec that cannot be fit or loaded raises at its
+turn, after the earlier models' rows are written. The combinations of
+one (model, decoder) pair share one decode memo. The n-gram row cache
+and the memo are each bounded by ``lm.CACHE_BYTES``, so a pass holds at
+most one model's cache and one memo at a time.
 ``run_grid`` still writes ``grid.jsonl`` in combination order (model,
 prompt, decoder), each combination as soon as every one before it is
 written, so an interrupted run loses at most one model's combinations;
@@ -23,7 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Optional, Sequence, Union
 
@@ -60,8 +65,11 @@ class ModelSpec:
             raise ValueError("ngram_file model needs a path")
         if self.kind == "remote" and not self.endpoint:
             raise ValueError("remote model needs an endpoint")
-        if self.kind == "ngram" and not (1 <= self.order <= MAX_ORDER and self.k > 0 and self.vocab_cap >= 3):
-            raise ValueError(f"ngram model needs 1 <= order <= {MAX_ORDER}, k > 0 and vocab_cap >= 3")
+        # A fit's |V| is at most vocab_cap + 3, and far below the largest float.
+        if self.kind == "ngram" and not (1 <= self.order <= MAX_ORDER and self.k > 0 and self.vocab_cap >= 3
+                                         and math.isfinite(self.k * min(self.vocab_cap + 3, sys.float_info.max))):
+            raise ValueError(f"ngram model needs 1 <= order <= {MAX_ORDER}, k > 0, vocab_cap >= 3 "
+                             "and a finite k * (vocab_cap + 3)")
 
     def to_dict(self) -> dict:
         obj: dict = {"id": self.model_id, "type": self.kind}
@@ -251,22 +259,13 @@ def training_texts(samples: Sequence[Sample]) -> list[str]:
     ]
 
 
-def _local_models(models: Sequence[ModelSpec], train: Sequence[Sample]) -> dict[str, Optional[LanguageModel]]:
-    """Each spec's fitted or loaded model; a ``remote`` spec maps to None until it connects.
-
-    The ``ngram`` specs share one rendering of the train split, dropped
-    once the models are fit.
-    """
-    texts = TrainingTexts(training_texts(train)) if any(m.kind == "ngram" for m in models) else None
-    loaded: dict[str, Optional[LanguageModel]] = {}
-    for spec in models:
-        if spec.kind == "ngram":
-            loaded[spec.model_id] = fit_ngram(texts, order=spec.order, k=spec.k, vocab_cap=spec.vocab_cap)
-        elif spec.kind == "ngram_file":
-            loaded[spec.model_id] = NGramModel.load(spec.path)
-        else:
-            loaded[spec.model_id] = None
-    return loaded
+def _open_model(spec: ModelSpec, texts: Optional[TrainingTexts]) -> Optional[LanguageModel]:
+    """``spec``'s model fit on ``texts`` or loaded from its file; None for a ``remote`` spec, which connects later."""
+    if spec.kind == "ngram":
+        return fit_ngram(texts, order=spec.order, k=spec.k, vocab_cap=spec.vocab_cap)
+    if spec.kind == "ngram_file":
+        return NGramModel.load(spec.path)
+    return None
 
 
 def _resolve_eval_samples(
@@ -392,50 +391,49 @@ def run_grid(
 ) -> GridResult:
     """Execute the full grid, streaming rows to ``out_dir/grid.jsonl``.
 
-    ``workers`` is ignored; ``bench/grid_proc.py`` passes it.
-    Combinations run one after another in the calling thread. Within
-    each model they run decoder-major, and each (model, decoder) pair of
-    an in-process n-gram model gets one bounded decode memo, since every
-    prompt's rows step through the same cached arrays.
-    A remote model gets none. After a model's last combination the grid
-    drops it if it was fit or loaded, and closes it if it is a connected
-    client; on an error every client is closed. Outcomes are held until every combination
-    before them in combination order is written, so ``grid.jsonl`` and
-    the result lists keep that order, and an interrupt loses at most one
-    model's combinations. A combination that raises a wire error or a
-    ``ValueError`` (an unreachable endpoint, a bad prompt, a model's
-    invalid distribution) is recorded as a failure and the grid continues; two
-    runs with the same seed, config and corpus produce byte-identical
-    output.
+    ``workers`` is ignored; ``bench/grid_proc.py`` passes it. The models'
+    turns run in the calling thread, as the module docstring describes:
+    every ``ngram`` spec is fit from the pass's one rendering of the train
+    split, and a connected client is closed as its turn ends, also on an
+    error. Each (model, decoder) pair of an in-process n-gram model gets
+    one bounded decode memo, since every prompt's rows step through the
+    same cached arrays; a remote model gets none. Outcomes are held until
+    every combination before them in combination order is written, so
+    ``grid.jsonl`` and the result lists keep that order. A combination
+    that raises a wire error or a ``ValueError`` (an unreachable endpoint,
+    a bad prompt, a model's invalid distribution) is recorded as a failure
+    and the grid continues; two runs with the same seed, config and corpus
+    produce byte-identical output.
     """
-    loaded = load_corpus(corpus_path)
-    records = clean_corpus(loaded.records)
+    records = clean_corpus(load_corpus(corpus_path).records)
     samples = flatten(records)
     train, _validation, test = split(samples, grid.split_ratios, grid.seed)
     lyrics_by_song = {r.song_id: r.lyrics for r in records}
     views_by_song = {r.song_id: r.page_views or 0 for r in records}
     eval_samples = _resolve_eval_samples(grid, test, views_by_song)
 
-    models = _local_models(grid.models, train)
+    texts = TrainingTexts(training_texts(train)) if any(m.kind == "ngram" for m in grid.models) else None
     provenance = _provenance(grid, corpus_path)
 
     rows: list[GridRow] = []
     means: list[CombinationMean] = []
     failures: list[GridFailure] = []
     os.makedirs(out_dir, exist_ok=True)
-    try:
-        with open(os.path.join(out_dir, "grid.jsonl"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"provenance": provenance}, sort_keys=True, allow_nan=False) + "\n")
-            # Outcomes by combination index, (model, prompt, decoder) order, until written.
-            pending: dict[int, Union[tuple[list[GridRow], CombinationMean], GridFailure]] = {}
-            written = 0
-            n_prompts, n_decoders = len(grid.prompts), len(grid.decoders)
-            for m, model_spec in enumerate(grid.models):
-                # An n-gram model hands back one cached read-only array per
-                # context, so what decoding derives from it serves every prompt
-                # of a decoder. A remote model builds a fresh array every step:
-                # a memo would only hold memory.
-                local = isinstance(models[model_spec.model_id], NGramModel)
+    with open(os.path.join(out_dir, "grid.jsonl"), "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"provenance": provenance}, sort_keys=True, allow_nan=False) + "\n")
+        # Outcomes by combination index, (model, prompt, decoder) order, until written.
+        pending: dict[int, Union[tuple[list[GridRow], CombinationMean], GridFailure]] = {}
+        written = 0
+        n_prompts, n_decoders = len(grid.prompts), len(grid.decoders)
+        for m, model_spec in enumerate(grid.models):
+            # _run_combination keeps a remote model's client here once it connects.
+            models = {model_spec.model_id: _open_model(model_spec, texts)}
+            # An n-gram model hands back one cached read-only array per
+            # context, so what decoding derives from it serves every prompt
+            # of a decoder. A remote model builds a fresh array every step:
+            # a memo would only hold memory.
+            local = isinstance(models[model_spec.model_id], NGramModel)
+            try:
                 for d, (decoder_id, cfg) in enumerate(grid.decoders):
                     memo: Optional[dict] = {} if local else None
                     for p, prompt_spec in enumerate(grid.prompts):
@@ -457,17 +455,11 @@ def run_grid(
                                 text = json.dumps(line.to_dict(), ensure_ascii=False, sort_keys=True, allow_nan=False)
                                 fh.write(text + "\n")
                         fh.flush()
-                # Only this model's combinations use it: drop a fitted or
-                # loaded model, its row cache and its last memo before the
-                # next model decodes.
+            finally:  # the next model opens only after this one, its row cache and its last memo are gone
                 model = models.pop(model_spec.model_id)
                 if isinstance(model, RemoteLM):
                     model.close()
-                memo = model = None
-    finally:
-        for model in models.values():
-            if isinstance(model, RemoteLM):
-                model.close()
+                model = memo = None
     return GridResult(rows=rows, means=means, failures=failures, provenance=provenance)
 
 

@@ -103,9 +103,13 @@ class Vocabulary:
 
     @classmethod
     def read(cls, obj: dict, where: str, id_fields: Sequence[str]) -> "Vocabulary":
-        """The vocabulary in ``obj``'s ``tokens`` list and its bos, eos and unk ``id_fields``."""
+        """The vocabulary in ``obj``'s ``tokens`` list and its bos, eos and unk ``id_fields``; every error names ``where``."""
         tokens = tuple(typed(t, str, f"{where}: field 'tokens'") for t in required(obj, "tokens", where, list))
-        return cls(tokens, *(required(obj, name, where, int) for name in id_fields))
+        ids = [required(obj, name, where, int) for name in id_fields]
+        try:
+            return cls(tokens, *ids)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
 
     @classmethod
     def build(cls, content_tokens: Sequence[str]) -> "Vocabulary":
@@ -170,6 +174,8 @@ class NGramModel:
         counts: dict[tuple[int, ...], dict[int, int]],
     ) -> None:
         _check_order_and_k(order, k)
+        if not math.isfinite(k * len(vocab)):  # else every row would be -inf
+            raise ValueError(f"smoothing constant k={k!r} times |V|={len(vocab)} overflows")
         self.order = order
         self.k = k
         self._vocab = vocab
@@ -259,10 +265,13 @@ class NGramModel:
                         raise ValueError(f"{at}: token id {t!r} is not a decimal integer")
                     if int(t) >= len(vocab):
                         raise ValueError(f"{at}: token id {t} out of range for |V|={len(vocab)}")
-                counts[tuple(map(int, ctx))] = {int(t): typed(c, int, at) for t, c in counter.items()}
+                for t, c in counter.items():
+                    if typed(c, int, at) < 1:
+                        raise ValueError(f"{at}: token id {t} has count {c}, expected a positive integer")
+                counts[tuple(map(int, ctx))] = {int(t): c for t, c in counter.items()}
+            return cls(order=order, k=k, vocab=vocab, counts=counts)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        return cls(order=order, k=k, vocab=vocab, counts=counts)
 
     @classmethod
     def load(cls, path: str) -> "NGramModel":

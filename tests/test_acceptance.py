@@ -263,7 +263,8 @@ def test_criterion_08_corpus_pipeline(mini_corpus_path, tmp_path, capsys):
     out = tmp_path / "ingest"
     assert cli_main(["ingest", "--corpus", mini_corpus_path, "--out", str(out)]) == 0
     golden = os.path.join(os.path.dirname(__file__), "data", "mini_corpus_stats.golden.json")
-    assert (out / "stats.json").read_bytes() == open(golden, "rb").read()
+    with open(golden, "rb") as fh:
+        assert (out / "stats.json").read_bytes() == fh.read()
     with capsys.disabled():
         report(8, "corpus pipeline", f"idempotence+flatten+split on {len(mini) + len(fuzzed)} records; stats golden byte-exact")
 

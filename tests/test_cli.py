@@ -303,6 +303,7 @@ def test_grid_cli_with_config(mini_corpus_path, tmp_path, capsys):
         ({"models": [{"id": "m", "oder": 3}]}, "models[0]"),
         ({"eval_samples": {"top_page_view": 3}}, "eval_samples"),
         ({"weights": {"alpha1": 1e308, "alpha2": 1e308}}, "weights"),
+        ({"models": [{"id": "a"}, {"id": "b", "k": 1e307}]}, "models[1]"),
     ],
 )
 def test_grid_cli_malformed_config_is_a_typed_error(mini_corpus_path, tmp_path, capsys, config, where):

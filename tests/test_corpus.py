@@ -15,10 +15,10 @@ from lyricsense.corpus import (
     flatten,
     load_corpus,
     split,
-    stats_tokenize,
     write_corpus,
 )
 from lyricsense.corpus import _has_non_latin_letter
+from lyricsense.metrics import tokenize_for_metrics
 from lyricsense.rng import SplitMix64
 
 
@@ -113,7 +113,7 @@ def test_load_schema_version_mismatch(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{"trbll_schema": 2}\n')
     with pytest.raises(CorpusError, match="mismatch"):
-        load_corpus(str(path), schema_version=1)
+        load_corpus(str(path))
 
 
 def test_load_missing_header(tmp_path):
@@ -383,11 +383,11 @@ def test_stats_histograms_sum_to_item_counts():
 
 
 def test_stats_tokenize_rules():
-    assert stats_tokenize("The song, the LINE") == ["the", "song", "the", "line"]
-    assert stats_tokenize("") == []
-    assert stats_tokenize("don't") == ["don't"]
-    assert stats_tokenize("'quoted'  (aside)") == ["quoted", "aside"]
-    assert stats_tokenize("!!! --- ...") == []
+    assert tokenize_for_metrics("The song, the LINE") == ["the", "song", "the", "line"]
+    assert tokenize_for_metrics("") == []
+    assert tokenize_for_metrics("don't") == ["don't"]
+    assert tokenize_for_metrics("'quoted'  (aside)") == ["quoted", "aside"]
+    assert tokenize_for_metrics("!!! --- ...") == []
 
 
 # ------------------------------------------------------- mini corpus fixture

@@ -103,6 +103,13 @@ def test_model_spec_validation():
         ModelSpec(model_id="x", kind="ngram_file")
     with pytest.raises(ValueError, match="'id'"):
         ModelSpec.from_dict({"type": "ngram"})
+    # k * |V| must stay finite for every |V| up to vocab_cap + 3.
+    with pytest.raises(ValueError, match=r"^models\[1\]: ngram model needs .* a finite k \* \(vocab_cap \+ 3\)$"):
+        small_grid(models=[{"id": "a"}, {"id": "b", "k": 1e308, "vocab_cap": 3}])
+    with pytest.raises(ValueError, match="finite k"):
+        ModelSpec(model_id="x", k=2.0, vocab_cap=10**400)
+    assert ModelSpec(model_id="x", k=1e307, vocab_cap=3).k == 1e307
+    assert ModelSpec(model_id="x", k=0.1, vocab_cap=10**400).vocab_cap == 10**400
 
 
 def test_grid_rejects_duplicate_keys():
@@ -635,6 +642,44 @@ def test_each_model_is_released_before_the_next_one_decodes(mini_corpus_path, tm
     assert not result.failures and len(result.rows) == 3 * 2 * 2 * 3
     assert len(seen) == 3 and [ref() for ref in seen] == [None] * 3
     assert opened == closed == [0]
+
+
+def test_each_model_is_dropped_before_the_next_one_is_fit(mini_corpus_path, tmp_path, monkeypatch):
+    import weakref
+
+    import lyricsense.harness as harness
+
+    real_fit = harness.fit_ngram
+    fitted = []  # a weak reference to each model fit
+    alive = []  # at each fit, which of the models fit before it are still alive
+
+    def fit(texts, order, **kwargs):
+        alive.append([ref() is not None for ref in fitted])
+        model = real_fit(texts, order, **kwargs)
+        fitted.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(harness, "fit_ngram", fit)
+    grid = small_grid(
+        models=[{"id": f"ngram{n}", "type": "ngram", "order": n} for n in (1, 2, 3)],
+        decoders=[{"strategy": "greedy", "max_new_tokens": 4}, {"strategy": "top_p", "max_new_tokens": 4}],
+    )
+    result = run_grid(grid, mini_corpus_path, str(tmp_path))
+    assert not result.failures and len(result.rows) == 3 * 2 * 3
+    assert alive == [[], [False], [False, False]]
+    assert [ref() for ref in fitted] == [None] * 3
+
+
+def test_a_model_that_cannot_be_loaded_raises_at_its_own_turn(mini_corpus_path, tmp_path):
+    first = [{"id": "fit", "type": "ngram", "order": 2}]
+    missing = {"id": "file", "type": "ngram_file", "path": str(tmp_path / "missing.json")}
+    run_grid(small_grid(models=first, decoders="all"), mini_corpus_path, str(tmp_path / "first"))
+    with pytest.raises(FileNotFoundError, match="missing.json"):
+        run_grid(small_grid(models=first + [missing], decoders="all"), mini_corpus_path, str(tmp_path / "both"))
+    # Every row of the model before it is written; the provenance lines differ by the config hash.
+    first_lines = (tmp_path / "first" / "grid.jsonl").read_text().splitlines()
+    both_lines = (tmp_path / "both" / "grid.jsonl").read_text().splitlines()
+    assert len(first_lines) == 1 + 5 * 3 and both_lines[1:] == first_lines[1:]
 
 
 # ------------------------------------------------------- lockstep over the wire

@@ -468,23 +468,52 @@ def test_saved_counts_name_a_bad_key_and_its_id():
     assert str(exc_info.value) == "m.json: field 'counts' key \"3 4 5\": expected 1 token ids for order 2, got 3"
 
 
+@pytest.mark.parametrize(
+    "fields, reason",
+    [
+        ({"tokens": ["<bos>", "<eos>", "<unk>", "a", "a"]}, "vocabulary tokens must be distinct"),
+        ({"unk_id": 6}, "reserved ids must be three distinct in-range ids"),
+        ({"eos_id": 0}, "reserved ids must be three distinct in-range ids"),
+    ],
+)
+def test_saved_vocabulary_errors_name_the_file(fields, reason):
+    with pytest.raises(ValueError) as exc_info:
+        NGramModel.from_dict({**_SAVED[2], **fields}, "m.json")
+    assert str(exc_info.value) == f"m.json: {reason}"
+
+
+def test_k_whose_product_with_the_vocabulary_size_overflows_is_rejected():
+    with pytest.raises(ValueError, match=r"k=1e\+308 times \|V\|=8 overflows"):
+        fit_ngram(["a b c d", "b c d e"], order=2, k=1e308)
+    with pytest.raises(ValueError, match=r"^m.json: smoothing constant k=1e\+308 times \|V\|=6 overflows"):
+        NGramModel.from_dict({**_SAVED[2], "k": 1e308}, "m.json")
+    # A k just short of the overflow still gives finite rows.
+    model = fit_ngram(["a b c d", "b c d e"], order=2, k=1e307)
+    assert np.isfinite(model.next([3])).all() and np.isfinite(model.next([7, 7])).all()
+
+
 _bad_ids = st.integers(6, 10**6).map(str) | st.sampled_from(["-1", "x", "3.0", "+3", "0x3", "\u00bd"])
 
 
 @given(order=st.sampled_from([1, 2, 3]), data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_corrupted_saved_counts_are_a_value_error_naming_the_key_and_id(order, data):
-    """One bad entry among good counts: a key of the wrong length, or a bad id in a key or a count table."""
+    """One bad entry among good counts: a key of the wrong length, a bad id in a key or a count table, or a count below 1."""
     saved = _SAVED[order]
     counts = {key: dict(counter) for key, counter in saved["counts"].items()}
     good_ids = st.integers(0, 5).map(str)
-    kinds = ["key_length", "count_id"] + (["key_id"] if order > 1 else [])
+    kinds = ["key_length", "count_id", "count"] + (["key_id"] if order > 1 else [])
     kind = data.draw(st.sampled_from(kinds))
     if kind == "key_length":
         length = data.draw(st.integers(0, 4).filter(lambda n: n != order - 1))
         key = " ".join(data.draw(st.lists(good_ids, min_size=length, max_size=length)))
         counts[key] = {"3": 1}
         reason = f"expected {order - 1} token ids for order {order}, got {length}"
+    elif kind == "count":
+        key = data.draw(st.sampled_from(sorted(counts)))
+        token_id, count = data.draw(good_ids), data.draw(st.integers(max_value=0))
+        counts[key][token_id] = count
+        reason = f"token id {token_id} has count {count}, expected a positive integer"
     else:
         bad = data.draw(_bad_ids | st.just("") if kind == "count_id" else _bad_ids)
         if kind == "count_id":

@@ -409,8 +409,10 @@ def test_v2_client_falls_back_when_vocab_frame_has_no_proto():
         ({k: v for k, v in _vocab_frame(_AB).items() if k != "bos"}, "'bos'"),
         ({**_vocab_frame(_AB), "eos": True}, "'eos'"),
         ({**_vocab_frame(_AB), "unk": 2.0}, "'unk'"),
+        ({**_vocab_frame(_AB), "tokens": ["<bos>", "<eos>", "<unk>", "a", "a"]}, "tokens must be distinct"),
+        ({**_vocab_frame(_AB), "unk": 5}, "reserved ids"),
     ],
-    ids=["string_tokens", "non_string_token", "no_bos", "bool_eos", "float_unk"],
+    ids=["string_tokens", "non_string_token", "no_bos", "bool_eos", "float_unk", "repeated_token", "unk_out_of_range"],
 )
 def test_malformed_vocab_frame_is_a_protocol_error(frame, field):
     def replies(request):
