@@ -39,7 +39,7 @@ from .harness import (
     emit_report,
     generate_meaning,
     run_grid,
-    training_texts,
+    training_parts,
 )
 from .jsonfields import load_json, required, typed
 from .lm import NGramModel, fit_ngram
@@ -111,7 +111,7 @@ def _cmd_fit_lm(args: argparse.Namespace) -> int:
     if not train:
         print("error: train split is empty", file=sys.stderr)
         return 1
-    model = fit_ngram(training_texts(train), order=args.order, k=args.smoothing_k, vocab_cap=args.vocab_cap)
+    model = fit_ngram(training_parts(train), order=args.order, k=args.smoothing_k, vocab_cap=args.vocab_cap)
     model.save(args.out)
     print(f"fit order-{args.order} model on {len(train)} samples -> {args.out} "
           f"(|V| = {len(model.vocabulary())})")

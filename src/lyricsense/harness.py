@@ -39,7 +39,8 @@ from .decoding import DecodeConfig, Strategy, decode, decode_many  # noqa: F401
 from .jsonfields import no_unknown_fields, required, typed
 from .lm import MAX_ORDER, SMOOTHING_K, VOCAB_CAP, LanguageModel, NGramModel, TrainingTexts, fit_ngram
 from .metrics import METRIC_FIELDS, MetricReport, TotalScoreWeights, evaluate, mean_report
-from .prompts import PromptSpec, render, render_with_target
+# ``render_with_target`` stays importable as ``harness.render_with_target``: bench/tracing.py wraps it by name.
+from .prompts import PromptError, PromptSpec, render, render_with_target, target_parts  # noqa: F401
 from .rng import derive_seed
 from .wire import RemoteLM, WireError
 
@@ -250,13 +251,24 @@ class GridResult:
     provenance: dict
 
 
+def training_parts(samples: Sequence[Sample]) -> list[tuple[str, ...]]:
+    """``prompts.target_parts`` of every sample under all seven variants, sample by sample.
+
+    A sample that a variant cannot render is a ``PromptError`` naming it.
+    """
+    variants = PromptSpec.all_variants()
+    parts = []
+    for sample in samples:
+        try:
+            parts += [target_parts(spec, sample) for spec in variants]
+        except PromptError as exc:
+            raise PromptError(f"train sample {sample.sample_id!r}: {exc}") from None
+    return parts
+
+
 def training_texts(samples: Sequence[Sample]) -> list[str]:
-    """Prompt+target renderings of every sample under all seven variants."""
-    return [
-        render_with_target(spec, sample)
-        for sample in samples
-        for spec in PromptSpec.all_variants()
-    ]
+    """Prompt+target renderings of every sample under all seven variants: the joins of ``training_parts``."""
+    return ["".join(parts) for parts in training_parts(samples)]
 
 
 def _open_model(spec: ModelSpec, texts: Optional[TrainingTexts]) -> Optional[LanguageModel]:
@@ -393,8 +405,8 @@ def run_grid(
 
     ``workers`` is ignored; ``bench/grid_proc.py`` passes it. The models'
     turns run in the calling thread, as the module docstring describes:
-    every ``ngram`` spec is fit from the pass's one rendering of the train
-    split, and a connected client is closed as its turn ends, also on an
+    every ``ngram`` spec is fit from the pass's one tokenization of the
+    train split, and a connected client is closed as its turn ends, also on an
     error. Each (model, decoder) pair of an in-process n-gram model gets
     one bounded decode memo, since every prompt's rows step through the
     same cached arrays; a remote model gets none. Outcomes are held until
@@ -412,7 +424,7 @@ def run_grid(
     views_by_song = {r.song_id: r.page_views or 0 for r in records}
     eval_samples = _resolve_eval_samples(grid, test, views_by_song)
 
-    texts = TrainingTexts(training_texts(train)) if any(m.kind == "ngram" for m in grid.models) else None
+    texts = TrainingTexts(training_parts(train)) if any(m.kind == "ngram" for m in grid.models) else None
     provenance = _provenance(grid, corpus_path)
 
     rows: list[GridRow] = []

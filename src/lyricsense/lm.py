@@ -8,16 +8,18 @@ probability it produces can be checked by hand; larger models are reached
 over the wire protocol in :mod:`lyricsense.wire`.
 
 Models of several orders fitted on the same corpus share one
-:class:`TrainingTexts`: each distinct whitespace word of the texts is
-tokenized once, and each vocabulary cap's vocabulary and flat id array
-are built once, whatever the number of orders. A fit keys every n-gram
-window with numpy and counts them all with one ``np.unique``; the counts
-are plain ``{context: {id: count}}`` dicts of Python ints. A fitted
-model caches the read-only distributions of the contexts seen in
-training that it was last asked for, in at most ``CACHE_BYTES`` of
-arrays, evicting the least recently used; every unseen context shares
-one uniform vector, which is never cached. One thread steps a model at
-a time (see :class:`LanguageModel`), so the cache takes no lock.
+:class:`TrainingTexts`. A training text may be given as a tuple of parts,
+such as a prompt template's literal pieces and a sample's fields: each
+distinct part is tokenized once, and each vocabulary cap's vocabulary
+and flat id array are built once, whatever the number of orders. A fit
+keys every n-gram window with numpy and counts them all with one
+``np.unique``; the counts are plain ``{context: {id: count}}`` dicts of
+Python ints. A fitted model caches the read-only distributions of the
+contexts seen in training that it was last asked for, in at most
+``CACHE_BYTES`` of arrays, evicting the least recently used; every
+unseen context shares one uniform vector, which is never cached. One
+thread steps a model at a time (see :class:`LanguageModel`), so the
+cache takes no lock.
 
 Token ids are checked where they enter: ``NGramModel.next`` and
 :func:`sequence_log_prob` check every id they are given, and
@@ -36,9 +38,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -318,43 +321,38 @@ class _Index(dict):
 class TrainingTexts(tuple):
     """Training texts, tokenized once and encoded once per vocabulary cap.
 
-    A tuple of strings, so it stands wherever the plain texts do. Passing
-    the same object to several :func:`fit_ngram` calls fits every order
-    from one tokenization, and models with the same ``vocab_cap`` share
-    one :class:`Vocabulary`.
+    A tuple of texts, each a string or a tuple of parts whose join is the
+    text, such as :func:`lyricsense.prompts.target_parts`; a string is a
+    one-part text. Passing the same object to several :func:`fit_ngram`
+    calls fits every order from one tokenization, and models with the
+    same ``vocab_cap`` share one :class:`Vocabulary`.
     """
 
-    def __init__(self, texts: Iterable[str] = ()) -> None:
+    def __init__(self, texts: Iterable[str | tuple[str, ...]] = ()) -> None:
         self._tokens: tuple[list[str], np.ndarray, np.ndarray] | None = None
         self._encoded: dict[int, tuple[Vocabulary, np.ndarray, np.ndarray]] = {}
 
     def _tokenize(self) -> tuple[list[str], np.ndarray, np.ndarray]:
         """The distinct tokens, every text's tokens back to back as indices into them, and each text's token count.
 
-        ``tokenize_lm(text)`` is the concatenation of ``tokenize_lm(word)``
-        over ``text.split()``, so each distinct word is tokenized once and
-        the token stream is gathered from the words' token runs.
+        Each distinct part is tokenized once, and a text's tokens are its
+        parts' tokens in order. That equals ``tokenize_lm`` of the joined
+        text as long as no token spans two parts: a caller splits a text
+        only where whitespace or punctuation other than ``'`` and ``_``
+        stands on the boundary (see :mod:`lyricsense.prompts`).
         """
-        word_ids, token_ids = _Index(), _Index()
-        words: list[int] = []
-        words_per_text = []
+        token_ids = _Index()
+        runs: dict[str, array] = {}  # part -> its tokens as indices into token_ids
+        stream, lengths = array("q"), array("q")
         for text in self:
-            split = text.split()
-            words_per_text.append(len(split))
-            words.extend(map(word_ids.__getitem__, split))
-        runs = [list(map(token_ids.__getitem__, tokenize_lm(word))) for word in word_ids]
-
-        run_lengths = np.fromiter(map(len, runs), np.int64, len(runs))
-        run_starts = np.cumsum(run_lengths) - run_lengths
-        occurrences = np.array(words, np.int64)
-        lengths = run_lengths[occurrences]
-        ends = np.cumsum(lengths)
-        # Token t of occurrence o sits at ends[o] - lengths[o] + t in the stream
-        # and at run_starts[word] + t in the runs.
-        shift = np.repeat(run_starts[occurrences] - (ends - lengths), lengths)
-        stream = np.fromiter(chain.from_iterable(runs), np.int64)[np.arange(len(shift)) + shift]
-        text_ends = np.concatenate(([0], ends))[np.cumsum([0, *words_per_text])]
-        return list(token_ids), stream, np.diff(text_ends)
+            start = len(stream)
+            for part in (text,) if isinstance(text, str) else text:
+                run = runs.get(part)
+                if run is None:
+                    run = runs[part] = array("q", map(token_ids.__getitem__, tokenize_lm(part)))
+                stream += run
+            lengths.append(len(stream) - start)
+        return list(token_ids), np.asarray(stream), np.asarray(lengths)
 
     def encoded(self, vocab_cap: int) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
         """The capped vocabulary, the ids of all texts back to back, and the token count of each text that has tokens.
@@ -369,16 +367,19 @@ class TrainingTexts(tuple):
             tokens, stream, lengths = self._tokens
             if not len(stream):
                 raise ValueError("no training text")
-            frequencies = np.bincount(stream, minlength=len(tokens)).tolist()
-            kept = sorted(range(len(tokens)), key=lambda i: (-frequencies[i], tokens[i]))[:vocab_cap]
-            vocab = Vocabulary.build([tokens[i] for i in kept])
+            alphabetical = np.array(sorted(range(len(tokens)), key=tokens.__getitem__), np.int64)
+            frequencies = np.bincount(stream, minlength=len(tokens))[alphabetical]
+            # A stable sort keeps equally frequent tokens in alphabetical order.
+            kept = alphabetical[np.argsort(-frequencies, kind="stable")[:vocab_cap]]
+            vocab = Vocabulary.build([tokens[i] for i in kept.tolist()])
             ids = np.array(vocab.encode(tokens), np.int64)[stream]
             built = self._encoded[vocab_cap] = (vocab, ids, lengths[lengths > 0])
         return built
 
 
-def fit_ngram(texts: Iterable[str], order: int, k: float = SMOOTHING_K, vocab_cap: int = VOCAB_CAP) -> NGramModel:
-    """Fit an add-k n-gram model on raw texts.
+def fit_ngram(texts: Iterable[str | tuple[str, ...]], order: int, k: float = SMOOTHING_K,
+              vocab_cap: int = VOCAB_CAP) -> NGramModel:
+    """Fit an add-k n-gram model on raw texts, each a string or a tuple of parts (see :class:`TrainingTexts`).
 
     The vocabulary keeps the ``vocab_cap`` most frequent tokens (ties by
     alphabetical order) plus the reserved markers; everything else maps

@@ -4,10 +4,18 @@ Seven variants: three template kinds, each with and without song metadata,
 plus the bare ``none`` kind that passes the fragment through untouched.
 ``TEMPLATES`` is the one table of them, in the grid's variant order. The
 template strings are frozen; golden tests pin every byte.
+
+``TEMPLATE_PARTS`` splits each template into literal pieces and field
+names; :func:`render` and :func:`render_with_target` join the parts that
+:func:`prompt_parts` and :func:`target_parts` fill from a sample. Every
+field is walled off by whitespace, punctuation other than ``'`` and
+``_``, or an end of the text, so no LM token and no final-sigma
+lowercasing crosses a part's edge: a fit may tokenize each part alone.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
@@ -66,6 +74,21 @@ TEMPLATES: dict[tuple[PromptKind, bool], tuple[str, str]] = {
     (PromptKind.NONE, False): ("{fragment}", ""),
 }
 
+# Between a prompt and its gold annotation in ``render_with_target``.
+TARGET_SEPARATOR = " "
+
+
+def _split_template(template: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The literal pieces and ``{field}`` names of ``template``: piece i comes before field i, and the last piece ends it."""
+    pieces = re.split(r"\{(\w+)\}", template)
+    return tuple(pieces[0::2]), tuple(pieces[1::2])
+
+
+# (kind, with_metadata) -> (literal pieces, field names) of its template.
+TEMPLATE_PARTS: dict[tuple[PromptKind, bool], tuple[tuple[str, ...], tuple[str, ...]]] = {
+    key: _split_template(template) for key, (template, _marker) in TEMPLATES.items()
+}
+
 
 @dataclass(frozen=True)
 class RenderedPrompt:
@@ -73,19 +96,32 @@ class RenderedPrompt:
     continuation_marker: str
 
 
-def render(spec: PromptSpec, sample: Sample) -> RenderedPrompt:
-    """Fill the canonical template for ``spec`` with the sample's fields."""
+def prompt_parts(spec: PromptSpec, sample: Sample) -> tuple[str, ...]:
+    """The literal pieces of ``spec``'s template with the sample's fields between them, in render order."""
     if not sample.fragment:
         raise PromptError("sample fragment is empty")
     if spec.with_metadata and (not sample.artist or not sample.title):
         raise PromptError(f"prompt {spec.spec_id!r} needs artist and title metadata")
-    template, marker = TEMPLATES[spec.kind, spec.with_metadata]
-    return RenderedPrompt(template.format(artist=sample.artist, title=sample.title, fragment=sample.fragment), marker)
+    literals, fields = TEMPLATE_PARTS[spec.kind, spec.with_metadata]
+    parts = [literals[0]]
+    for field, literal in zip(fields, literals[1:]):
+        parts += (getattr(sample, field), literal)
+    return tuple(parts)
+
+
+def target_parts(spec: PromptSpec, sample: Sample) -> tuple[str, ...]:
+    """The prompt's parts, then ``TARGET_SEPARATOR`` and the gold annotation."""
+    return (*prompt_parts(spec, sample), TARGET_SEPARATOR, sample.annotation)
+
+
+def render(spec: PromptSpec, sample: Sample) -> RenderedPrompt:
+    """Fill the canonical template for ``spec`` with the sample's fields."""
+    return RenderedPrompt("".join(prompt_parts(spec, sample)), TEMPLATES[spec.kind, spec.with_metadata][1])
 
 
 def render_with_target(spec: PromptSpec, sample: Sample) -> str:
     """Prompt text followed by the gold annotation, for fitting and scoring."""
-    return f"{render(spec, sample).text} {sample.annotation}"
+    return "".join(target_parts(spec, sample))
 
 
 def extract_generation(full_output: str, prompt: RenderedPrompt) -> str:

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import inspect
 import json
 import os
@@ -9,7 +11,7 @@ from collections import Counter
 import pytest
 
 from lyricsense.cli import build_parser, cli_main
-from lyricsense.corpus import AnnotatedFragment, SongRecord, split, write_corpus
+from lyricsense.corpus import AnnotatedFragment, SongRecord, load_corpus, split, write_corpus
 from lyricsense.decoding import DecodeConfig
 from lyricsense.harness import ExperimentGrid, ModelSpec
 from lyricsense.lm import NGramModel, Vocabulary, fit_ngram
@@ -69,6 +71,33 @@ def test_fit_lm_writes_loadable_model(mini_corpus_path, tmp_path):
     model = NGramModel.load(str(model_path))
     assert model.order == 2
     assert len(model.vocabulary()) <= 503
+
+
+@pytest.mark.parametrize("order", [2, 3])
+def test_fit_lm_output_bytes_are_pinned(mini_corpus_path, tmp_path, order):
+    # CI also fits the wide corpus's entry of the same file; a change to a
+    # saved model's bytes must say why and update tests/data/fit_lm.sha256.
+    golden = os.path.join(os.path.dirname(__file__), "data", "fit_lm.sha256")
+    with open(golden, encoding="ascii") as fh:
+        expected = {name: digest for digest, name in map(str.split, fh)}
+    model_path = tmp_path / f"mini_order{order}.json"
+    assert run_cli("fit-lm", "--corpus", mini_corpus_path, "--out", str(model_path), "--order", str(order)) == 0
+    assert hashlib.sha256(model_path.read_bytes()).hexdigest() == expected[model_path.name]
+
+
+@pytest.mark.parametrize("command", [["grid", "--seed", "0"], ["fit-lm", "--order", "2"]])
+def test_train_sample_without_metadata_is_named(mini_corpus_path, tmp_path, capsys, command):
+    records = [
+        dataclasses.replace(r, artist="") if r.song_id == "ls-0001" else r
+        for r in load_corpus(mini_corpus_path).records
+    ]
+    corpus = str(tmp_path / "blank_artist.jsonl")
+    write_corpus(corpus, records)
+    out = str(tmp_path / ("out" if command[0] == "grid" else "lm.json"))
+    assert run_cli(command[0], "--corpus", corpus, "--out", out, *command[1:]) == 1
+    assert capsys.readouterr().err == (
+        "error: train sample 'ls-0001#0': prompt 'lyrics_meaning_meta' needs artist and title metadata\n"
+    )
 
 
 def toy_chain_model_file(path):

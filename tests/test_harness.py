@@ -8,8 +8,10 @@ from collections import Counter
 from itertools import product, takewhile
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
-from lyricsense.corpus import clean_corpus, flatten, load_corpus, split
+from lyricsense.corpus import Sample, clean_corpus, flatten, load_corpus, split
 from lyricsense.decoding import DecodeConfig, Strategy, decode
 from lyricsense import lm, wire
 from lyricsense.harness import (
@@ -22,11 +24,12 @@ from lyricsense.harness import (
     emit_report,
     rank_combinations,
     run_grid,
+    training_parts,
     training_texts,
 )
 from lyricsense.lm import fit_ngram
-from lyricsense.metrics import MetricReport, TotalScoreWeights, evaluate
-from lyricsense.prompts import PromptSpec, extract_generation, render
+from lyricsense.metrics import METRIC_FIELDS, MetricReport, TotalScoreWeights, evaluate
+from lyricsense.prompts import PromptSpec, extract_generation, render, render_with_target
 from lyricsense.rng import derive_seed
 
 
@@ -462,27 +465,66 @@ def test_training_texts_cover_all_variants(mini_corpus_path):
     samples = flatten(records)[:2]
     texts = training_texts(samples)
     assert len(texts) == 2 * 7
+    assert texts == [render_with_target(spec, sample) for sample in samples for spec in PromptSpec.all_variants()]
     assert any(t.startswith("lyrics: ") for t in texts)
     assert any(t.startswith("question: ") for t in texts)
 
 
-def test_grid_renders_training_texts_once_for_all_ngram_orders(mini_corpus_path, tmp_path, monkeypatch):
-    import lyricsense.harness as harness
+# Characters where splitting a text at a field's edge could go wrong: a
+# capital sigma lowercases by context, an apostrophe or underscore can
+# join words, and a combining mark is no \w character though it may
+# follow one. Artist and title may be whitespace only.
+_field_text = st.text(alphabet="aZ9_'\u0301 \tΣσς.,\"", max_size=8)
+_samples = st.lists(
+    st.tuples(_field_text.filter(bool), _field_text, _field_text.filter(bool), _field_text.filter(bool)),
+    min_size=1, max_size=4,
+).map(lambda drawn: [
+    Sample(f"s{i}#0", f"s{i}", title, artist, fragment, annotation)
+    for i, (fragment, annotation, artist, title) in enumerate(drawn)
+])
 
-    calls = []
-    real_render = harness.render_with_target
+
+@given(samples=_samples, vocab_cap=st.integers(3, 12))
+@example(samples=[Sample("s0#0", "s0", "ΑΣ'", "'ΣΑΣ", "ΟΔΟΣ", "ΣΑΣ")], vocab_cap=12)  # a final sigma at every edge
+@settings(max_examples=150)
+def test_fit_from_parts_equals_fit_from_rendered_texts(samples, vocab_cap):
+    parts, texts = lm.TrainingTexts(training_parts(samples)), lm.TrainingTexts(training_texts(samples))
+    assert len(parts) == len(texts) == 7 * len(samples)
+    parts_vocab, parts_ids, parts_lengths = parts.encoded(vocab_cap)
+    texts_vocab, texts_ids, texts_lengths = texts.encoded(vocab_cap)
+    assert parts_vocab == texts_vocab
+    assert parts_ids.tolist() == texts_ids.tolist()
+    assert parts_lengths.tolist() == texts_lengths.tolist()
+    for order in (1, 2, 3):
+        assert (fit_ngram(parts, order, vocab_cap=vocab_cap).to_dict()
+                == fit_ngram(texts, order, vocab_cap=vocab_cap).to_dict())
+
+
+def test_grid_fits_from_parts_tokenizing_each_distinct_part_once(mini_corpus_path, tmp_path, monkeypatch):
+    import lyricsense.harness as harness
+    import lyricsense.prompts as prompts
+
+    renders, tokenized = [], []
+    real_tokenize = lm.tokenize_lm
 
     def counting_render(spec, sample):
-        calls.append(sample.sample_id)
-        return real_render(spec, sample)
+        renders.append(sample.sample_id)
+        return prompts.render_with_target(spec, sample)
+
+    def counting_tokenize(text):
+        tokenized.append(text)
+        return real_tokenize(text)
 
     monkeypatch.setattr(harness, "render_with_target", counting_render)
+    monkeypatch.setattr(lm, "tokenize_lm", counting_tokenize)
     models = [{"id": f"ngram{n}", "type": "ngram", "order": n} for n in (1, 2, 3)]
-    grid = small_grid(models=models)
+    grid = small_grid(models=models)  # its one prompt, lyrics_meaning, is no training part
     run_grid(grid, mini_corpus_path, str(tmp_path))
     samples = flatten(clean_corpus(load_corpus(mini_corpus_path).records))
     train, _validation, _test = split(samples, grid.split_ratios, grid.seed)
-    assert len(calls) == 7 * len(train)
+    parts = {part for text in training_parts(train) for part in text}
+    assert renders == []
+    assert Counter(text for text in tokenized if text in parts) == Counter(parts)
 
 
 def test_memo_per_ngram_combination_none_for_remote(mini_corpus_path, tmp_path, monkeypatch):
@@ -907,3 +949,83 @@ def test_each_array_is_derived_once_per_model_and_decoder(mini_corpus_path, tmp_
     # Each model has its own arrays and each decoder its own parameters.
     counts = Counter((id(log_probs), params) for log_probs, params in derived)
     assert counts and max(counts.values()) == 1
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+_MINI_TRAIN, _, _MINI_TEST = split(flatten(clean_corpus(load_corpus(
+    os.path.join(os.path.dirname(__file__), os.pardir, "src", "lyricsense", "data", "mini_corpus.jsonl")).records)), seed=0)
+_weight = st.sampled_from([0.0, 5e-324, 1.0, 1e308]) | st.floats(0, 1e308)
+
+
+@st.composite
+def _whole_grids(draw):
+    """A grid config on the mini corpus at seed 0: every axis small, weights up to the largest finite float."""
+    models = [
+        draw(st.builds(dict, type=st.just("ngram"), order=st.integers(1, 3), k=st.sampled_from([0.1, 1e-9, 1e3]),
+                       vocab_cap=st.integers(3, 1000)) | st.builds(dict, type=st.just("ngram_file")))
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    decoders = [
+        draw(st.fixed_dictionaries({"strategy": st.sampled_from([s.value for s in Strategy])}, optional={
+            "num_beams": st.integers(1, 3), "no_repeat_ngram_size": st.integers(0, 3), "early_stopping": st.booleans(),
+            "temperature": st.floats(1e-3, 10), "k": st.integers(1, 20), "p": st.floats(1e-3, 1),
+            "max_new_tokens": st.integers(1, 8), "seed": st.integers(0, 2**31),
+        }))
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return {
+        "models": [{"id": f"m{i}", **spec} for i, spec in enumerate(models)],
+        "prompts": draw(st.lists(st.sampled_from([p.spec_id for p in PromptSpec.all_variants()]),
+                                 min_size=1, max_size=2, unique=True)),
+        "decoders": [{"id": f"d{i}", "max_new_tokens": 8, **cfg} for i, cfg in enumerate(decoders)],
+        "eval_samples": draw(st.lists(st.sampled_from([s.sample_id for s in _MINI_TEST]),
+                                      min_size=1, max_size=3, unique=True)),
+        "weights": {"alpha1": draw(_weight), "alpha2": draw(_weight), "alpha3": draw(_weight)},
+        "seed": 0,
+    }
+
+
+@given(config=_whole_grids())
+@settings(max_examples=80, deadline=None)
+def test_any_valid_grid_gives_strict_complete_reproducible_reports(mini_corpus_path, tmp_path_factory, config):
+    saved = tmp_path_factory.getbasetemp() / "whole_grid_order2.json"
+    if not saved.exists():
+        fit_ngram(training_texts(_MINI_TRAIN), order=2).save(str(saved))
+    for spec in config["models"]:
+        if spec["type"] == "ngram_file":
+            spec["path"] = str(saved)
+    try:
+        grid = ExperimentGrid.from_dict(config)
+    except ValueError as exc:  # only weights whose alpha1 + alpha2 is 0 or overflows are invalid
+        assert str(exc).startswith("weights: alpha1 + alpha2 must be positive and finite"), exc
+        reject()
+    out = tmp_path_factory.mktemp("whole_grid")
+    reports = []
+    for run in ("a", "b"):
+        result = run_grid(grid, mini_corpus_path, str(out / run))
+        emit_report(result, str(out / run))
+        reports.append({name: (out / run / name).read_bytes() for name in ("grid.jsonl", "summary.csv", "plotdata.json")})
+    assert reports[0] == reports[1]
+
+    rows = Counter((r.model_id, r.prompt_id, r.decoder_id) for r in result.rows)
+    means = Counter((m.model_id, m.prompt_id, m.decoder_id) for m in result.means)
+    failures = Counter((f.model_id, f.prompt_id, f.decoder_id) for f in result.failures)
+    combinations = set(product([m["id"] for m in config["models"]], config["prompts"],
+                               [d["id"] for d in config["decoders"]]))
+    assert set(rows) | set(failures) == combinations
+    for key in combinations:
+        outcome = (rows[key], means[key], failures[key])
+        assert outcome in ((len(config["eval_samples"]), 1, 0), (0, 0, 1)), (key, outcome)
+
+    for line in reports[0]["grid.jsonl"].decode().splitlines():
+        _strict_json(line)
+    _strict_json(reports[0]["plotdata.json"].decode())
+    assert len(reports[0]["summary.csv"].decode().splitlines()) == 2 + len(combinations)  # provenance, header
+    for report in [r.report for r in result.rows] + [m.mean for m in result.means]:
+        assert all(0 <= getattr(report, name) <= 1 for name in METRIC_FIELDS), report

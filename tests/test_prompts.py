@@ -1,3 +1,6 @@
+import re
+import unicodedata
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,9 +10,13 @@ from lyricsense.prompts import (
     PromptError,
     PromptKind,
     PromptSpec,
+    TARGET_SEPARATOR,
+    TEMPLATE_PARTS,
     extract_generation,
+    prompt_parts,
     render,
     render_with_target,
+    target_parts,
 )
 
 
@@ -81,6 +88,30 @@ def test_render_with_target_examples():
         render_with_target(PromptSpec(PromptKind.SONG_TASK, True), make_sample("L", "Y", artist="A", title="T"))
         == "explain the song T, written by A. lyrics: L. meaning: Y"
     )
+
+
+def test_parts_join_to_the_rendered_texts():
+    for spec in PromptSpec.all_variants():
+        assert "".join(prompt_parts(spec, SAMPLE)) == render(spec, SAMPLE).text
+        assert target_parts(spec, SAMPLE) == (*prompt_parts(spec, SAMPLE), TARGET_SEPARATOR, SAMPLE.annotation)
+
+
+def test_every_field_is_walled_off_by_whitespace_or_punctuation():
+    # The literal characters between a field and the nearest whitespace or
+    # end of the text are punctuation other than ' and _, so no token of
+    # lm.tokenize_lm and no final-sigma lowercasing reaches across the
+    # field's edge: a fit may tokenize each part on its own.
+    def walls(text):
+        return all(unicodedata.category(c).startswith("P") and c not in "'_" for c in text)
+
+    for key, (literals, fields) in TEMPLATE_PARTS.items():
+        # render_with_target's literal pieces and fields.
+        literals, fields = (*literals[:-1], literals[-1] + TARGET_SEPARATOR, ""), (*fields, "annotation")
+        for i, field in enumerate(fields):
+            before, after = literals[i], literals[i + 1]
+            assert i == 0 or re.search(r"\s", before), (key, field)  # no field right after another
+            assert walls(re.search(r"\S*$", before).group()), (key, field, before)
+            assert walls(re.match(r"\S*", after).group()), (key, field, after)
 
 
 def test_missing_metadata_raises():
