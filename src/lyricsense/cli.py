@@ -24,6 +24,7 @@ from .corpus import (
     SPLIT_RATIOS,
     CorpusError,
     CorpusStats,
+    LoadResult,
     Sample,
     clean_corpus,
     compute_stats,
@@ -82,10 +83,16 @@ def _write_samples(path: str, samples: Sequence[Sample]) -> None:
             fh.write(json.dumps(dataclasses.asdict(sample), ensure_ascii=False, sort_keys=True) + "\n")
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    loaded = load_corpus(args.corpus)
+def _load_corpus(path: str) -> LoadResult:
+    """``load_corpus(path)``, with one warning on stderr for each line it skipped."""
+    loaded = load_corpus(path)
     for error in loaded.errors:
         print(f"warning: line {error.line_number}: {error.message}", file=sys.stderr)
+    return loaded
+
+
+def _cmd_ingest(args: argparse.Namespace) -> int:
+    loaded = _load_corpus(args.corpus)
     records = clean_corpus(loaded.records)
     samples = flatten(records)
     train, validation, test = split(samples, args.ratios, args.seed)
@@ -104,9 +111,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_fit_lm(args: argparse.Namespace) -> int:
-    loaded = load_corpus(args.corpus)
-    records = clean_corpus(loaded.records)
-    samples = flatten(records)
+    samples = flatten(clean_corpus(_load_corpus(args.corpus).records))
     train, _, _ = split(samples, args.ratios, args.seed)
     if not train:
         print("error: train split is empty", file=sys.stderr)
@@ -123,8 +128,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         if not args.corpus:
             print("error: --sample-id needs --corpus", file=sys.stderr)
             return 1
-        loaded = load_corpus(args.corpus)
-        samples = flatten(clean_corpus(loaded.records))
+        samples = flatten(clean_corpus(_load_corpus(args.corpus).records))
         matches = [s for s in samples if s.sample_id == args.sample_id]
         if not matches:
             print(f"error: sample {args.sample_id!r} not found", file=sys.stderr)

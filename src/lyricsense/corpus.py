@@ -9,6 +9,7 @@ genre, lyrics, page_views, fragments[]`` where each fragment is
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
@@ -237,13 +238,14 @@ def split(
     Songs (not samples) are partitioned so no song straddles splits.
     Rule: distinct song_ids in first-appearance order are shuffled with
     SplitMix64(seed) Fisher-Yates, then cut at ``floor(r1*N)`` and
-    ``floor((r1+r2)*N)``. Ratios must be non-negative and sum to 1, both
-    within a tolerance of 1e-9 for floating-point rounding.
+    ``floor((r1+r2)*N)``. Ratios must be finite and non-negative and sum
+    to 1, the last two within a tolerance of 1e-9 for floating-point
+    rounding.
     """
     if len(ratios) != 3:
         raise ValueError("exactly three split ratios are required")
-    if any(r < -1e-9 for r in ratios):
-        raise ValueError("split ratios must be non-negative")
+    if not all(-1e-9 <= r < math.inf for r in ratios):  # NaN fails both bounds
+        raise ValueError(f"split ratios must be finite and non-negative, got {tuple(ratios)}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {sum(ratios)}")
 

@@ -60,9 +60,9 @@ that array and on the config alone: the sampling strategies search a
 cumulative array (softmax at the temperature, then the top-k or top-p
 filter, then a cumsum), and beam search walks the array's descending
 order. A caller whose model returns the same read-only array for the
-same context may pass one plain dict as ``memo`` to one
-:func:`decode_many` call (or to :func:`decode`, and to every call that
-shares its model), so that each derivation runs once per distinct array,
+same context may pass one plain dict as ``memo`` to :func:`decode_many`
+or :func:`decode`, the memo's only entry points, and to every call that
+shares its model, so that each derivation runs once per distinct array,
 whichever row asked for it while its entry lasts. Its key is
 ``id(log_probs)`` plus the derivation and its parameters, and its value
 ``(log_probs, derived)``, so the array stays alive and its ``id()``
@@ -80,7 +80,6 @@ nothing. A memo never skips a ``model.next`` call.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -127,8 +126,8 @@ class DecodeConfig:
             raise ValueError("num_beams must be >= 1")
         if self.no_repeat_ngram_size < 0:
             raise ValueError("no_repeat_ngram_size must be >= 0 (0 disables)")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if not 0 < self.p <= 1:
@@ -136,14 +135,9 @@ class DecodeConfig:
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
 
-    def to_json(self) -> str:
-        obj = asdict(self)
-        obj["strategy"] = self.strategy.value
-        return json.dumps(obj, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DecodeConfig":
-        return cls.from_dict(json.loads(text))
+    def to_dict(self) -> dict:
+        """Every field by name, the strategy as its string: what :meth:`from_dict` reads back."""
+        return {**asdict(self), "strategy": self.strategy.value}
 
     @classmethod
     def from_dict(cls, obj: dict, where: str = "decode config") -> "DecodeConfig":
@@ -290,25 +284,19 @@ def greedy(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -
     return decode(model, prompt_ids, replace(cfg, strategy=Strategy.GREEDY))
 
 
-def sample(
-    model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
-) -> Generation:
+def sample(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -> Generation:
     """Draw each token from the temperature-rescaled distribution."""
-    return decode(model, prompt_ids, replace(cfg, strategy=Strategy.SAMPLING), memo)
+    return decode(model, prompt_ids, replace(cfg, strategy=Strategy.SAMPLING))
 
 
-def top_k_sample(
-    model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
-) -> Generation:
+def top_k_sample(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -> Generation:
     """Sampling restricted to the k most probable tokens per step."""
-    return decode(model, prompt_ids, replace(cfg, strategy=Strategy.TOP_K), memo)
+    return decode(model, prompt_ids, replace(cfg, strategy=Strategy.TOP_K))
 
 
-def top_p_sample(
-    model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
-) -> Generation:
+def top_p_sample(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -> Generation:
     """Sampling restricted to the smallest prefix with cumulative mass >= p."""
-    return decode(model, prompt_ids, replace(cfg, strategy=Strategy.TOP_P), memo)
+    return decode(model, prompt_ids, replace(cfg, strategy=Strategy.TOP_P))
 
 
 _Followers = dict[tuple[int, ...], frozenset[int]]
@@ -422,11 +410,9 @@ def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Op
     return Generation(best[1], best[2], reason)
 
 
-def beam_search(
-    model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict] = None
-) -> Generation:
+def beam_search(model: LanguageModel, prompt_ids: Sequence[int], cfg: DecodeConfig) -> Generation:
     """Width-limited best-first search over summed log probabilities; see :func:`_beam_steps`."""
-    return decode(model, prompt_ids, replace(cfg, strategy=Strategy.BEAM), memo)
+    return decode(model, prompt_ids, replace(cfg, strategy=Strategy.BEAM))
 
 
 def _next_many(model: LanguageModel, contexts: list[Sequence[int]], size: int) -> list[np.ndarray]:

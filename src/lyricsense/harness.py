@@ -96,16 +96,11 @@ class ModelSpec:
             raise ValueError(f"{where}: {exc}") from None
 
 
-def default_decoders() -> list[tuple[str, DecodeConfig]]:
-    """The five decoding strategies with their default hyperparameters."""
-    return [(s.value, DecodeConfig(strategy=s)) for s in Strategy]
-
-
 @dataclass(frozen=True)
 class ExperimentGrid:
     models: tuple[ModelSpec, ...] = tuple(ModelSpec(f"ngram{n}", order=n) for n in (1, 2, 3))
     prompts: tuple[PromptSpec, ...] = tuple(PromptSpec.all_variants())
-    decoders: tuple[tuple[str, DecodeConfig], ...] = tuple(default_decoders())
+    decoders: tuple[tuple[str, DecodeConfig], ...] = tuple((s.value, DecodeConfig(strategy=s)) for s in Strategy)
     eval_samples: Optional[tuple[str, ...]] = None  # pinned sample ids, else top page views
     eval_count: int = 10
     weights: TotalScoreWeights = TotalScoreWeights()
@@ -131,9 +126,7 @@ class ExperimentGrid:
         return {
             "models": [m.to_dict() for m in self.models],
             "prompts": [p.spec_id for p in self.prompts],
-            "decoders": [
-                {"id": decoder_id, **json.loads(cfg.to_json())} for decoder_id, cfg in self.decoders
-            ],
+            "decoders": [{"id": decoder_id, **cfg.to_dict()} for decoder_id, cfg in self.decoders],
             "eval_samples": list(self.eval_samples) if self.eval_samples else {"top_page_views": self.eval_count},
             "weights": asdict(self.weights),
             "split_ratios": list(self.split_ratios),
@@ -310,9 +303,15 @@ def generate_meaning(
     ``cfgs[i]`` decodes ``samples[i]``; ``memo`` is shared by the rows
     (see :mod:`lyricsense.decoding`). A meaning is the decoded continuation,
     left-stripped: what ``extract_generation`` finds after the prompt text.
+    A sample that ``spec`` cannot render is a ``PromptError`` naming it.
     """
     vocab = model.vocabulary()
-    prompts = [vocab.encode_text(render(spec, sample).text) for sample in samples]
+    prompts = []
+    for sample in samples:
+        try:
+            prompts.append(vocab.encode_text(render(spec, sample).text))
+        except PromptError as exc:
+            raise PromptError(f"sample {sample.sample_id!r}: {exc}") from None
     return [vocab.decode_text(g.ids).lstrip() for g in decode_many(model, prompts, cfgs, memo=memo)]
 
 

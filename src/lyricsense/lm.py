@@ -42,7 +42,7 @@ from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -120,7 +120,6 @@ class Vocabulary:
         return cls(tokens=(BOS, EOS, UNK, *content_tokens), bos_id=0, eos_id=1, unk_id=2)
 
 
-@runtime_checkable
 class LanguageModel(Protocol):
     """Behavioral contract the decoders rely on.
 
@@ -306,8 +305,8 @@ def _check_ids(ids: Sequence[int], size: int) -> None:
 def _check_order_and_k(order: int, k: float) -> None:
     if not 1 <= order <= MAX_ORDER:
         raise ValueError(f"order must be in 1..{MAX_ORDER}")
-    if k <= 0:
-        raise ValueError("smoothing constant k must be positive")
+    if not 0 < k < math.inf:
+        raise ValueError(f"smoothing constant k must be positive and finite, got {k!r}")
 
 
 class _Index(dict):

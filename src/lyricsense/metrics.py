@@ -67,10 +67,6 @@ def tokenize_for_metrics(text: str) -> list[str]:
     return tokens
 
 
-def bag_of_words(text: str) -> Counter:
-    return Counter(tokenize_for_metrics(text))
-
-
 class _Bag(NamedTuple):
     counts: Counter
     total: int  # the number of tokens
@@ -78,7 +74,7 @@ class _Bag(NamedTuple):
 
 
 def _bag(text: str) -> _Bag:
-    counts = bag_of_words(text)
+    counts = Counter(tokenize_for_metrics(text))
     return _Bag(counts, sum(counts.values()), sum(c * c for c in counts.values()))
 
 

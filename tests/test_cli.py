@@ -161,6 +161,58 @@ def _single_error_line(capsys):
 
 
 @pytest.mark.parametrize(
+    "command, flags, reason",
+    [
+        ("generate", ["--strategy", "sampling", "--temperature", "nan"], "temperature must be positive and finite"),
+        ("generate", ["--strategy", "sampling", "--temperature", "inf"], "temperature must be positive and finite"),
+        ("ingest", ["--ratios", "nan,0.5,0.5"], "split ratios must be finite and non-negative"),
+        ("fit-lm", ["--smoothing-k", "nan"], "smoothing constant k must be positive and finite"),
+        ("fit-lm", ["--smoothing-k", "inf"], "smoothing constant k must be positive and finite"),
+    ],
+    ids=["temperature-nan", "temperature-inf", "ratios-nan", "smoothing-k-nan", "smoothing-k-inf"],
+)
+def test_non_finite_number_flag_is_an_error_naming_its_field(
+    mini_corpus_path, tmp_path, capsys, command, flags, reason
+):
+    if command == "generate":
+        model_path = str(tmp_path / "toy.json")
+        toy_chain_model_file(model_path)
+        argv = ["generate", "--model", model_path, "--fragment", "x", *flags]
+    else:
+        argv = [command, "--corpus", mini_corpus_path, "--out", str(tmp_path / "out"), *flags]
+    assert run_cli(*argv) == 1
+    assert _single_error_line(capsys).startswith(f"error: {reason}, got ")
+
+
+@pytest.mark.parametrize("command", ["fit-lm", "generate"])
+def test_bad_corpus_line_is_a_warning_and_the_rest_is_read(mini_corpus_path, tmp_path, capsys, command):
+    with open(mini_corpus_path, encoding="utf-8") as fh:
+        text = fh.read()
+    bad_corpus = tmp_path / "bad_line.jsonl"
+    bad_corpus.write_text(text + '{"song_id": 5}\n', encoding="utf-8")
+    model_path = str(tmp_path / "lm.json")
+    assert run_cli("fit-lm", "--corpus", mini_corpus_path, "--out", model_path) == 0
+
+    def run(corpus, name):
+        """The command's result on ``corpus`` (the saved model's bytes, or the printed meaning) and its stderr."""
+        capsys.readouterr()
+        if command == "fit-lm":
+            out = tmp_path / name
+            assert run_cli("fit-lm", "--corpus", corpus, "--out", str(out)) == 0
+            return out.read_bytes(), capsys.readouterr().err
+        argv = ["--model", model_path, "--corpus", corpus, "--sample-id", "ls-0001#0", "--strategy", "sampling"]
+        assert run_cli("generate", *argv) == 0
+        captured = capsys.readouterr()
+        return captured.out, captured.err
+
+    clean, clean_err = run(mini_corpus_path, "clean.json")
+    bad, bad_err = run(str(bad_corpus), "bad.json")
+    assert clean_err == ""
+    assert bad_err.startswith(f"warning: line {len(text.splitlines()) + 1}: ") and bad_err.count("\n") == 1
+    assert bad == clean
+
+
+@pytest.mark.parametrize(
     "config, field",
     [
         ({"strategy": "greedy", "k": "x"}, "'k'"),

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -325,6 +326,9 @@ def test_split_rejects_bad_ratios():
         split(samples, (0.5, 0.5, 0.5))
     with pytest.raises(ValueError):
         split(samples, (1.2, -0.1, -0.1))
+    for ratios in [(math.nan, 0.5, 0.5), (math.inf, 0.5, 0.5), (0.5, 0.5, -math.inf)]:
+        with pytest.raises(ValueError, match=r"^split ratios must be finite and non-negative"):
+            split(samples, ratios)
 
 
 @given(

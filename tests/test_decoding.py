@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from collections import Counter
@@ -62,6 +63,8 @@ def test_config_defaults_match_documented_hyperparameters():
         {"p": 0.0},
         {"p": 1.5},
         {"max_new_tokens": 0},
+        {"temperature": math.nan},
+        {"temperature": math.inf},
     ],
 )
 def test_config_validation(kwargs):
@@ -71,7 +74,7 @@ def test_config_validation(kwargs):
 
 def test_config_json_round_trip():
     c = cfg(Strategy.TOP_P, p=0.5, seed=12, max_new_tokens=7)
-    again = DecodeConfig.from_json(c.to_json())
+    again = DecodeConfig.from_dict(json.loads(json.dumps(c.to_dict())))
     assert again == c
     with pytest.raises(ValueError):
         DecodeConfig.from_dict({"strategy": "greedy", "mystery": 1})
@@ -82,7 +85,7 @@ def test_config_json_round_trip():
 def test_config_round_trip_preserves_decode_output():
     model = random_ngram_model(random.Random(5))
     c = cfg(Strategy.SAMPLING, seed=99, max_new_tokens=10)
-    again = DecodeConfig.from_json(c.to_json())
+    again = DecodeConfig.from_dict(json.loads(json.dumps(c.to_dict())))
     assert decode(model, [], c) == decode(model, [], again)
 
 

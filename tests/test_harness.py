@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
-from lyricsense.corpus import Sample, clean_corpus, flatten, load_corpus, split
+from lyricsense.corpus import Sample, clean_corpus, flatten, load_corpus, split, write_corpus
 from lyricsense.decoding import DecodeConfig, Strategy, decode
 from lyricsense import lm, wire
 from lyricsense.harness import (
@@ -19,7 +20,6 @@ from lyricsense.harness import (
     ExperimentGrid,
     GridResult,
     ModelSpec,
-    default_decoders,
     default_grid,
     emit_report,
     rank_combinations,
@@ -54,8 +54,8 @@ def test_default_grid_shape():
     assert [d for d, _ in grid.decoders] == ["greedy", "beam", "sampling", "top_k", "top_p"]
 
 
-def test_default_decoders_carry_documented_hyperparameters():
-    decoders = dict(default_decoders())
+def test_default_grid_decoders_carry_documented_hyperparameters():
+    decoders = dict(ExperimentGrid().decoders)
     assert decoders["beam"].num_beams == 3
     assert decoders["beam"].no_repeat_ngram_size == 2
     assert decoders["beam"].early_stopping is True
@@ -174,6 +174,23 @@ def test_pinned_eval_sample_must_be_in_test_split(mini_corpus_path, tmp_path):
     grid = small_grid(eval_samples=["ls-0001#0"])  # a train-split song
     with pytest.raises(ValueError, match="test split"):
         run_grid(grid, mini_corpus_path, str(tmp_path / "out"))
+
+
+def test_eval_sample_without_metadata_is_named_in_each_failure(mini_corpus_path, tmp_path):
+    records = load_corpus(mini_corpus_path).records
+    _train, _validation, test = split(flatten(clean_corpus(records)))
+    sample_id, song_id = test[0].sample_id, test[0].song_id
+    corpus = str(tmp_path / "blank_artist.jsonl")
+    write_corpus(corpus, [dataclasses.replace(r, artist="") if r.song_id == song_id else r for r in records])
+    grid = small_grid(prompts="all", eval_samples=[sample_id])
+    result = run_grid(grid, corpus, str(tmp_path / "out"))
+    with_metadata = [p.spec_id for p in grid.prompts if p.with_metadata]
+    assert [f.prompt_id for f in result.failures] == with_metadata
+    for failure in result.failures:
+        assert (failure.error_type, failure.message) == (
+            "PromptError", f"sample {sample_id!r}: prompt {failure.prompt_id!r} needs artist and title metadata"
+        )
+    assert len(result.rows) == len(grid.prompts) - len(with_metadata)
 
 
 def test_grid_row_count_and_incremental_file(mini_corpus_path, tmp_path):

@@ -75,6 +75,9 @@ def test_fit_rejects_bad_arguments():
         fit_ngram(["a"], order=0)
     with pytest.raises(ValueError):
         fit_ngram(["a"], order=1, k=0.0)
+    for k in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^smoothing constant k must be positive and finite, got"):
+            fit_ngram(["a"], order=1, k=k)
     with pytest.raises(ValueError):
         fit_ngram(["a"], order=1, vocab_cap=2)
     with pytest.raises(ValueError, match="training text"):
