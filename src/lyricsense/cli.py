@@ -24,6 +24,7 @@ from .corpus import (
     SPLIT_RATIOS,
     CorpusError,
     CorpusStats,
+    LoadError,
     LoadResult,
     Sample,
     clean_corpus,
@@ -42,7 +43,7 @@ from .harness import (
     run_grid,
     training_parts,
 )
-from .jsonfields import load_json, required, typed
+from .jsonfields import jsonl_lines, load_json, required, typed
 from .lm import NGramModel, fit_ngram
 from .metrics import TotalScoreWeights, evaluate, mean_report
 from .prompts import PromptSpec
@@ -83,11 +84,16 @@ def _write_samples(path: str, samples: Sequence[Sample]) -> None:
             fh.write(json.dumps(dataclasses.asdict(sample), ensure_ascii=False, sort_keys=True) + "\n")
 
 
+def _warn_skipped(errors: Sequence[LoadError]) -> None:
+    """One warning on stderr for each corpus line that was skipped."""
+    for error in errors:
+        print(f"warning: line {error.line_number}: {error.message}", file=sys.stderr)
+
+
 def _load_corpus(path: str) -> LoadResult:
     """``load_corpus(path)``, with one warning on stderr for each line it skipped."""
     loaded = load_corpus(path)
-    for error in loaded.errors:
-        print(f"warning: line {error.line_number}: {error.message}", file=sys.stderr)
+    _warn_skipped(loaded.errors)
     return loaded
 
 
@@ -169,25 +175,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _prediction_triple(obj: object, where: str) -> tuple[str, str, str]:
-    """The prediction, annotation and lyrics (default empty) of one predictions line."""
+    """The prediction, annotation and lyrics (default empty) of one predictions line's value or error."""
+    if isinstance(obj, ValueError):
+        raise ValueError(f"{where}: invalid JSON: {obj}")
     typed(obj, dict, where)
     prediction, annotation = (required(obj, name, where, str) for name in ("prediction", "annotation"))
     return prediction, annotation, typed(obj.get("lyrics", ""), str, f"{where}: field 'lyrics'")
 
 
 def _read_predictions(path: str) -> list[tuple[str, str, str]]:
-    triples = []
-    with open(path, encoding="utf-8") as fh:
-        for line_number, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            where = f"{path}:{line_number}"
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ValueError(f"{where}: invalid JSON: {exc}") from None
-            triples.append(_prediction_triple(obj, where))
-    return triples
+    return [_prediction_triple(value, f"{path}:{line_number}") for line_number, value in jsonl_lines(path)]
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -220,6 +217,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
         remote = ModelSpec(model_id="remote0", kind="remote", endpoint=args.endpoint)
         grid = dataclasses.replace(grid, models=(remote,))
     result = run_grid(grid, args.corpus, args.out)
+    _warn_skipped(result.corpus_errors)
     paths = emit_report(result, args.out)
     print(
         f"grid complete: {len(result.means)} combinations, {len(result.rows)} rows, "

@@ -3,7 +3,9 @@
 The on-disk corpus format is UTF-8 JSONL: a header line ``{"trbll_schema": 1}``
 followed by one song object per line with keys ``song_id, title, artist,
 genre, lyrics, page_views, fragments[]`` where each fragment is
-``{"fragment": ..., "annotation": ...}``.
+``{"fragment": ..., "annotation": ...}``. A line ends at ``\\n`` (CRLF is
+accepted), so a text field may hold U+2028 or any other character raw; a
+line that is not UTF-8 or not a valid record is that line's error.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional
 
-from .jsonfields import required, typed
+from .jsonfields import jsonl_lines, required, typed
 from .metrics import tokenize_for_metrics
 from .rng import SplitMix64
 
@@ -128,22 +130,23 @@ def load_corpus(path: str) -> LoadResult:
     """Read a JSONL corpus file, collecting per-line errors instead of dying.
 
     The first line must be the schema header; a missing or mismatched
-    header raises :class:`CorpusError`. Malformed data lines are reported
-    with their 1-based file line numbers alongside the records that did
-    parse.
+    header raises :class:`CorpusError`. Malformed data lines, a line that is
+    not UTF-8 included, are reported with their 1-based file line numbers
+    alongside the records that did parse.
     """
+    lines = jsonl_lines(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        number, header = next(lines, (0, None))  # number 0: the file holds no non-blank line
     except OSError as exc:
         raise CorpusError(f"cannot read corpus file {path}: {exc}") from exc
-
-    if not lines:
+    if number == 0:
         return LoadResult([], [])
 
     try:
-        version = required(typed(json.loads(lines[0]), dict, "line 1"), SCHEMA_KEY, "line 1")
-    except (ValueError, RecursionError) as exc:
+        if number != 1 or isinstance(header, ValueError):
+            raise header if number == 1 else ValueError("line 1 is blank")
+        version = required(typed(header, dict, "line 1"), SCHEMA_KEY, "line 1")
+    except ValueError as exc:
         raise CorpusError(f"invalid schema header: {exc}") from exc
     if version != SCHEMA_VERSION:
         raise CorpusError(f"schema version mismatch: file declares {version}, expected {SCHEMA_VERSION}")
@@ -151,12 +154,12 @@ def load_corpus(path: str) -> LoadResult:
     records: list[SongRecord] = []
     errors: list[LoadError] = []
     seen_ids: set[str] = set()
-    for line_number, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    for line_number, value in lines:
         try:
-            record = _parse_record(json.loads(line))
-        except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+            if isinstance(value, ValueError):
+                raise value
+            record = _parse_record(value)
+        except ValueError as exc:
             errors.append(LoadError(line_number, str(exc)))
             continue
         if record.song_id in seen_ids:

@@ -17,23 +17,26 @@ most one model's cache and one memo at a time.
 ``run_grid`` still writes ``grid.jsonl`` in combination order (model,
 prompt, decoder), each combination as soon as every one before it is
 written, so an interrupted run loses at most one model's combinations;
-``emit_report`` writes ``summary.csv`` and ``plotdata.json``.
+``emit_report`` writes ``summary.csv`` and ``plotdata.json``, which
+``run_grid`` deletes before it rewrites ``grid.jsonl``, so a directory
+never mixes two runs.
 Per-row sampler seeds are derived from the grid seed and the full
 combination key, making the output byte-reproducible.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Optional, Sequence, Union
 
 from . import __version__
-from .corpus import SPLIT_RATIOS, Sample, clean_corpus, flatten, load_corpus, split
+from .corpus import SPLIT_RATIOS, LoadError, Sample, clean_corpus, flatten, load_corpus, split
 # ``decode`` stays importable as ``harness.decode``: bench/tracing.py wraps it by name.
 from .decoding import DecodeConfig, Strategy, decode, decode_many  # noqa: F401
 from .jsonfields import no_unknown_fields, required, typed
@@ -43,6 +46,8 @@ from .metrics import METRIC_FIELDS, MetricReport, TotalScoreWeights, evaluate, m
 from .prompts import PromptError, PromptSpec, render, render_with_target, target_parts  # noqa: F401
 from .rng import derive_seed
 from .wire import RemoteLM, WireError
+
+_REPORT_FILES = ("summary.csv", "plotdata.json")  # what emit_report writes beside grid.jsonl
 
 # Each model config key: its ModelSpec field and its JSON type.
 _MODEL_KEYS = {"id": ("model_id", str), "type": ("kind", str), "order": ("order", int), "k": ("k", float),
@@ -118,9 +123,6 @@ class ExperimentGrid:
             raise ValueError("prompt variants must be unique")
         if self.eval_count < 1:
             raise ValueError("eval_samples: expected at least one evaluation sample")
-
-    def combination_count(self) -> int:
-        return len(self.models) * len(self.prompts) * len(self.decoders)
 
     def to_dict(self) -> dict:
         return {
@@ -242,6 +244,7 @@ class GridResult:
     means: list[CombinationMean]
     failures: list[GridFailure]
     provenance: dict
+    corpus_errors: list[LoadError] = field(default_factory=list)  # the corpus lines the run skipped
 
 
 def training_parts(samples: Sequence[Sample]) -> list[tuple[str, ...]]:
@@ -416,7 +419,8 @@ def run_grid(
     and the grid continues; two runs with the same seed, config and corpus
     produce byte-identical output.
     """
-    records = clean_corpus(load_corpus(corpus_path).records)
+    loaded = load_corpus(corpus_path)
+    records = clean_corpus(loaded.records)
     samples = flatten(records)
     train, _validation, test = split(samples, grid.split_ratios, grid.seed)
     lyrics_by_song = {r.song_id: r.lyrics for r in records}
@@ -430,6 +434,9 @@ def run_grid(
     means: list[CombinationMean] = []
     failures: list[GridFailure] = []
     os.makedirs(out_dir, exist_ok=True)
+    for name in _REPORT_FILES:  # derived from grid.jsonl, so they go before it is rewritten
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(os.path.join(out_dir, name))
     with open(os.path.join(out_dir, "grid.jsonl"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"provenance": provenance}, sort_keys=True, allow_nan=False) + "\n")
         # Outcomes by combination index, (model, prompt, decoder) order, until written.
@@ -471,7 +478,7 @@ def run_grid(
                 if isinstance(model, RemoteLM):
                     model.close()
                 model = memo = None
-    return GridResult(rows=rows, means=means, failures=failures, provenance=provenance)
+    return GridResult(rows=rows, means=means, failures=failures, provenance=provenance, corpus_errors=loaded.errors)
 
 
 def rank_combinations(result: GridResult, metric: str = "total_score") -> list[CombinationMean]:
@@ -497,33 +504,35 @@ def _group_total_scores(means: Sequence[CombinationMean], key_attr: str) -> dict
 def emit_report(result: GridResult, out_dir: str) -> list[str]:
     """Write summary.csv and plotdata.json; returns the paths.
 
+    Each file is written under a temporary name in ``out_dir`` and then
+    moved into place, so an interrupted write leaves no partial report.
     ``grid.jsonl`` is written by ``run_grid`` alone.
     """
     os.makedirs(out_dir, exist_ok=True)
     provenance_line = json.dumps({"provenance": result.provenance}, sort_keys=True, allow_nan=False)
 
-    summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# provenance: {provenance_line}\n")
-        fh.write("model,prompt,decoder,n_samples," + ",".join(METRIC_FIELDS) + ",status\n")
-        for mean in result.means:
-            cells = [mean.model_id, mean.prompt_id, mean.decoder_id, str(mean.n_samples)]
-            cells += [repr(getattr(mean.mean, field)) for field in METRIC_FIELDS]
-            cells.append("ok")
-            fh.write(",".join(cells) + "\n")
-        for failure in result.failures:
-            cells = [failure.model_id, failure.prompt_id, failure.decoder_id, "0"]
-            cells += [""] * len(METRIC_FIELDS) + [failure.error_type]
-            fh.write(",".join(cells) + "\n")
+    header = "model,prompt,decoder,n_samples," + ",".join(METRIC_FIELDS) + ",status\n"
+    summary = [f"# provenance: {provenance_line}\n", header]
+    for mean in result.means:
+        cells = [mean.model_id, mean.prompt_id, mean.decoder_id, str(mean.n_samples)]
+        cells += [repr(getattr(mean.mean, name)) for name in METRIC_FIELDS]
+        cells.append("ok")
+        summary.append(",".join(cells) + "\n")
+    for failure in result.failures:
+        cells = [failure.model_id, failure.prompt_id, failure.decoder_id, "0"]
+        cells += [""] * len(METRIC_FIELDS) + [failure.error_type]
+        summary.append(",".join(cells) + "\n")
 
-    plot_path = os.path.join(out_dir, "plotdata.json")
     plotdata = {
         "provenance": result.provenance,
         "total_score_by_prompt": _group_total_scores(result.means, "prompt_id"),
         "total_score_by_decoder": _group_total_scores(result.means, "decoder_id"),
     }
-    with open(plot_path, "w", encoding="utf-8") as fh:
-        json.dump(plotdata, fh, ensure_ascii=False, sort_keys=True, allow_nan=False, indent=2)
-        fh.write("\n")
+    plot_text = json.dumps(plotdata, ensure_ascii=False, sort_keys=True, allow_nan=False, indent=2) + "\n"
 
-    return [summary_path, plot_path]
+    paths = [os.path.join(out_dir, name) for name in _REPORT_FILES]
+    for path, text in zip(paths, ("".join(summary), plot_text)):
+        with open(path + ".tmp", "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(path + ".tmp", path)
+    return paths

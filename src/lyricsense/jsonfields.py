@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 
 _KIND_NAMES = {
     dict: "a JSON object", list: "a list", str: "a string",
@@ -49,3 +49,18 @@ def load_json(path: str):
             return json.load(fh)
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
+
+
+def jsonl_lines(path: str) -> Iterator[tuple[int, object]]:
+    """The number and JSON value, or else the ``ValueError``, of each non-blank line of the JSONL file at ``path``.
+
+    A line ends at ``\\n`` only (CRLF is accepted), and is decoded as UTF-8 and parsed on its own.
+    """
+    with open(path, "rb") as fh:
+        lines = fh.read().replace(b"\r\n", b"\n").split(b"\n")
+    for number, line in enumerate(lines, 1):
+        if line.strip():
+            try:
+                yield number, json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
+                yield number, ValueError(exc)

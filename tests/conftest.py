@@ -9,6 +9,12 @@ from lyricsense.lm import Vocabulary, fit_ngram
 MINI_CORPUS = "src/lyricsense/data/mini_corpus.jsonl"
 
 
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    """A directory for a Hypothesis test's files: its examples cannot share the function-scoped ``tmp_path``."""
+    return tmp_path_factory.mktemp("scratch")
+
+
 @pytest.fixture(scope="session")
 def mini_corpus_path():
     import os

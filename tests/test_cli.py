@@ -184,7 +184,7 @@ def test_non_finite_number_flag_is_an_error_naming_its_field(
     assert _single_error_line(capsys).startswith(f"error: {reason}, got ")
 
 
-@pytest.mark.parametrize("command", ["fit-lm", "generate"])
+@pytest.mark.parametrize("command", ["fit-lm", "generate", "grid"])
 def test_bad_corpus_line_is_a_warning_and_the_rest_is_read(mini_corpus_path, tmp_path, capsys, command):
     with open(mini_corpus_path, encoding="utf-8") as fh:
         text = fh.read()
@@ -192,14 +192,28 @@ def test_bad_corpus_line_is_a_warning_and_the_rest_is_read(mini_corpus_path, tmp
     bad_corpus.write_text(text + '{"song_id": 5}\n', encoding="utf-8")
     model_path = str(tmp_path / "lm.json")
     assert run_cli("fit-lm", "--corpus", mini_corpus_path, "--out", model_path) == 0
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({
+        "models": [{"id": "m", "order": 1}],
+        "prompts": ["none"],
+        "decoders": [{"id": "greedy", "strategy": "greedy", "max_new_tokens": 8}],
+        "eval_samples": {"top_page_views": 2},
+    }))
 
     def run(corpus, name):
-        """The command's result on ``corpus`` (the saved model's bytes, or the printed meaning) and its stderr."""
+        """The command's result on ``corpus`` and its stderr.
+
+        The result is the saved model's bytes, the grid's rows or the printed meaning.
+        """
         capsys.readouterr()
+        out = tmp_path / name
         if command == "fit-lm":
-            out = tmp_path / name
             assert run_cli("fit-lm", "--corpus", corpus, "--out", str(out)) == 0
             return out.read_bytes(), capsys.readouterr().err
+        if command == "grid":
+            assert run_cli("grid", "--corpus", corpus, "--out", str(out), "--config", str(config)) == 0
+            # Line 1 is the provenance, which holds the corpus file's hash.
+            return (out / "grid.jsonl").read_text().splitlines()[1:], capsys.readouterr().err
         argv = ["--model", model_path, "--corpus", corpus, "--sample-id", "ls-0001#0", "--strategy", "sampling"]
         assert run_cli("generate", *argv) == 0
         captured = capsys.readouterr()
@@ -313,10 +327,10 @@ def test_evaluate_emits_reports_and_aggregate(tmp_path, capsys):
     assert lines[2]["total_score"] == pytest.approx(0.5)
 
 
-def _evaluate_error(tmp_path, capsys, bad_line):
+def _evaluate_error(tmp_path, capsys, bad_line: bytes):
     predictions = tmp_path / "preds.jsonl"
     good = {"prediction": "pure joy", "annotation": "pure joy", "lyrics": "rain rain"}
-    predictions.write_text(json.dumps(good) + "\n\n" + bad_line + "\n")
+    predictions.write_bytes(json.dumps(good).encode() + b"\n\n" + bad_line + b"\n")
     assert run_cli("evaluate", "--predictions", str(predictions)) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -327,18 +341,23 @@ def _evaluate_error(tmp_path, capsys, bad_line):
 
 
 def test_evaluate_line_without_annotation_is_a_typed_error(tmp_path, capsys):
-    message = _evaluate_error(tmp_path, capsys, json.dumps({"prediction": "joy", "lyrics": "rain"}))
+    message = _evaluate_error(tmp_path, capsys, json.dumps({"prediction": "joy", "lyrics": "rain"}).encode())
     assert "'annotation'" in message and "missing" in message
 
 
 def test_evaluate_non_string_annotation_is_a_typed_error(tmp_path, capsys):
-    message = _evaluate_error(tmp_path, capsys, json.dumps({"prediction": "joy", "annotation": 3}))
+    message = _evaluate_error(tmp_path, capsys, json.dumps({"prediction": "joy", "annotation": 3}).encode())
     assert "'annotation'" in message and "string" in message
 
 
 def test_evaluate_array_line_is_a_typed_error(tmp_path, capsys):
-    message = _evaluate_error(tmp_path, capsys, json.dumps(["joy", "pure joy", "rain"]))
+    message = _evaluate_error(tmp_path, capsys, json.dumps(["joy", "pure joy", "rain"]).encode())
     assert "JSON object" in message and "list" in message
+
+
+def test_evaluate_non_utf8_line_is_a_typed_error(tmp_path, capsys):
+    message = _evaluate_error(tmp_path, capsys, b'{"prediction": "\xff", "annotation": "joy"}')
+    assert "'utf-8' codec can't decode byte 0xff" in message
 
 
 def test_grid_cli_with_config(mini_corpus_path, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from lyricsense.corpus import (
     AnnotatedFragment,
     CorpusError,
+    LoadResult,
     SongRecord,
     clean_corpus,
     clean_record,
@@ -129,6 +130,45 @@ def test_load_unreadable_file():
         load_corpus("/nonexistent/corpus.jsonl")
 
 
+def _record_line(song_id, lyrics, separators=(", ", ": ")):
+    obj = {"song_id": song_id, "title": "t", "artist": "a", "lyrics": lyrics, "fragments": []}
+    return json.dumps(obj, ensure_ascii=False, separators=separators).encode()
+
+
+# Each kind of line: its bytes from a song id and a drawn text, and whether it holds
+# a record (True), an error (False) or nothing (None, a blank line).
+_BYTE_LINES = {
+    "record": (_record_line, True),
+    "raw_line_breaks": (lambda sid, text: _record_line(sid, text + "\u2028\x85\x1c\x1d\x1e\x0b\x0c"), True),
+    "crlf": (lambda sid, text: _record_line(sid, text) + b"\r", True),
+    "stray_cr": (lambda sid, text: _record_line(sid, text, separators=(",\r", ":")), True),
+    "not_utf8": (lambda sid, text: b"{\xff" + _record_line(sid, text)[1:], False),
+    "bom": (lambda sid, text: b"\xef\xbb\xbf" + _record_line(sid, text), False),
+    "not_json": (lambda sid, text: b"{not json", False),
+    "blank": (lambda sid, text: b" \t", None),
+    "blank_cr": (lambda sid, text: b"\r", None),
+}
+
+
+@given(st.lists(st.tuples(st.sampled_from(sorted(_BYTE_LINES)), st.text(max_size=8)), max_size=8))
+@example([("not_utf8", "x"), ("raw_line_breaks", "y"), ("crlf", "z")])
+@settings(max_examples=200, deadline=None)
+def test_each_non_blank_byte_line_is_a_record_or_an_error_naming_it(scratch, drawn):
+    lines, song_ids, bad_lines = [b'{"trbll_schema": 1}'], [], []
+    for line_number, (kind, text) in enumerate(drawn, start=2):
+        make, holds_record = _BYTE_LINES[kind]
+        lines.append(make(str(line_number), text))
+        if holds_record:
+            song_ids.append(str(line_number))
+        elif holds_record is False:
+            bad_lines.append(line_number)
+    path = scratch / "byte_lines.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    result = load_corpus(str(path))
+    assert [r.song_id for r in result.records] == song_ids
+    assert [e.line_number for e in result.errors] == bad_lines
+
+
 # --------------------------------------------------------------- clean_record
 
 def test_clean_rejects_non_latin_lyrics():
@@ -229,6 +269,16 @@ def record_st(draw):
         page_views=draw(st.one_of(st.none(), st.integers(0, 10**6))),
         fragments=fragments,
     )
+
+
+@given(st.lists(record_st(), max_size=4, unique_by=lambda r: r.song_id))
+@example([make_record(title="\u2028", artist="\x85", lyrics="a\x1cb\rc\u2029d\x0be\x0cf\r\n",
+                      fragments=[AnnotatedFragment("\x1d", "\x1e\r")])])
+@settings(max_examples=100, deadline=None)
+def test_write_then_load_gives_back_every_record(scratch, records):
+    path = scratch / "round_trip.jsonl"
+    write_corpus(str(path), records)
+    assert load_corpus(str(path)) == LoadResult(records, [])
 
 
 @given(record_st())

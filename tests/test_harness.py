@@ -50,7 +50,7 @@ def test_default_grid_shape():
     assert len(grid.models) == 3
     assert len(grid.prompts) == 7
     assert len(grid.decoders) == 5
-    assert grid.combination_count() == 105
+    assert len(_combination_keys(grid)) == 105
     assert [d for d, _ in grid.decoders] == ["greedy", "beam", "sampling", "top_k", "top_p"]
 
 
@@ -381,7 +381,7 @@ def test_failed_connect_is_remembered_for_the_rest_of_the_grid(mini_corpus_path,
         decoders="all",
     )
     result = run_grid(grid, mini_corpus_path, str(tmp_path))
-    assert grid.combination_count() == 10
+    assert len(_combination_keys(grid)) == 10
     assert len(attempts) == 1
     assert not result.rows and len(result.failures) == 10
     assert {(f.error_type, f.message) for f in result.failures} == {
@@ -597,7 +597,7 @@ def test_memo_per_ngram_combination_none_for_remote(mini_corpus_path, tmp_path, 
     assert calls_with_memo == len(next_calls) > 0
 
     # One decode_many call per combination, over all of its rows.
-    assert len(seen) == grid.combination_count()
+    assert len(seen) == len(_combination_keys(grid))
     local_memos = []
     for is_local, n_rows, memo in seen:
         assert n_rows == 3  # eval samples
@@ -821,7 +821,7 @@ def test_dropped_connection_is_retried_with_the_same_rows(mini_corpus_path, tmp_
         monkeypatch.setattr(wire, "serve_session", real_session)
         whole = run_grid(grid, mini_corpus_path, str(tmp_path / "whole"))
     assert len(sessions) == 2  # the cut session and the one its retry opened
-    assert not cut.failures and len(cut.rows) == grid.combination_count() * 3
+    assert not cut.failures and len(cut.rows) == len(_combination_keys(grid)) * 3
     assert (tmp_path / "cut" / "grid.jsonl").read_bytes() == (tmp_path / "whole" / "grid.jsonl").read_bytes()
 
 
@@ -940,6 +940,40 @@ def test_interrupt_leaves_the_completed_canonical_prefix(mini_corpus_path, tmp_p
     assert len(prefix) >= len(completed) - len(grid.prompts) * len(grid.decoders)  # at most one model's combinations lost
     expected = whole[:1] + [line for line in whole[1:] if _line_key(line) in prefix]
     assert (tmp_path / "cut" / "grid.jsonl").read_text().splitlines() == expected
+
+
+@pytest.mark.parametrize("fault", ["missing_model_file", "interrupt"])
+def test_a_rerun_that_stops_early_leaves_no_report_of_the_earlier_run(mini_corpus_path, tmp_path, monkeypatch, fault):
+    import lyricsense.harness as harness
+
+    out = tmp_path / "out"
+    emit_report(run_grid(small_grid(), mini_corpus_path, str(out)), str(out))
+    models = [{"id": "m", "type": "ngram", "order": 2}]
+    prompts = ["lyrics_meaning", "none"]
+    if fault == "missing_model_file":
+        models.append({"id": "f", "type": "ngram_file", "path": str(tmp_path / "missing.json")})
+        stop = OSError
+    else:
+        calls = []
+
+        def interrupting(*args):
+            calls.append(args)
+            if len(calls) == 5:  # a row of the second combination
+                raise KeyboardInterrupt
+            return evaluate(*args)
+
+        monkeypatch.setattr(harness, "evaluate", interrupting)
+        stop = KeyboardInterrupt
+    with pytest.raises(stop):
+        run_grid(small_grid(models=models, prompts=prompts, seed=5), mini_corpus_path, str(out))
+
+    provenance = json.loads((out / "grid.jsonl").read_text().splitlines()[0])["provenance"]
+    assert provenance["seed"] == 5
+    if (out / "summary.csv").exists():
+        first_line = (out / "summary.csv").read_text().splitlines()[0]
+        assert json.loads(first_line.removeprefix("# provenance: "))["provenance"] == provenance
+    if (out / "plotdata.json").exists():
+        assert json.loads((out / "plotdata.json").read_text())["provenance"] == provenance
 
 
 def test_each_array_is_derived_once_per_model_and_decoder(mini_corpus_path, tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lyricsense.cli import _read_predictions
@@ -94,11 +94,6 @@ _count_tables = st.dictionaries(st.sampled_from(["", "3", "4", "x", "99"]), _jso
 _model_files = _json | _near(_MODEL_FILE, _json | _count_tables)
 
 
-@pytest.fixture(scope="module")
-def scratch(tmp_path_factory):
-    return tmp_path_factory.mktemp("jsonfields")
-
-
 @given(value=_json | _near(_PREDICTION))
 @settings(max_examples=200, deadline=None)
 def test_any_predictions_line_is_read_or_a_value_error(scratch, value):
@@ -108,11 +103,13 @@ def test_any_predictions_line_is_read_or_a_value_error(scratch, value):
         _read_predictions(str(path))
 
 
-@given(value=_records)
+@given(value=_records, ensure_ascii=st.booleans())
+@example(value={**_RECORD, "lyrics": "la\u2028la"}, ensure_ascii=False)
 @settings(max_examples=200, deadline=None)
-def test_any_corpus_line_is_a_record_or_a_load_error(scratch, value):
+def test_any_corpus_line_is_a_record_or_a_load_error(scratch, value, ensure_ascii):
     path = scratch / "corpus.jsonl"
-    path.write_text(json.dumps({"trbll_schema": 1}) + "\n" + json.dumps(value) + "\n", encoding="utf-8")
+    line = json.dumps(value, ensure_ascii=ensure_ascii)
+    path.write_text(json.dumps({"trbll_schema": 1}) + "\n" + line + "\n", encoding="utf-8")
     result = load_corpus(str(path))
     assert len(result.records) + len(result.errors) == 1
 
