@@ -318,8 +318,16 @@ def generate_meaning(
     return [vocab.decode_text(g.ids).lstrip() for g in decode_many(model, prompts, cfgs, memo=memo)]
 
 
+@dataclass
+class _Turn:
+    """One model's turn of the grid; a ``remote`` spec's ``model`` is None while it has no connected client."""
+
+    model: Optional[LanguageModel]
+    connect_error: Optional[WireError] = None
+
+
 def _run_combination(
-    models: dict[str, Union[LanguageModel, WireError, None]],
+    turn: _Turn,
     model_spec: ModelSpec,
     prompt_spec: PromptSpec,
     decoder_id: str,
@@ -334,15 +342,14 @@ def _run_combination(
 
     All rows decode in lockstep, each under its own seeded config, and
     share ``memo`` (see :mod:`lyricsense.decoding`). A remote model
-    connects on its first combination and is stored in ``models`` for
-    the rest. A failed connect is stored in its place, so
-    every later combination of that model fails at once with the same
-    error type and message, and is never retried. After a wire error on
-    a connected client the client is closed and its entry reset, since a
-    broken exchange may leave unread reply bytes, so the next combination
-    connects afresh; a retryable one (a timeout, a closed connection) is
-    retried once on a new connection. Each row is a pure function of its
-    seed, so a retry gives the same rows.
+    connects on its first combination and serves the rest of the turn. A
+    failed connect is kept in ``turn.connect_error``, so every later
+    combination of that model fails at once with the same error type and
+    message, and is never retried. After a wire error on a connected
+    client the client is closed, since a broken exchange may leave unread
+    reply bytes, so the next combination connects afresh; a retryable one
+    (a timeout, a closed connection) is retried once on a new connection.
+    Each row is a pure function of its seed, so a retry gives the same rows.
     """
     model_id = model_spec.model_id
     prompt_id = prompt_spec.spec_id
@@ -352,13 +359,12 @@ def _run_combination(
     ]
     retried = False
     while True:
-        model = models[model_id]
-        if isinstance(model, WireError):
-            return GridFailure(model_id, prompt_id, decoder_id, type(model).__name__, str(model))
+        if (failed := turn.connect_error) is not None:
+            return GridFailure(model_id, prompt_id, decoder_id, type(failed).__name__, str(failed))
         try:
-            if model is None:
-                model = models[model_id] = RemoteLM(model_spec.endpoint)
-            predictions = generate_meaning(model, prompt_spec, eval_samples, cfgs, memo=memo)
+            if turn.model is None:
+                turn.model = RemoteLM(model_spec.endpoint)
+            predictions = generate_meaning(turn.model, prompt_spec, eval_samples, cfgs, memo=memo)
             rows = [
                 GridRow(
                     model_id=model_id,
@@ -373,12 +379,11 @@ def _run_combination(
             mean = CombinationMean(model_id, prompt_id, decoder_id, len(rows), mean_report([r.report for r in rows]))
             return rows, mean
         except WireError as exc:
-            client = models[model_id]
-            if client is None:  # the connect failed
-                models[model_id] = exc
-            elif isinstance(client, RemoteLM):
-                client.close()
-                models[model_id] = None
+            if turn.model is None:  # the connect failed
+                turn.connect_error = exc
+            elif isinstance(turn.model, RemoteLM):
+                turn.model.close()
+                turn.model = None
                 if exc.retryable and not retried:
                     retried = True
                     continue
@@ -444,19 +449,18 @@ def run_grid(
         written = 0
         n_prompts, n_decoders = len(grid.prompts), len(grid.decoders)
         for m, model_spec in enumerate(grid.models):
-            # _run_combination keeps a remote model's client here once it connects.
-            models = {model_spec.model_id: _open_model(model_spec, texts)}
+            turn = _Turn(_open_model(model_spec, texts))
             # An n-gram model hands back one cached read-only array per
             # context, so what decoding derives from it serves every prompt
             # of a decoder. A remote model builds a fresh array every step:
             # a memo would only hold memory.
-            local = isinstance(models[model_spec.model_id], NGramModel)
+            local = isinstance(turn.model, NGramModel)
             try:
                 for d, (decoder_id, cfg) in enumerate(grid.decoders):
                     memo: Optional[dict] = {} if local else None
                     for p, prompt_spec in enumerate(grid.prompts):
                         pending[(m * n_prompts + p) * n_decoders + d] = _run_combination(
-                            models, model_spec, prompt_spec, decoder_id, cfg, memo,
+                            turn, model_spec, prompt_spec, decoder_id, cfg, memo,
                             eval_samples, lyrics_by_song, grid.weights, grid.seed,
                         )
                         while written in pending:
@@ -474,10 +478,9 @@ def run_grid(
                                 fh.write(text + "\n")
                         fh.flush()
             finally:  # the next model opens only after this one, its row cache and its last memo are gone
-                model = models.pop(model_spec.model_id)
-                if isinstance(model, RemoteLM):
-                    model.close()
-                model = memo = None
+                if isinstance(turn.model, RemoteLM):
+                    turn.model.close()
+                turn = memo = None
     return GridResult(rows=rows, means=means, failures=failures, provenance=provenance, corpus_errors=loaded.errors)
 
 

@@ -13,13 +13,13 @@ such as a prompt template's literal pieces and a sample's fields: each
 distinct part is tokenized once, and each vocabulary cap's vocabulary
 and flat id array are built once, whatever the number of orders. A fit
 keys every n-gram window with numpy and counts them all with one
-``np.unique``; the counts are plain ``{context: {id: count}}`` dicts of
-Python ints. A fitted model caches the read-only distributions of the
-contexts seen in training that it was last asked for, in at most
-``CACHE_BYTES`` of arrays, evicting the least recently used; every
-unseen context shares one uniform vector, which is never cached. One
-thread steps a model at a time (see :class:`LanguageModel`), so the
-cache takes no lock.
+``np.unique``; a fitted or loaded model holds the counts in one count
+table of numpy arrays (see :class:`NGramModel`). A model caches
+the read-only distributions of the contexts seen in training that it
+was last asked for, in at most ``CACHE_BYTES`` of arrays, evicting the
+least recently used; every unseen context shares one uniform vector,
+which is never cached. One thread steps a model at a time (see
+:class:`LanguageModel`), so the cache takes no lock.
 
 Token ids are checked where they enter: ``NGramModel.next`` and
 :func:`sequence_log_prob` check every id they are given, and
@@ -41,7 +41,6 @@ import re
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
@@ -159,8 +158,13 @@ class NGramModel:
 
     P(t | context) = (count(context, t) + k) / (count(context) + k * |V|),
     with the context truncated to the last n-1 ids and left-padded with
-    BOS. Unseen contexts therefore give the uniform distribution, which
-    all of them share; only contexts with counts are cached, at most
+    BOS. ``grams`` holds the distinct n-grams counted, one row of ``order``
+    ids each with each context's rows together, and ``counts`` their
+    counts (>= 1). They are kept as a count table: each context, the start
+    of its run of rows, the rows' next ids and counts, and a dict from
+    context to run.
+    Unseen contexts give the uniform distribution, which all of them
+    share; only contexts with counts are cached, at most
     ``max(1, CACHE_BYTES // (8 * |V|))`` rows, read at construction. A hit
     makes its row the most recently used, and a new row evicts the least
     recently used one, so the cache never holds more rows than that. A
@@ -168,21 +172,26 @@ class NGramModel:
     bit-equal, as a new array.
     """
 
-    def __init__(
-        self,
-        order: int,
-        k: float,
-        vocab: Vocabulary,
-        counts: dict[tuple[int, ...], dict[int, int]],
-    ) -> None:
+    def __init__(self, order: int, k: float, vocab: Vocabulary, grams: np.ndarray, counts: np.ndarray) -> None:
         _check_order_and_k(order, k)
         if not math.isfinite(k * len(vocab)):  # else every row would be -inf
             raise ValueError(f"smoothing constant k={k!r} times |V|={len(vocab)} overflows")
         self.order = order
         self.k = k
         self._vocab = vocab
+        # A context's rows are together, so each context is one run.
+        new_run = np.ones(len(grams), bool)
+        new_run[1:] = (grams[1:, :-1] != grams[:-1, :-1]).any(axis=1)
+        heads = np.flatnonzero(new_run)
+        self._contexts = grams[heads, :-1]
+        self._starts = np.append(heads, len(grams))
+        self._next_ids = grams[:, -1].copy()
         self._counts = counts
-        self._totals = {ctx: sum(counter.values()) for ctx, counter in counts.items()}
+        self._totals = np.add.reduceat(counts, heads)
+        self._runs = dict(zip(map(tuple, self._contexts.tolist()), range(len(heads))))
+        # log(count + k) from ``math.log``, once per distinct count: ``np.log`` may differ by an ulp.
+        distinct, which = np.unique(counts, return_inverse=True)
+        self._log_counts = np.array([math.log(c + k) for c in distinct.tolist()])[which]
         self._cache: OrderedDict[tuple[int, ...], np.ndarray] = OrderedDict()  # least recently used first
         self._cache_rows = max(1, CACHE_BYTES // (8 * len(vocab)))
         self._ids = frozenset(range(2, len(vocab)))  # 0 and 1 are left out: see ``next``
@@ -210,14 +219,14 @@ class NGramModel:
         if cached is not None:
             cache.move_to_end(tail)  # now the most recently used
             return cached
-        counter = self._counts.get(tail)
-        if not counter:
+        run = self._runs.get(tail)
+        if run is None:
             return self._uniform
+        start, end = self._starts[run], self._starts[run + 1]
         size = len(self._vocab)
-        denom = math.log(self._totals[tail] + self.k * size)
+        denom = math.log(int(self._totals[run]) + self.k * size)
         cached = np.full(size, math.log(self.k) - denom)
-        for token_id, count in counter.items():
-            cached[token_id] = math.log(count + self.k) - denom
+        cached[self._next_ids[start:end]] = self._log_counts[start:end] - denom
         cached.setflags(write=False)
         cache[tail] = cached
         if len(cache) > self._cache_rows:
@@ -226,6 +235,8 @@ class NGramModel:
 
     def to_dict(self) -> dict:
         vocab = self._vocab
+        starts, counts = self._starts.tolist(), self._counts.tolist()
+        next_ids = list(map(str, self._next_ids.tolist()))
         return {
             "format": "lyricsense-ngram",
             "version": 1,
@@ -236,8 +247,8 @@ class NGramModel:
             "eos_id": vocab.eos_id,
             "unk_id": vocab.unk_id,
             "counts": {
-                " ".join(map(str, ctx)): {str(t): c for t, c in sorted(counter.items())}
-                for ctx, counter in sorted(self._counts.items())
+                " ".join(map(str, ctx)): dict(zip(next_ids[start:end], counts[start:end]))
+                for ctx, start, end in zip(self._contexts.tolist(), starts, starts[1:])
             },
         }
 
@@ -254,24 +265,31 @@ class NGramModel:
         vocab = Vocabulary.read(obj, where, ("bos_id", "eos_id", "unk_id"))
         order, k = required(obj, "order", where, int), required(obj, "k", where, float)
         saved = required(obj, "counts", where, dict)
-        counts = {}
+        grams, counts = [], []
         try:
             _check_order_and_k(order, k)
             for key, counter in saved.items():
                 at = f"field 'counts' key {json.dumps(key)}"
-                ctx = key.split()
+                ctx = key.split(" ") if key else []
                 if len(ctx) != order - 1:
                     raise ValueError(f"{at}: expected {order - 1} token ids for order {order}, got {len(ctx)}")
-                for t in (*ctx, *typed(counter, dict, at)):
-                    if not t.isdecimal():
-                        raise ValueError(f"{at}: token id {t!r} is not a decimal integer")
-                    if int(t) >= len(vocab):
+                if not typed(counter, dict, at):
+                    raise ValueError(f"{at}: expected at least one token id")
+                for t in (*ctx, *counter):
+                    # The one spelling ``to_dict`` writes, so that no two keys or ids name one context or id.
+                    if not (t == "0" or t.isascii() and t.isdecimal() and t[0] != "0"):
+                        raise ValueError(f"{at}: token id {t!r} is not a canonical decimal integer")
+                    if len(t) > len(str(len(vocab))) or int(t) >= len(vocab):
                         raise ValueError(f"{at}: token id {t} out of range for |V|={len(vocab)}")
                 for t, c in counter.items():
                     if typed(c, int, at) < 1:
                         raise ValueError(f"{at}: token id {t} has count {c}, expected a positive integer")
-                counts[tuple(map(int, ctx))] = {int(t): c for t, c in counter.items()}
-            return cls(order=order, k=k, vocab=vocab, counts=counts)
+                if (total := sum(counter.values())) >= 2**63:
+                    raise ValueError(f"{at}: counts sum to {total}, expected less than 2**63")
+                grams += [(*map(int, ctx), int(t)) for t in counter]
+                counts += counter.values()
+            grams = np.array(grams, np.int64).reshape(len(grams), order)
+            return cls(order, k, vocab, grams, np.array(counts, np.int64))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
 
@@ -402,11 +420,11 @@ def fit_ngram(texts: Iterable[str | tuple[str, ...]], order: int, k: float = SMO
     padded = np.full(len(ids) + count * order, vocab.bos_id, np.int64)
     padded[np.repeat(np.arange(count) * order + order - 1, lengths) + np.arange(len(ids))] = ids
     padded[np.cumsum(lengths + order) - 1] = vocab.eos_id
-    return NGramModel(order=order, k=k, vocab=vocab, counts=_count_ngrams(padded, order, vocab))
+    return NGramModel(order, k, vocab, *_count_ngrams(padded, order, vocab))
 
 
-def _count_ngrams(padded: np.ndarray, order: int, vocab: Vocabulary) -> dict[tuple[int, ...], dict[int, int]]:
-    """``{context: {id: count}}`` over every ``order``-id window of ``padded`` that ends in a text.
+def _count_ngrams(padded: np.ndarray, order: int, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Every distinct ``order``-id window of ``padded`` that ends in a text, in lexicographic order, and its count.
 
     Each window is keyed by its ids as digits in base ``|V|``. Before a
     digit would push the keys past int64, they are replaced by their ranks
@@ -433,11 +451,7 @@ def _count_ngrams(padded: np.ndarray, order: int, vocab: Vocabulary) -> dict[tup
         value, ids[:, i] = np.divmod(value, size)
         if i in tables:
             value = tables[i][value]
-    # Sorted keys put the n-grams of one context in one run.
-    heads = np.flatnonzero(np.diff(grams // size, prepend=-1))
-    runs = np.diff(heads, append=len(grams)).tolist()
-    grouped = zip(ids[:, -1].tolist(), counts.tolist())
-    return {ctx: dict(islice(grouped, run)) for ctx, run in zip(map(tuple, ids[heads, :-1].tolist()), runs)}
+    return ids, counts
 
 
 def sequence_log_prob(model: LanguageModel, ids: Sequence[int]) -> float:

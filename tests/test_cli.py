@@ -6,8 +6,7 @@ import os
 import subprocess
 import sys
 import time
-from collections import Counter
-
+import numpy as np
 import pytest
 
 from lyricsense.cli import build_parser, cli_main
@@ -103,8 +102,8 @@ def test_train_sample_without_metadata_is_named(mini_corpus_path, tmp_path, caps
 def toy_chain_model_file(path):
     vocab = Vocabulary.build(["x", "y", "z"])
     x, y, z = (vocab.id_of(t) for t in "xyz")
-    counts = {(x,): Counter({y: 1}), (y,): Counter({z: 1}), (z,): Counter({vocab.eos_id: 1})}
-    model = NGramModel(order=2, k=1e-12, vocab=vocab, counts=counts)
+    grams = np.array([(x, y), (y, z), (z, vocab.eos_id)])
+    model = NGramModel(order=2, k=1e-12, vocab=vocab, grams=grams, counts=np.ones(3, np.int64))
     model.save(path)
     return model
 
@@ -491,8 +490,6 @@ def test_serve_mock_subprocess_speaks_protocol(tmp_path):
         endpoint = line.removeprefix("listening on ")
         with RemoteLM(endpoint) as client:
             assert client.vocabulary().tokens == local.vocabulary().tokens
-            import numpy as np
-
             assert np.array_equal(client.next([3]), local.next([3]))
     finally:
         proc.terminate()

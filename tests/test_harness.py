@@ -251,7 +251,7 @@ def test_default_grid_reports_match_golden_hashes(mini_corpus_path, tmp_path, mo
     assert sorted(expected) == ["grid.jsonl", "plotdata.json", "summary.csv"]
     assert actual == expected
     # Every cache filled up to the budget, or to its model's contexts (one for order 1).
-    assert [len(model._cache) for model in fitted] == [min(budget_rows, len(model._counts)) for model in fitted]
+    assert [len(model._cache) for model in fitted] == [min(budget_rows, len(model._runs)) for model in fitted]
     assert len(fitted) == (3 if budget_rows else 0)
 
 

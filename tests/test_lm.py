@@ -2,11 +2,12 @@ import itertools
 import json
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import chain_model, random_ngram_model
@@ -320,17 +321,15 @@ def _oracle_fit(texts, order, k, vocab_cap):
     frequencies = Counter(tok for toks in tokenized for tok in toks)
     kept = sorted(frequencies.items(), key=lambda item: (-item[1], item[0]))[:vocab_cap]
     vocab = Vocabulary.build([tok for tok, _ in kept])
-    counts = {}
+    counts = Counter()
     pad = (vocab.bos_id,) * (order - 1)
     for toks in tokenized:
         ids = (*pad, *vocab.encode(toks), vocab.eos_id)
         for t in range(order - 1, len(ids)):
-            ctx = ids[t - order + 1 : t]
-            counter = counts.get(ctx)
-            if counter is None:
-                counter = counts[ctx] = Counter()
-            counter[ids[t]] += 1
-    return NGramModel(order=order, k=k, vocab=vocab, counts=counts)
+            counts[ids[t - order + 1 : t + 1]] += 1
+    grams = sorted(counts)
+    table = np.array(grams, np.int64).reshape(-1, order)
+    return NGramModel(order, k, vocab, table, np.array([counts[g] for g in grams]))
 
 
 _words = st.sampled_from(
@@ -348,6 +347,44 @@ def test_fit_matches_per_position_counting(texts, order, vocab_cap):
         return
     fitted = fit_ngram(texts, order=order, k=0.1, vocab_cap=vocab_cap)
     assert fitted.to_dict() == _oracle_fit(texts, order, 0.1, vocab_cap).to_dict()
+
+
+def _straight_line_row(saved: dict, context: tuple[int, ...]) -> np.ndarray:
+    """The add-k row of ``context`` from a saved model's counts, one ``math.log`` per entry."""
+    size, k = len(saved["tokens"]), saved["k"]
+    counter = saved["counts"].get(" ".join(map(str, context)), {})
+    denom = math.log(sum(counter.values()) + k * size)
+    row = [math.log(k) - denom] * size
+    for token_id, count in counter.items():
+        row[int(token_id)] = math.log(count + k) - denom
+    return np.array(row)
+
+
+@given(
+    texts=_texts,
+    order=st.integers(1, 4),
+    k=st.sampled_from([1e-12, 0.1, 0.3, 1.0, 7.5]),
+    vocab_cap=st.integers(3, 20),
+    unseen=st.lists(st.lists(st.integers(0, 30), max_size=4), max_size=5),
+)
+@settings(max_examples=120, deadline=None)
+def test_rows_equal_straight_line_add_k_rows_of_the_saved_counts(texts, order, k, vocab_cap, unseen):
+    assume(any(tokenize_lm(text) for text in texts))
+    fitted = fit_ngram(texts, order=order, k=k, vocab_cap=vocab_cap)
+    saved = fitted.to_dict()
+    loaded = NGramModel.from_dict(json.loads(json.dumps(saved, sort_keys=True)))  # keys in string order, as saved
+    assert loaded.to_dict() == saved
+    size, bos = len(fitted.vocabulary()), fitted.vocabulary().bos_id
+    contexts = [tuple(map(int, key.split())) for key in saved["counts"]]
+    contexts += [tuple(([bos] * order + [i % size for i in ids])[-order + 1 :]) if order > 1 else () for ids in unseen]
+    for context in contexts:
+        expected = _straight_line_row(saved, context).tobytes()
+        assert fitted.next(list(context)).tobytes() == expected
+        assert loaded.next(list(context)).tobytes() == expected
+    # Every unseen context gets the one shared uniform row.
+    for model in (fitted, loaded):
+        unseen_rows = [model.next(list(c)) for c in contexts if " ".join(map(str, c)) not in saved["counts"]]
+        assert all(row is model._uniform for row in unseen_rows)
 
 
 _capped_words = [f"w{i}" for i in range(25)]  # more distinct words than the cap of 20
@@ -379,9 +416,8 @@ def test_fit_matches_per_position_counting_on_a_capped_corpus():
         fitted = fit_ngram(shared, order=order, k=0.1, vocab_cap=150)
         assert len(fitted.vocabulary()) == 153
         assert fitted.to_dict() == _oracle_fit(texts, order, 0.1, 150).to_dict()
-        # Plain dicts of Python ints, as a saved model is read back.
-        assert all(type(nexts) is dict for nexts in fitted._counts.values())
-        assert all(type(t) is int and type(c) is int for nexts in fitted._counts.values() for t, c in nexts.items())
+        # Exact Python-int counts, as a saved model is read back.
+        assert all(type(c) is int for nexts in fitted.to_dict()["counts"].values() for c in nexts.values())
 
 
 def test_shared_training_texts_fit_the_same_models():
@@ -402,11 +438,11 @@ def test_unseen_contexts_share_one_uniform_vector_and_stay_uncached():
     size = len(model.vocabulary())
     seen = model.next([3, 4])  # a context with counts is cached
     cached = len(model._cache)
-    unseen = [ctx for ctx in itertools.product(range(size), repeat=2) if ctx not in model._counts]
+    unseen = [ctx for ctx in itertools.product(range(size), repeat=2) if ctx not in model._runs]
     assert len(unseen) >= 10_000
     for ctx in unseen[:10_000]:
         model.next(list(ctx))
-    assert len(model._cache) == cached <= len(model._counts)
+    assert len(model._cache) == cached <= len(model._runs)
     uniform = model.next([0, 2])  # (bos, unk) never occurs in training
     assert not uniform.flags.writeable and not seen.flags.writeable
     expected = np.full(size, math.log(0.7) - math.log(0 + 0.7 * size))
@@ -436,7 +472,7 @@ def test_bounded_row_cache_is_lru_and_serves_the_uncapped_rows(texts, order, row
         assert row.tobytes() == uncapped.next(ctx).tobytes()
         assert not row.flags.writeable
         tail = tuple(([bos] * order + ctx)[len(ctx) + 1 :])
-        if tail in capped._counts:
+        if tail in capped._runs:
             if tail in recent:
                 recent.remove(tail)
             recent = (recent + [tail])[-rows:]
@@ -450,7 +486,7 @@ def test_order_is_bounded_from_above(order):
     with pytest.raises(ValueError, match="order"):
         fit_ngram(["a b"], order=order)
     with pytest.raises(ValueError, match="order"):
-        NGramModel(order=order, k=0.1, vocab=Vocabulary.build(["a"]), counts={})
+        NGramModel(order, 0.1, Vocabulary.build(["a"]), np.empty((0, 2), np.int64), np.empty(0, np.int64))
     saved = {**fit_ngram(["a b"], order=2).to_dict(), "order": order}
     with pytest.raises(ValueError, match="^m.json: order"):
         NGramModel.from_dict(saved, "m.json")
@@ -469,6 +505,15 @@ def test_saved_counts_name_a_bad_key_and_its_id():
     with pytest.raises(ValueError) as exc_info:
         NGramModel.from_dict(saved, "m.json")
     assert str(exc_info.value) == "m.json: field 'counts' key \"3 4 5\": expected 1 token ids for order 2, got 3"
+    # Two spellings of one context would merge their counts.
+    saved = {**_SAVED[2], "counts": {"3": {"4": 5}, "03": {"3": 1}}}
+    with pytest.raises(ValueError) as exc_info:
+        NGramModel.from_dict(saved, "m.json")
+    assert str(exc_info.value) == "m.json: field 'counts' key \"03\": token id '03' is not a canonical decimal integer"
+    saved = {**_SAVED[2], "counts": {"3": {"4": 2**62, "5": 2**62}}}
+    with pytest.raises(ValueError) as exc_info:
+        NGramModel.from_dict(saved, "m.json")
+    assert str(exc_info.value) == f"m.json: field 'counts' key \"3\": counts sum to {2**63}, expected less than 2**63"
 
 
 @pytest.mark.parametrize(
@@ -495,30 +540,54 @@ def test_k_whose_product_with_the_vocabulary_size_overflows_is_rejected():
     assert np.isfinite(model.next([3])).all() and np.isfinite(model.next([7, 7])).all()
 
 
-_bad_ids = st.integers(6, 10**6).map(str) | st.sampled_from(["-1", "x", "3.0", "+3", "0x3", "\u00bd"])
+# "9" * 5000 is past the digits ``int`` converts by default.
+_bad_ids = st.integers(6, 10**6).map(str) | st.sampled_from(["-1", "x", "3.0", "+3", "0x3", "\u00bd", "9" * 5000])
+# Other spellings of good ids, which would name the same id as "3" or "0": a
+# leading zero, a non-ASCII digit, or whitespace that ``int`` would strip.
+_noncanonical_ids = st.sampled_from(["03", "00", "0003", "\u0663", "\uff13", "3\t", "\n3", "\u00a03"])
+
+
+def _canonical(token_id: str) -> bool:
+    return re.fullmatch("0|[1-9][0-9]*", token_id) is not None
 
 
 @given(order=st.sampled_from([1, 2, 3]), data=st.data())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_corrupted_saved_counts_are_a_value_error_naming_the_key_and_id(order, data):
-    """One bad entry among good counts: a key of the wrong length, a bad id in a key or a count table, or a count below 1."""
+    """One bad entry among good counts.
+
+    A key of the wrong length or spacing, a bad or non-canonical id in a key
+    or a count table, an empty count table, or a count below 1.
+    """
     saved = _SAVED[order]
     counts = {key: dict(counter) for key, counter in saved["counts"].items()}
     good_ids = st.integers(0, 5).map(str)
-    kinds = ["key_length", "count_id", "count"] + (["key_id"] if order > 1 else [])
+    kinds = ["key_length", "key_spacing", "empty", "count_id", "count"] + (["key_id"] if order > 1 else [])
     kind = data.draw(st.sampled_from(kinds))
     if kind == "key_length":
         length = data.draw(st.integers(0, 4).filter(lambda n: n != order - 1))
         key = " ".join(data.draw(st.lists(good_ids, min_size=length, max_size=length)))
         counts[key] = {"3": 1}
         reason = f"expected {order - 1} token ids for order {order}, got {length}"
+    elif kind == "key_spacing":
+        good = data.draw(st.sampled_from(sorted(counts)))
+        at = data.draw(st.integers(0, len(good)))
+        key = good[:at] + " " + good[at:]
+        counts[key] = {"3": 1}
+        reason = f"expected {order - 1} token ids for order {order}, got {len(key.split(' '))}"
+    elif kind == "empty":
+        key = data.draw(st.sampled_from(sorted(counts)))
+        counts[key] = {}
+        reason = "expected at least one token id"
     elif kind == "count":
         key = data.draw(st.sampled_from(sorted(counts)))
         token_id, count = data.draw(good_ids), data.draw(st.integers(max_value=0))
         counts[key][token_id] = count
         reason = f"token id {token_id} has count {count}, expected a positive integer"
     else:
-        bad = data.draw(_bad_ids | st.just("") if kind == "count_id" else _bad_ids)
+        # In a key, "" or a space would change the number of ids instead.
+        only_in_tables = st.sampled_from(["", " 3"]) if kind == "count_id" else st.nothing()
+        bad = data.draw(_bad_ids | _noncanonical_ids | only_in_tables)
         if kind == "count_id":
             key = data.draw(st.sampled_from(sorted(counts)))
             counts[key][bad] = data.draw(st.integers(1, 5))
@@ -528,8 +597,8 @@ def test_corrupted_saved_counts_are_a_value_error_naming_the_key_and_id(order, d
             key = " ".join(ids)
             counts[key] = {"3": 1}
         reason = f"token id {bad} out of range for |V|=6"
-        if not bad.isdecimal():
-            reason = f"token id {bad!r} is not a decimal integer"
+        if not _canonical(bad):
+            reason = f"token id {bad!r} is not a canonical decimal integer"
     with pytest.raises(ValueError) as exc_info:
         NGramModel.from_dict({**saved, "counts": counts}, "m.json")
     assert str(exc_info.value) == f"m.json: field 'counts' key {json.dumps(key)}: {reason}"
