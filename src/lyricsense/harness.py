@@ -43,7 +43,7 @@ from .jsonfields import no_unknown_fields, required, typed
 from .lm import MAX_ORDER, SMOOTHING_K, VOCAB_CAP, LanguageModel, NGramModel, TrainingTexts, fit_ngram
 from .metrics import METRIC_FIELDS, MetricReport, TotalScoreWeights, evaluate, mean_report
 # ``render_with_target`` stays importable as ``harness.render_with_target``: bench/tracing.py wraps it by name.
-from .prompts import PromptError, PromptSpec, render, render_with_target, target_parts  # noqa: F401
+from .prompts import PromptError, PromptSpec, render, render_with_target, target_table  # noqa: F401
 from .rng import derive_seed
 from .wire import RemoteLM, WireError
 
@@ -123,6 +123,9 @@ class ExperimentGrid:
             raise ValueError("prompt variants must be unique")
         if self.eval_count < 1:
             raise ValueError("eval_samples: expected at least one evaluation sample")
+        for i, sample_id in enumerate(self.eval_samples or ()):
+            if sample_id in self.eval_samples[:i]:  # else that sample would count twice in every mean
+                raise ValueError(f"eval_samples[{i}]: duplicate sample id {sample_id!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -247,24 +250,26 @@ class GridResult:
     corpus_errors: list[LoadError] = field(default_factory=list)  # the corpus lines the run skipped
 
 
-def training_parts(samples: Sequence[Sample]) -> list[tuple[str, ...]]:
-    """``prompts.target_parts`` of every sample under all seven variants, sample by sample.
+def training_set(samples: Sequence[Sample]) -> TrainingTexts:
+    """The train texts of every ``fit_ngram`` call: ``prompts.target_table(samples)`` as a ``TrainingTexts``.
 
-    A sample that a variant cannot render is a ``PromptError`` naming it.
+    A sample that a variant cannot render is a ``PromptError`` naming it
+    as a train sample.
     """
-    variants = PromptSpec.all_variants()
-    parts = []
-    for sample in samples:
-        try:
-            parts += [target_parts(spec, sample) for spec in variants]
-        except PromptError as exc:
-            raise PromptError(f"train sample {sample.sample_id!r}: {exc}") from None
-    return parts
+    try:
+        return TrainingTexts.from_table(*target_table(samples))
+    except PromptError as exc:
+        raise PromptError(f"train {exc}") from None
+
+
+def training_parts(samples: Sequence[Sample]) -> list[tuple[str, ...]]:
+    """The texts of ``training_set(samples)``, each as its tuple of parts."""
+    return list(training_set(samples))
 
 
 def training_texts(samples: Sequence[Sample]) -> list[str]:
     """Prompt+target renderings of every sample under all seven variants: the joins of ``training_parts``."""
-    return ["".join(parts) for parts in training_parts(samples)]
+    return ["".join(parts) for parts in training_set(samples)]
 
 
 def _open_model(spec: ModelSpec, texts: Optional[TrainingTexts]) -> Optional[LanguageModel]:
@@ -432,7 +437,7 @@ def run_grid(
     views_by_song = {r.song_id: r.page_views or 0 for r in records}
     eval_samples = _resolve_eval_samples(grid, test, views_by_song)
 
-    texts = TrainingTexts(training_parts(train)) if any(m.kind == "ngram" for m in grid.models) else None
+    texts = training_set(train) if any(m.kind == "ngram" for m in grid.models) else None
     provenance = _provenance(grid, corpus_path)
 
     rows: list[GridRow] = []

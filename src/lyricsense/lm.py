@@ -8,15 +8,16 @@ probability it produces can be checked by hand; larger models are reached
 over the wire protocol in :mod:`lyricsense.wire`.
 
 Models of several orders fitted on the same corpus share one
-:class:`TrainingTexts`. A training text may be given as a tuple of parts,
-such as a prompt template's literal pieces and a sample's fields: each
-distinct part is tokenized once, and each vocabulary cap's vocabulary
-and flat id array are built once, whatever the number of orders. A fit
-keys every n-gram window with numpy and counts them all with one
-``np.unique``; a fitted or loaded model holds the counts in one count
-table of numpy arrays (see :class:`NGramModel`). A model caches
-the read-only distributions of the contexts seen in training that it
-was last asked for, in at most ``CACHE_BYTES`` of arrays, evicting the
+:class:`TrainingTexts`: a table of distinct pieces, such as a prompt
+template's literal pieces and the samples' fields, and one row of piece
+indices per text. Each distinct piece is tokenized once, a text's tokens
+are gathered from its pieces' tokens with numpy, and each vocabulary
+cap's vocabulary and flat id array are built once, whatever the number
+of orders. A fit keys every n-gram window with numpy and counts them
+all with one ``np.unique``; a fitted or loaded model holds the counts in
+one count table of numpy arrays (see :class:`NGramModel`). A model
+caches the read-only distributions of the contexts seen in training that
+it was last asked for, in at most ``CACHE_BYTES`` of arrays, evicting the
 least recently used; every unseen context shares one uniform vector,
 which is never cached. One thread steps a model at a time (see
 :class:`LanguageModel`), so the cache takes no lock.
@@ -38,10 +39,10 @@ from __future__ import annotations
 import json
 import math
 import re
-from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -188,7 +189,9 @@ class NGramModel:
         self._next_ids = grams[:, -1].copy()
         self._counts = counts
         self._totals = np.add.reduceat(counts, heads)
-        self._runs = dict(zip(map(tuple, self._contexts.tolist()), range(len(heads))))
+        # Keyed column by column: one list per context position, zipped into tuples.
+        keys = zip(*self._contexts.T.tolist()) if order > 1 else [()] * len(heads)
+        self._runs = dict(zip(keys, range(len(heads))))
         # log(count + k) from ``math.log``, once per distinct count: ``np.log`` may differ by an ulp.
         distinct, which = np.unique(counts, return_inverse=True)
         self._log_counts = np.array([math.log(c + k) for c in distinct.tolist()])[which]
@@ -335,41 +338,65 @@ class _Index(dict):
         return index
 
 
-class TrainingTexts(tuple):
-    """Training texts, tokenized once and encoded once per vocabulary cap.
+class TrainingTexts:
+    """Training texts as a table of pieces, tokenized once and encoded once per vocabulary cap.
 
-    A tuple of texts, each a string or a tuple of parts whose join is the
-    text, such as :func:`lyricsense.prompts.target_parts`; a string is a
-    one-part text. Passing the same object to several :func:`fit_ngram`
-    calls fits every order from one tokenization, and models with the
-    same ``vocab_cap`` share one :class:`Vocabulary`.
+    ``pieces`` are distinct strings, and each text is one row of
+    ``rows``: the indices of its pieces in order, with -1 for no piece.
+    ``TrainingTexts(texts)`` builds the table from texts, each a string
+    or a tuple of parts whose join is the text, such as
+    :func:`lyricsense.prompts.target_parts`; a string is a one-part text.
+    Iterating gives each text as the tuple of its pieces. Passing the
+    same object to several :func:`fit_ngram` calls fits every order from
+    one tokenization, and models with the same ``vocab_cap`` share one
+    :class:`Vocabulary`.
     """
 
     def __init__(self, texts: Iterable[str | tuple[str, ...]] = ()) -> None:
+        index = _Index()
+        parts = [[index[part] for part in ((text,) if isinstance(text, str) else text)] for text in texts]
+        widths = np.array([len(text) for text in parts], np.int64)
+        rows = np.full((len(parts), widths.max(initial=0)), -1, np.int64)
+        rows[np.arange(rows.shape[1]) < widths[:, None]] = [i for text in parts for i in text]
+        self._pieces: Sequence[str] = list(index)
+        self._rows = rows
         self._tokens: tuple[list[str], np.ndarray, np.ndarray] | None = None
         self._encoded: dict[int, tuple[Vocabulary, np.ndarray, np.ndarray]] = {}
+
+    @classmethod
+    def from_table(cls, pieces: Sequence[str], rows: np.ndarray) -> "TrainingTexts":
+        """The texts whose parts are ``pieces[i]`` for each ``i >= 0`` of each row of ``rows``, in order."""
+        table = cls()
+        table._pieces, table._rows = pieces, rows
+        return table
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self) -> Iterator[tuple[str, ...]]:
+        pieces = self._pieces
+        return (tuple(pieces[i] for i in row if i >= 0) for row in self._rows.tolist())
 
     def _tokenize(self) -> tuple[list[str], np.ndarray, np.ndarray]:
         """The distinct tokens, every text's tokens back to back as indices into them, and each text's token count.
 
-        Each distinct part is tokenized once, and a text's tokens are its
-        parts' tokens in order. That equals ``tokenize_lm`` of the joined
-        text as long as no token spans two parts: a caller splits a text
-        only where whitespace or punctuation other than ``'`` and ``_``
-        stands on the boundary (see :mod:`lyricsense.prompts`).
+        Each distinct piece is tokenized once, and a text's tokens are its
+        pieces' tokens in order, gathered with numpy. That equals
+        ``tokenize_lm`` of the joined text as long as no token spans two
+        pieces: a caller splits a text only where whitespace or
+        punctuation other than ``'`` and ``_`` stands on the boundary (see
+        :mod:`lyricsense.prompts`).
         """
         token_ids = _Index()
-        runs: dict[str, array] = {}  # part -> its tokens as indices into token_ids
-        stream, lengths = array("q"), array("q")
-        for text in self:
-            start = len(stream)
-            for part in (text,) if isinstance(text, str) else text:
-                run = runs.get(part)
-                if run is None:
-                    run = runs[part] = array("q", map(token_ids.__getitem__, tokenize_lm(part)))
-                stream += run
-            lengths.append(len(stream) - start)
-        return list(token_ids), np.asarray(stream), np.asarray(lengths)
+        runs = [tokenize_lm(piece) for piece in self._pieces]
+        flat = np.fromiter(map(token_ids.__getitem__, chain.from_iterable(runs)), np.int64)
+        # A trailing empty run, so that -1 (no piece) gathers no tokens.
+        run_lengths = np.array([*map(len, runs), 0], np.int64)
+        run_starts = np.cumsum(run_lengths) - run_lengths
+        sequence = self._rows[self._rows >= 0]  # every text's pieces, back to back
+        sizes = run_lengths[sequence]
+        stream = flat[np.repeat(run_starts[sequence] - (np.cumsum(sizes) - sizes), sizes) + np.arange(sizes.sum())]
+        return list(token_ids), stream, run_lengths[self._rows].sum(axis=1)
 
     def encoded(self, vocab_cap: int) -> tuple[Vocabulary, np.ndarray, np.ndarray]:
         """The capped vocabulary, the ids of all texts back to back, and the token count of each text that has tokens.
@@ -386,8 +413,9 @@ class TrainingTexts(tuple):
                 raise ValueError("no training text")
             alphabetical = np.array(sorted(range(len(tokens)), key=tokens.__getitem__), np.int64)
             frequencies = np.bincount(stream, minlength=len(tokens))[alphabetical]
-            # A stable sort keeps equally frequent tokens in alphabetical order.
-            kept = alphabetical[np.argsort(-frequencies, kind="stable")[:vocab_cap]]
+            # A stable sort keeps equally frequent tokens in alphabetical order. A token
+            # of a piece that no row uses has no occurrences and is left out.
+            kept = alphabetical[np.argsort(-frequencies, kind="stable")[:min(vocab_cap, np.count_nonzero(frequencies))]]
             vocab = Vocabulary.build([tokens[i] for i in kept.tolist()])
             ids = np.array(vocab.encode(tokens), np.int64)[stream]
             built = self._encoded[vocab_cap] = (vocab, ids, lengths[lengths > 0])

@@ -7,7 +7,8 @@ template strings are frozen; golden tests pin every byte.
 
 ``TEMPLATE_PARTS`` splits each template into literal pieces and field
 names; :func:`render` and :func:`render_with_target` join the parts that
-:func:`prompt_parts` and :func:`target_parts` fill from a sample. Every
+:func:`prompt_parts` and :func:`target_parts` fill from a sample, and
+:func:`target_table` lays out those of many samples as one table. Every
 field is walled off by whitespace, punctuation other than ``'`` and
 ``_``, or an end of the text, so no LM token and no final-sigma
 lowercasing crosses a part's edge: a fit may tokenize each part alone.
@@ -18,6 +19,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
+
+import numpy as np
 
 from .corpus import Sample
 
@@ -112,6 +116,41 @@ def prompt_parts(spec: PromptSpec, sample: Sample) -> tuple[str, ...]:
 def target_parts(spec: PromptSpec, sample: Sample) -> tuple[str, ...]:
     """The prompt's parts, then ``TARGET_SEPARATOR`` and the gold annotation."""
     return (*prompt_parts(spec, sample), TARGET_SEPARATOR, sample.annotation)
+
+
+def target_table(samples: Sequence[Sample]) -> tuple[list[str], np.ndarray]:
+    """``target_parts`` of every sample under every variant, sample by sample, as one table.
+
+    The table is the distinct pieces (the templates' literal pieces and
+    the samples' field values) and one row of piece indices per (sample,
+    variant), -1 past the end of a shorter variant's parts; the rows are
+    laid out with numpy one template slot at a time. A sample that a
+    variant cannot render is a ``PromptError`` naming it.
+    """
+    variants = PromptSpec.all_variants()
+    for sample in samples:
+        if not (sample.fragment and sample.artist and sample.title):  # every field that prompt_parts checks
+            try:
+                for spec in variants:
+                    target_parts(spec, sample)
+            except PromptError as exc:
+                raise PromptError(f"sample {sample.sample_id!r}: {exc}") from None
+    index: dict[str, int] = {}  # piece -> its index
+    templates = [TEMPLATE_PARTS[spec.kind, spec.with_metadata] for spec in variants]
+    names = dict.fromkeys(["annotation", *(name for _literals, fields in templates for name in fields)])
+    columns = {name: np.array([index.setdefault(getattr(s, name), len(index)) for s in samples], np.int64)
+               for name in names}
+    layouts = []  # each variant's slots: a literal's index, or a field's column
+    for literals, fields in templates:
+        layout = [index.setdefault(literals[0], len(index))]
+        for name, literal in zip(fields, literals[1:]):
+            layout += (columns[name], index.setdefault(literal, len(index)))
+        layouts.append([*layout, index.setdefault(TARGET_SEPARATOR, len(index)), columns["annotation"]])
+    rows = np.full((len(samples), len(layouts), max(map(len, layouts))), -1, np.int64)
+    for v, layout in enumerate(layouts):
+        for slot, piece in enumerate(layout):
+            rows[:, v, slot] = piece
+    return list(index), rows.reshape(-1, rows.shape[2])
 
 
 def render(spec: PromptSpec, sample: Sample) -> RenderedPrompt:

@@ -249,6 +249,42 @@ def test_clean_normalizes_whitespace_and_line_endings():
     assert cleaned.fragments[0] == AnnotatedFragment("a b", "c d")
 
 
+# clean_record's text rules as it first wrote them, with regexes: strip
+# http(s)/www runs from an annotation, then collapse each \s+ run to one
+# space and strip the ends of fragment and annotation.
+_OLD_URL_RE = re.compile(r"(?:https?://|www\.)\S+")
+_OLD_WS_RE = re.compile(r"\s+")
+
+# Whitespace that str.split and \s must agree on (U+0085, U+00A0, the
+# Unicode line and paragraph separators, the ideographic space and the
+# \x1c-\x1f separators included), URL prefixes whole and cut short, and
+# a few characters a URL may hold.
+_cleaning_text = st.lists(st.sampled_from([
+    " ", "\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u2029",
+    "\u3000", "\u200b", "a", "Z", "é", ".", "/", ":", "http", "https://", "http://", "www.", "www", "HTTP://",
+]), max_size=12).map("".join)
+
+
+@given(lyrics=_cleaning_text, pairs=st.lists(st.tuples(_cleaning_text, _cleaning_text), max_size=4))
+@example(lyrics="la", pairs=[("\x1c a\u3000b\x85", "see http://x.y\u2028z www.\xa0end")])
+@settings(max_examples=300)
+def test_clean_record_follows_the_regex_rules_and_is_idempotent(lyrics, pairs):
+    record = make_record(lyrics=lyrics, fragments=[AnnotatedFragment(f, a) for f, a in pairs])
+    cleaned = clean_record(record)
+    expected_lyrics = lyrics.replace("\r\n", "\n").replace("\r", "\n").strip()
+    if not expected_lyrics:
+        assert cleaned is None
+        return
+    expected = []
+    for fragment, annotation in pairs:
+        fragment = _OLD_WS_RE.sub(" ", fragment).strip()
+        annotation = _OLD_WS_RE.sub(" ", _OLD_URL_RE.sub("", annotation)).strip()
+        if fragment and annotation:
+            expected.append(AnnotatedFragment(fragment, annotation))
+    assert cleaned == make_record(lyrics=expected_lyrics, fragments=expected)
+    assert clean_record(cleaned) == cleaned
+
+
 text_st = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=60
 )

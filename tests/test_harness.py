@@ -25,6 +25,7 @@ from lyricsense.harness import (
     rank_combinations,
     run_grid,
     training_parts,
+    training_set,
     training_texts,
 )
 from lyricsense.lm import fit_ngram
@@ -124,6 +125,14 @@ def test_grid_rejects_duplicate_keys():
         small_grid(prompts=["none", "none"])
     with pytest.raises(ValueError, match="strategy"):
         small_grid(decoders=[{"seed": 3}])
+
+
+def test_grid_rejects_duplicate_pinned_eval_samples():
+    # One sample pinned twice would be two rows and count twice in every mean.
+    with pytest.raises(ValueError, match=r"^eval_samples\[2\]: duplicate sample id 'ls-0003#0'$"):
+        small_grid(eval_samples=["ls-0003#0", "ls-0003#1", "ls-0003#0"])
+    with pytest.raises(ValueError, match=r"^eval_samples\[1\]: duplicate sample id"):
+        ExperimentGrid(eval_samples=("a#0", "a#0"))
 
 
 def test_single_cell_grid_equals_direct_composition(mini_corpus_path, tmp_path):
@@ -515,6 +524,49 @@ def test_fit_from_parts_equals_fit_from_rendered_texts(samples, vocab_cap):
     for order in (1, 2, 3):
         assert (fit_ngram(parts, order, vocab_cap=vocab_cap).to_dict()
                 == fit_ngram(texts, order, vocab_cap=vocab_cap).to_dict())
+
+
+def _assert_fits_as_rendered_texts(samples, vocab_caps):
+    """``training_set(samples)`` encodes and fits orders 1-3 as the rendered texts do, one text per (sample, variant)."""
+    rendered = [render_with_target(spec, sample) for sample in samples for spec in PromptSpec.all_variants()]
+    assert training_texts(samples) == rendered
+    table, texts = training_set(samples), lm.TrainingTexts(training_texts(samples))
+    assert len(table) == len(texts) == 7 * len(samples)
+    for vocab_cap in vocab_caps:
+        table_vocab, table_ids, table_lengths = table.encoded(vocab_cap)
+        texts_vocab, texts_ids, texts_lengths = texts.encoded(vocab_cap)
+        assert table_vocab == texts_vocab
+        assert table_ids.tolist() == texts_ids.tolist()
+        assert table_lengths.tolist() == texts_lengths.tolist()
+        for order in (1, 2, 3):
+            assert (fit_ngram(table, order, vocab_cap=vocab_cap).to_dict()
+                    == fit_ngram(texts, order, vocab_cap=vocab_cap).to_dict())
+
+
+@given(samples=_samples, vocab_cap=st.integers(3, 12))
+@settings(max_examples=100)
+def test_training_set_fits_as_the_rendered_texts(samples, vocab_cap):
+    _assert_fits_as_rendered_texts(samples, [vocab_cap])
+
+
+def test_grid_and_fit_lm_fit_from_the_training_set(mini_corpus_path, tmp_path, monkeypatch):
+    import lyricsense.cli as cli
+    import lyricsense.harness as harness
+
+    _assert_fits_as_rendered_texts(_MINI_TRAIN, [lm.VOCAB_CAP, 100])
+    # Each fit is handed one table of 7 texts per train sample: bench/tracing.py reads its len() as lm.fit_texts.
+    fitted = []
+
+    def recording_fit(texts, *args, **kwargs):
+        fitted.append((type(texts), len(texts)))
+        return fit_ngram(texts, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "fit_ngram", recording_fit)
+    monkeypatch.setattr(cli, "fit_ngram", recording_fit)
+    models = [{"id": f"ngram{n}", "type": "ngram", "order": n} for n in (1, 2, 3)]
+    run_grid(small_grid(models=models), mini_corpus_path, str(tmp_path / "grid"))
+    assert cli.cli_main(["fit-lm", "--corpus", mini_corpus_path, "--out", str(tmp_path / "lm.json")]) == 0
+    assert fitted == [(lm.TrainingTexts, 7 * len(_MINI_TRAIN))] * 4
 
 
 def test_grid_fits_from_parts_tokenizing_each_distinct_part_once(mini_corpus_path, tmp_path, monkeypatch):

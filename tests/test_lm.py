@@ -427,9 +427,22 @@ def test_shared_training_texts_fit_the_same_models():
         for cap in (3, 4, 10):
             fresh = fit_ngram(list(texts), order=order, k=0.3, vocab_cap=cap)
             assert fit_ngram(shared, order=order, k=0.3, vocab_cap=cap).to_dict() == fresh.to_dict()
-    assert shared == tuple(texts)
+    assert list(shared) == [(text,) for text in texts]  # each string is a one-part text
     # Same cap, same vocabulary object.
     assert fit_ngram(shared, order=1).vocabulary() is fit_ngram(shared, order=3).vocabulary()
+
+
+def test_table_texts_fit_as_the_joined_texts():
+    # Piece 0 is in no row, and -1 marks no piece anywhere in a row.
+    rows = np.array([[1, 2, 3], [-1, 3, 1], [-1, -1, -1], [4, -1, 5]])
+    table = TrainingTexts.from_table(["unused words", "a b", ",", " c ", "b b", " d"], rows)
+    texts = ["a b, c ", " c a b", "", "b b d"]
+    assert len(table) == 4
+    assert ["".join(text) for text in table] == texts
+    for order in (1, 2, 3):
+        for cap in (3, 10):
+            fresh = fit_ngram(texts, order=order, k=0.3, vocab_cap=cap)
+            assert fit_ngram(table, order=order, k=0.3, vocab_cap=cap).to_dict() == fresh.to_dict()
 
 
 def test_unseen_contexts_share_one_uniform_vector_and_stay_uncached():
