@@ -50,10 +50,15 @@ their log-prob arrays, and returns its :class:`Generation`.
 :func:`decode_many` advances every live row of a batch together and asks
 the model once per round for all of their contexts, through
 ``next_many`` when the model has it and ``next`` per context when it
-does not. A row's generation depends on its own prompt and config alone,
-so it is the same whether decoded alone or in any batch. ``decode`` is
-``decode_many`` of one row, and each of the five strategy functions is
-``decode`` under its config with the strategy set to its own.
+does not. A sampler row draws its uniforms from ``SplitMix64(cfg.seed)``
+in blocks of at most 64 with ``SplitMix64.uniforms``, the same stream as
+one ``random()`` per step, so a row that stops early draws one block,
+not ``max_new_tokens`` values. A beam hypothesis that survives a step
+copies its parent's context once and appends its token. A row's
+generation depends on its own prompt and config alone, so it is the same
+whether decoded alone or in any batch. ``decode`` is ``decode_many`` of
+one row, and each of the five strategy functions is ``decode`` under its
+config with the strategy set to its own.
 
 Memo contract. What a step derives from a distribution array depends on
 that array and on the config alone: the sampling strategies search a
@@ -80,10 +85,11 @@ nothing. A memo never skips a ``model.next`` call.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -228,10 +234,17 @@ def _sampling_cdf(log_probs: np.ndarray, temperature: float, strategy: Strategy,
     return np.cumsum(probs, out=probs)
 
 
-def _draw(cumulative: np.ndarray, rng: SplitMix64) -> int:
-    target = rng.random() * cumulative[-1]
-    # The method skips np.searchsorted's dispatch wrapper on this per-step path.
-    return int(cumulative.searchsorted(target, side="right"))
+# The most ``SplitMix64.random()`` values a sampler row draws at once.
+_UNIFORM_BLOCK = 64
+
+
+def _uniform_stream(seed: int, n: int) -> Iterator[float]:
+    """The first ``n`` values of ``SplitMix64(seed).random()``, drawn in blocks of at most ``_UNIFORM_BLOCK``."""
+    rng = SplitMix64(seed)
+    while n > 0:
+        block = rng.uniforms(min(n, _UNIFORM_BLOCK))
+        n -= len(block)
+        yield from block
 
 
 def _derive(memo: Optional[dict], log_probs: np.ndarray, fn: Callable, *params) -> np.ndarray:
@@ -247,27 +260,32 @@ def _derive(memo: Optional[dict], log_probs: np.ndarray, fn: Callable, *params) 
     return hit[1]
 
 
-def _argmax(raw: np.ndarray) -> int:
-    return int(raw.argmax())  # argmax takes the lowest id on ties
-
-
 def _token_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Optional[dict]) -> _Steps:
-    """Greedy or sampling steps of one row; they differ only in how a token is picked, chosen once here."""
+    """Greedy or sampling steps of one row; they differ only in how a token is picked, chosen once here.
+
+    A sampler's step i searches its CDF at the i-th value of its uniform stream.
+    """
     if cfg.strategy == Strategy.GREEDY:
-        pick = _argmax
+        uniforms: Iterable = itertools.repeat(None, cfg.max_new_tokens)
+
+        def pick(raw: np.ndarray, _u: None) -> int:
+            return int(raw.argmax())  # argmax takes the lowest id on ties
+
     else:
-        rng = SplitMix64(cfg.seed)
+        uniforms = _uniform_stream(cfg.seed, cfg.max_new_tokens)
         params = (cfg.temperature, cfg.strategy, cfg.k, cfg.p)
 
-        def pick(raw: np.ndarray) -> int:
-            return _draw(_derive(memo, raw, _sampling_cdf, *params), rng)
+        def pick(raw: np.ndarray, u: float) -> int:
+            cumulative = _derive(memo, raw, _sampling_cdf, *params)
+            # The method skips np.searchsorted's dispatch wrapper on this per-step path.
+            return int(cumulative.searchsorted(u * cumulative[-1], side="right"))
 
     context = lm._Context(prompt_ids)
     emitted: list[int] = []
     log_prob = 0.0
-    for _ in range(cfg.max_new_tokens):
+    for u in uniforms:
         (raw,) = yield (context,)
-        token = pick(raw)
+        token = pick(raw, u)
         step = float(raw[token])
         if not step < math.inf:  # greedy picked NaN or +inf; a sampler's CDF would have raised
             raise ValueError(_NOT_LOG_PROBS)
@@ -393,7 +411,8 @@ def _beam_steps(eos: int, prompt_ids: Sequence[int], cfg: DecodeConfig, memo: Op
                 if rank < num_beams:
                     finished.append((neg, ids, score))
             elif len(new_running) < num_beams:
-                context = lm._Context(parent[4] + [token])
+                context = lm._Context(parent[4])
+                context.append(token)
                 own = _add_last_gram(parent[3], context, ngram_size)
                 new_running.append((neg, ids + (token,), score, own, context))
             if len(new_running) == num_beams and rank + 1 >= num_beams:
@@ -422,7 +441,7 @@ def _next_many(model: LanguageModel, contexts: list[Sequence[int]], size: int) -
     picks from one is in the vocabulary.
     """
     next_many = getattr(model, "next_many", None)
-    dists = [model.next(context) for context in contexts] if next_many is None else next_many(contexts)
+    dists = list(map(model.next, contexts)) if next_many is None else next_many(contexts)
     if len(dists) != len(contexts):
         raise ValueError(f"model answered {len(dists)} distributions for {len(contexts)} contexts")
     lengths = set(map(len, dists))

@@ -13,7 +13,10 @@ last memo as it ends. A spec that cannot be fit or loaded raises at its
 turn, after the earlier models' rows are written. The combinations of
 one (model, decoder) pair share one decode memo. The n-gram row cache
 and the memo are each bounded by ``lm.CACHE_BYTES``, so a pass holds at
-most one model's cache and one memo at a time.
+most one model's cache and one memo at a time. A pass renders and
+encodes each (prompt, sample) of an in-process model once per
+vocabulary (see :func:`generate_meaning`), and drops those prompts as it
+ends.
 ``run_grid`` still writes ``grid.jsonl`` in combination order (model,
 prompt, decoder), each combination as soon as every one before it is
 written, so an interrupted run loses at most one model's combinations;
@@ -40,12 +43,12 @@ from .corpus import SPLIT_RATIOS, LoadError, Sample, clean_corpus, flatten, load
 # ``decode`` stays importable as ``harness.decode``: bench/tracing.py wraps it by name.
 from .decoding import DecodeConfig, Strategy, decode, decode_many  # noqa: F401
 from .jsonfields import no_unknown_fields, required, typed
-from .lm import MAX_ORDER, SMOOTHING_K, VOCAB_CAP, LanguageModel, NGramModel, TrainingTexts, fit_ngram
+from .lm import MAX_ORDER, SMOOTHING_K, VOCAB_CAP, LanguageModel, NGramModel, TrainingTexts, Vocabulary, fit_ngram
 from .metrics import METRIC_FIELDS, MetricReport, TotalScoreWeights, evaluate, mean_report
 # ``render_with_target`` stays importable as ``harness.render_with_target``: bench/tracing.py wraps it by name.
 from .prompts import PromptError, PromptSpec, render, render_with_target, target_table  # noqa: F401
 from .rng import derive_seed
-from .wire import RemoteLM, WireError
+from .wire import RemoteLM, WireError, parse_endpoint
 
 _REPORT_FILES = ("summary.csv", "plotdata.json")  # what emit_report writes beside grid.jsonl
 
@@ -69,8 +72,10 @@ class ModelSpec:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if self.kind == "ngram_file" and not self.path:
             raise ValueError("ngram_file model needs a path")
-        if self.kind == "remote" and not self.endpoint:
-            raise ValueError("remote model needs an endpoint")
+        if self.kind == "remote":
+            if not self.endpoint:
+                raise ValueError("remote model needs an endpoint")
+            parse_endpoint(self.endpoint)
         # A fit's |V| is at most vocab_cap + 3, and far below the largest float.
         if self.kind == "ngram" and not (1 <= self.order <= MAX_ORDER and self.k > 0 and self.vocab_cap >= 3
                                          and math.isfinite(self.k * min(self.vocab_cap + 3, sys.float_info.max))):
@@ -299,12 +304,27 @@ def _resolve_eval_samples(
     return [s for _, s in ranked[: grid.eval_count]]
 
 
+def _prompt_ids(vocab: Vocabulary, spec: PromptSpec, sample: Sample, encoded: Optional[dict]) -> list[int]:
+    """``sample`` rendered under ``spec`` and encoded by ``vocab``, kept in ``encoded`` (see :func:`generate_meaning`)."""
+    key = (id(vocab), spec, sample.sample_id)
+    hit = encoded.get(key) if encoded is not None else None
+    if hit is None:
+        try:
+            hit = (vocab, vocab.encode_text(render(spec, sample).text))
+        except PromptError as exc:
+            raise PromptError(f"sample {sample.sample_id!r}: {exc}") from None
+        if encoded is not None:
+            encoded[key] = hit
+    return hit[1]
+
+
 def generate_meaning(
     model: LanguageModel,
     spec: PromptSpec,
     samples: Sequence[Sample],
     cfgs: Sequence[DecodeConfig],
     memo: Optional[dict] = None,
+    encoded: Optional[dict] = None,
 ) -> list[str]:
     """Render each sample under ``spec``, decode all of them in lockstep and return each generated meaning.
 
@@ -312,14 +332,14 @@ def generate_meaning(
     (see :mod:`lyricsense.decoding`). A meaning is the decoded continuation,
     left-stripped: what ``extract_generation`` finds after the prompt text.
     A sample that ``spec`` cannot render is a ``PromptError`` naming it.
+    ``encoded``, a plain dict or None, keeps each encoded prompt across
+    the calls that share it, keyed by the vocabulary's ``id()``, the spec
+    and the sample id; each value holds the vocabulary, so that ``id()`` is
+    not reused while the entry lasts. The caller owns its scope, in which a
+    sample id names one sample. A prompt that fails to render is not kept.
     """
     vocab = model.vocabulary()
-    prompts = []
-    for sample in samples:
-        try:
-            prompts.append(vocab.encode_text(render(spec, sample).text))
-        except PromptError as exc:
-            raise PromptError(f"sample {sample.sample_id!r}: {exc}") from None
+    prompts = [_prompt_ids(vocab, spec, sample, encoded) for sample in samples]
     return [vocab.decode_text(g.ids).lstrip() for g in decode_many(model, prompts, cfgs, memo=memo)]
 
 
@@ -338,6 +358,7 @@ def _run_combination(
     decoder_id: str,
     cfg: DecodeConfig,
     memo: Optional[dict],
+    encoded: Optional[dict],
     eval_samples: Sequence[Sample],
     lyrics_by_song: dict[str, str],
     weights: TotalScoreWeights,
@@ -346,7 +367,8 @@ def _run_combination(
     """One combination's rows and mean, or its failure.
 
     All rows decode in lockstep, each under its own seeded config, and
-    share ``memo`` (see :mod:`lyricsense.decoding`). A remote model
+    share ``memo`` (see :mod:`lyricsense.decoding`); their prompts are
+    kept in ``encoded`` (see :func:`generate_meaning`). A remote model
     connects on its first combination and serves the rest of the turn. A
     failed connect is kept in ``turn.connect_error``, so every later
     combination of that model fails at once with the same error type and
@@ -369,7 +391,7 @@ def _run_combination(
         try:
             if turn.model is None:
                 turn.model = RemoteLM(model_spec.endpoint)
-            predictions = generate_meaning(turn.model, prompt_spec, eval_samples, cfgs, memo=memo)
+            predictions = generate_meaning(turn.model, prompt_spec, eval_samples, cfgs, memo, encoded)
             rows = [
                 GridRow(
                     model_id=model_id,
@@ -421,8 +443,9 @@ def run_grid(
     train split, and a connected client is closed as its turn ends, also on an
     error. Each (model, decoder) pair of an in-process n-gram model gets
     one bounded decode memo, since every prompt's rows step through the
-    same cached arrays; a remote model gets none. Outcomes are held until
-    every combination before them in combination order is written, so
+    same cached arrays; a remote model gets none. The in-process models
+    share one encoded-prompt cache, which ends with the call. Outcomes are
+    held until every combination before them in combination order is written, so
     ``grid.jsonl`` and the result lists keep that order. A combination
     that raises a wire error or a ``ValueError`` (an unreachable endpoint,
     a bad prompt, a model's invalid distribution) is recorded as a failure
@@ -453,6 +476,10 @@ def run_grid(
         pending: dict[int, Union[tuple[list[GridRow], CombinationMean], GridFailure]] = {}
         written = 0
         n_prompts, n_decoders = len(grid.prompts), len(grid.decoders)
+        # Models fit from one training set share a vocabulary, so they share
+        # encoded prompts. A remote model's vocabulary is new with each
+        # connection: caching its prompts would keep every closed client's.
+        encoded: dict = {}
         for m, model_spec in enumerate(grid.models):
             turn = _Turn(_open_model(model_spec, texts))
             # An n-gram model hands back one cached read-only array per
@@ -465,7 +492,7 @@ def run_grid(
                     memo: Optional[dict] = {} if local else None
                     for p, prompt_spec in enumerate(grid.prompts):
                         pending[(m * n_prompts + p) * n_decoders + d] = _run_combination(
-                            turn, model_spec, prompt_spec, decoder_id, cfg, memo,
+                            turn, model_spec, prompt_spec, decoder_id, cfg, memo, encoded if local else None,
                             eval_samples, lyrics_by_song, grid.weights, grid.seed,
                         )
                         while written in pending:

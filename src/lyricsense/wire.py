@@ -228,18 +228,28 @@ def _recv(stream: BinaryIO) -> dict:
     return _parse(line)
 
 
+def parse_endpoint(endpoint: str) -> tuple[str, int]:
+    """The host and port of ``host:port``; anything else, or a port outside 1-65535, is a ``ValueError``.
+
+    The port is ASCII digits only: ``int()`` would also read other
+    scripts' digits, and the socket layer would wrap a port past 65535.
+    """
+    host, _, port = endpoint.rpartition(":")
+    if not (host and port.isascii() and port.isdigit() and len(port) <= 5 and 1 <= int(port) <= 65535):
+        raise ValueError(f"endpoint must be host:port with a port in 1-65535, got {endpoint!r}")
+    return host, int(port)
+
+
 class RemoteLM:
     """LanguageModel client over the wire protocol (one TCP connection)."""
 
     _hello = {"op": "hello", "proto": 3}
 
     def __init__(self, endpoint: str, timeout: float = DEFAULT_TIMEOUT) -> None:
-        host, _, port = endpoint.rpartition(":")
-        if not host or not port.isdigit():
-            raise ValueError(f"endpoint must be host:port, got {endpoint!r}")
+        address = parse_endpoint(endpoint)
         self.endpoint = endpoint
         try:
-            self._sock = socket.create_connection((host, int(port)), timeout=timeout)
+            self._sock = socket.create_connection(address, timeout=timeout)
         except OSError as exc:
             raise TransportError(f"cannot connect to {endpoint}: {exc}") from exc
         self._stream = self._sock.makefile("rwb")

@@ -403,6 +403,9 @@ def test_grid_cli_with_config(mini_corpus_path, tmp_path, capsys):
         ({"eval_samples": {"top_page_view": 3}}, "eval_samples"),
         ({"weights": {"alpha1": 1e308, "alpha2": 1e308}}, "weights"),
         ({"models": [{"id": "a"}, {"id": "b", "k": 1e307}]}, "models[1]"),
+        ({"models": [{"id": "r", "type": "remote", "endpoint": "127.0.0.1:70000"}]}, "models[0]"),
+        ({"models": [{"id": "r", "type": "remote", "endpoint": "localhost:99999999999999999999"}]}, "models[0]"),
+        ({"models": [{"id": "a"}, {"id": "r", "type": "remote", "endpoint": "localhost:\u0663"}]}, "models[1]"),
     ],
 )
 def test_grid_cli_malformed_config_is_a_typed_error(mini_corpus_path, tmp_path, capsys, config, where):

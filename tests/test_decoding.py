@@ -154,6 +154,25 @@ def test_exhaustive_beam_matches_brute_force_oracle():
         assert generation.finish_reason == FinishReason.EOS
 
 
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_unbounded_max_new_tokens_costs_only_the_steps_taken(strategy, monkeypatch):
+    # DecodeConfig puts no upper bound on max_new_tokens. A sampler row draws
+    # its uniforms a block at a time, so a row that ends at EOS on step 3
+    # draws one block of at most 64 values, not 10**12.
+    blocks = []
+    uniforms = SplitMix64.uniforms
+
+    def recording_uniforms(rng, n):
+        blocks.append(n)
+        return uniforms(rng, n)
+
+    monkeypatch.setattr(SplitMix64, "uniforms", recording_uniforms)
+    model = chain_model(["a", "b"])
+    generation = decode(model, [], cfg(strategy, seed=5, max_new_tokens=10**12))
+    assert generation == Generation(tuple(model.vocabulary().encode(["a", "b"])), 0.0, FinishReason.EOS)
+    assert blocks == ([] if strategy in (Strategy.GREEDY, Strategy.BEAM) else [64])
+
+
 def test_beam_score_is_sequence_log_prob_with_eos():
     model = random_ngram_model(random.Random(3))
     vocab = model.vocabulary()

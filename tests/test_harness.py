@@ -1,10 +1,14 @@
 import contextlib
 import csv
 import dataclasses
+import gc
 import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+import weakref
 from collections import Counter
 from itertools import product, takewhile
 
@@ -185,21 +189,93 @@ def test_pinned_eval_sample_must_be_in_test_split(mini_corpus_path, tmp_path):
         run_grid(grid, mini_corpus_path, str(tmp_path / "out"))
 
 
-def test_eval_sample_without_metadata_is_named_in_each_failure(mini_corpus_path, tmp_path):
+def _blank_artist_corpus(mini_corpus_path, tmp_path):
+    """The mini corpus with the artist of the first test sample's song blanked, and that sample's id."""
     records = load_corpus(mini_corpus_path).records
     _train, _validation, test = split(flatten(clean_corpus(records)))
     sample_id, song_id = test[0].sample_id, test[0].song_id
     corpus = str(tmp_path / "blank_artist.jsonl")
     write_corpus(corpus, [dataclasses.replace(r, artist="") if r.song_id == song_id else r for r in records])
-    grid = small_grid(prompts="all", eval_samples=[sample_id])
+    return corpus, sample_id
+
+
+def test_eval_sample_without_metadata_is_named_in_each_failure(mini_corpus_path, tmp_path):
+    # The grid keeps each encoded prompt for the pass, but not a prompt that
+    # failed to render: every decoder's combination fails on its own.
+    corpus, sample_id = _blank_artist_corpus(mini_corpus_path, tmp_path)
+    grid = small_grid(prompts="all", decoders="all", eval_samples=[sample_id])
     result = run_grid(grid, corpus, str(tmp_path / "out"))
     with_metadata = [p.spec_id for p in grid.prompts if p.with_metadata]
-    assert [f.prompt_id for f in result.failures] == with_metadata
+    decoders = [d for d, _ in grid.decoders]
+    assert [(f.prompt_id, f.decoder_id) for f in result.failures] == list(product(with_metadata, decoders))
     for failure in result.failures:
         assert (failure.error_type, failure.message) == (
             "PromptError", f"sample {sample_id!r}: prompt {failure.prompt_id!r} needs artist and title metadata"
         )
-    assert len(result.rows) == len(grid.prompts) - len(with_metadata)
+    assert len(result.rows) == (len(grid.prompts) - len(with_metadata)) * len(decoders)
+
+
+def test_each_prompt_is_rendered_once_per_pass_and_vocabulary(mini_corpus_path, tmp_path, monkeypatch):
+    import lyricsense.harness as harness
+
+    rendered = Counter()
+
+    def counting_render(spec, sample):
+        rendered[spec.spec_id, sample.sample_id] += 1
+        return render(spec, sample)
+
+    monkeypatch.setattr(harness, "render", counting_render)
+    prompts = ["none", "lyrics_meaning"]
+    # Orders 1 and 2 share a vocabulary cap, so they share one Vocabulary; cap 50 builds another.
+    models = [{"id": f"m{n}", "type": "ngram", "order": n, "k": 0.1, "vocab_cap": 2000} for n in (1, 2)]
+    models.append({"id": "capped", "type": "ngram", "order": 2, "k": 0.1, "vocab_cap": 50})
+    result = run_grid(small_grid(models=models, prompts=prompts, decoders="all"), mini_corpus_path, str(tmp_path))
+    samples = {row.sample_id for row in result.rows}
+    assert len(samples) == 3 and not result.failures
+    assert rendered == {(p, s): 2 for p in prompts for s in samples}
+
+
+def test_a_pass_gives_the_rows_of_a_fresh_process(mini_corpus_path, tmp_path):
+    # Two passes in one process, over corpora whose sample ids are the same
+    # but one of whose samples renders differently: nothing one pass keeps
+    # may reach the other, in either order.
+    blank_corpus, sample_id = _blank_artist_corpus(mini_corpus_path, tmp_path)
+    grid = small_grid(prompts=["lyrics_meaning", "lyrics_meaning_meta"], decoders="all", eval_samples=[sample_id])
+    (tmp_path / "grid.json").write_text(json.dumps(grid.to_dict()))
+    corpora = {"mini": mini_corpus_path, "blank": blank_corpus}
+    fresh = {}
+    for name, corpus in corpora.items():
+        out = tmp_path / f"fresh_{name}"
+        subprocess.run(
+            [sys.executable, "-m", "lyricsense", "grid", "--corpus", corpus, "--config", str(tmp_path / "grid.json"),
+             "--out", str(out)],
+            check=True, capture_output=True, timeout=60,
+        )
+        fresh[name] = (out / "grid.jsonl").read_bytes()
+    assert fresh["mini"] != fresh["blank"]
+    for order in (["mini", "blank"], ["blank", "mini"]):
+        for name in order:
+            out = tmp_path / f"{order[0]}_first_{name}"
+            run_grid(grid, corpora[name], str(out))
+            assert (out / "grid.jsonl").read_bytes() == fresh[name], (order, name)
+
+
+def test_a_pass_keeps_no_vocabulary_alive(mini_corpus_path, tmp_path, monkeypatch):
+    # The encoded prompts end with their run_grid call: a cache that outlived
+    # the pass would hold each pass's vocabulary and prompts for good.
+    import lyricsense.harness as harness
+
+    vocabularies = []
+
+    def recording_fit(*args, **kwargs):
+        model = fit_ngram(*args, **kwargs)
+        vocabularies.append(weakref.ref(model.vocabulary()))
+        return model
+
+    monkeypatch.setattr(harness, "fit_ngram", recording_fit)
+    run_grid(small_grid(decoders="all"), mini_corpus_path, str(tmp_path))
+    gc.collect()
+    assert len(vocabularies) == 1 and vocabularies[0]() is None
 
 
 def test_grid_row_count_and_incremental_file(mini_corpus_path, tmp_path):

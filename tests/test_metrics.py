@@ -15,6 +15,8 @@ from lyricsense.metrics import (
     total_score,
 )
 
+any_text = st.text(max_size=80)
+
 
 def test_tokenize_examples():
     assert tokenize_for_metrics("The song, the LINE") == ["the", "song", "the", "line"]
@@ -22,6 +24,48 @@ def test_tokenize_examples():
     assert tokenize_for_metrics("don't") == ["don't"]
     assert tokenize_for_metrics("_x_ !!y?? ...") == ["x", "y"]
     assert tokenize_for_metrics("café!") == ["café"]
+
+
+def edge_strip_tokens(text):
+    """The tokenizer written out as a loop: split on whitespace, strip each piece's edge non-alphanumerics."""
+    tokens = []
+    for raw in text.lower().split():
+        start, end = 0, len(raw)
+        while start < end and not raw[start].isalnum():
+            start += 1
+        while end > start and not raw[end - 1].isalnum():
+            end -= 1
+        if start < end:
+            tokens.append(raw[start:end])
+    return tokens
+
+
+# Characters where the regex's \w, \S or lowercasing could part from the loop:
+# the underscore, digits of several scripts, combining marks, letters whose
+# lowercase is longer or special, Unicode spaces and line breaks, the
+# separators \x1c-\x1f (whitespace to str.split) and apostrophes.
+TOKENIZER_EDGES = "_09\u0663\u00b2\u0301\u0307\u0130\u00df\u1e9e\u03a3\u0085\u2028\u3000\x1c\x1d\x1e\x1f'\u2019 \t\n.-aZ"
+
+
+@given(st.text(st.sampled_from(TOKENIZER_EDGES) | st.characters(), max_size=40))
+@settings(max_examples=1000)
+def test_tokenize_for_metrics_equals_the_edge_strip_loop(text):
+    assert tokenize_for_metrics(text) == edge_strip_tokens(text)
+
+
+# Texts drawn from a few words, so that the three bags share words and counts.
+word_soup = st.lists(st.sampled_from(["rain", "Rain!", "joy", "don't", "a", "b", "_b_"]), max_size=15).map(" ".join)
+scored_text = word_soup | any_text
+
+
+@given(scored_text, scored_text, scored_text)
+@settings(max_examples=300)
+def test_evaluate_scores_as_rouge1_and_cosine_bow(prediction, annotation, lyrics):
+    report = evaluate(prediction, annotation, lyrics)
+    assert report.rouge1 == rouge1(prediction, annotation)
+    assert report.cos_pred_annotation == cosine_bow(prediction, annotation)
+    assert report.cos_pred_lyrics == cosine_bow(prediction, lyrics)
+    assert report.total_score == total_score(report.rouge1, report.cos_pred_annotation, report.cos_pred_lyrics)
 
 
 # Hand-computed ROUGE-1 F1 fixtures (clipped-count formula worked as rationals).
@@ -178,9 +222,6 @@ def test_report_serializes_flat():
         "cos_pred_lyrics": 0.3,
         "total_score": 0.4,
     }
-
-
-any_text = st.text(max_size=80)
 
 
 @given(any_text, any_text)

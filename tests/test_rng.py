@@ -1,3 +1,6 @@
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from lyricsense.rng import SplitMix64, derive_seed
 
 # Published reference outputs for the splitmix64 stream.
@@ -27,6 +30,17 @@ def test_random_unit_interval():
 
 def test_random_derivation_from_u64():
     assert SplitMix64(9).random() == (SplitMix64(9).next_u64() >> 11) * 2.0**-53
+
+
+@given(
+    seed=st.integers(0, 2**64 - 1) | st.sampled_from([0, 2**64 - 1, 2**64 + 5]),
+    n=st.integers(0, 200),
+)
+@settings(max_examples=300)
+def test_uniforms_are_the_next_random_values_and_advance_the_state(seed, n):
+    block, calls = SplitMix64(seed), SplitMix64(seed)
+    assert block.uniforms(n) == [calls.random() for _ in range(n)]
+    assert [block.next_u64() for _ in range(3)] == [calls.next_u64() for _ in range(3)]
 
 
 def test_randrange_follows_documented_modulo_rule():

@@ -25,6 +25,7 @@ from lyricsense.wire import (
     StepTimeout,
     TransportError,
     VocabularyMismatch,
+    parse_endpoint,
     serve_session,
     serve_stdio,
 )
@@ -112,6 +113,27 @@ def test_connect_failure_is_retryable_transport_error():
 def test_bad_endpoint_string():
     with pytest.raises(ValueError):
         RemoteLM("nonsense")
+
+
+@pytest.mark.parametrize(
+    "endpoint",
+    [
+        "127.0.0.1:70000",  # the socket layer would connect to 70000 mod 65536 = 4464
+        "localhost:99999999999999999999",  # socket.getaddrinfo would raise OverflowError
+        "localhost:\u0663",  # an Arabic-Indic digit three, which str.isdigit and int() accept
+        "localhost:0",
+        "localhost:",
+        ":8080",
+    ],
+)
+def test_endpoint_port_must_be_ascii_digits_in_1_to_65535(endpoint, monkeypatch):
+    def no_connect(*args, **kwargs):
+        raise AssertionError(f"connected for {endpoint!r}")
+
+    monkeypatch.setattr(socket, "create_connection", no_connect)
+    with pytest.raises(ValueError, match=r"^endpoint must be host:port with a port in 1-65535, got "):
+        RemoteLM(endpoint)
+    assert parse_endpoint("localhost:65535") == ("localhost", 65535)
 
 
 def test_failed_handshake_closes_the_socket():
