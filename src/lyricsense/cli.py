@@ -57,6 +57,13 @@ def _parse_ratios(text: str) -> tuple[float, float, float]:
     return (parts[0], parts[1], parts[2])
 
 
+def _parse_port(text: str) -> int:
+    port = int(text)
+    if not 0 <= port <= 65535:
+        raise argparse.ArgumentTypeError(f"port must be in 0..65535 (0 picks a free port), got {port}")
+    return port
+
+
 def _write_stats_files(stats: CorpusStats, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "stats.json"), "w", encoding="utf-8") as fh:
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve = sub.add_parser("serve-mock", help="serve a saved model over the wire protocol")
     p_serve.add_argument("--model", required=True, help="saved n-gram model file")
     p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, default=0)
+    p_serve.add_argument("--port", type=_parse_port, default=0)
     p_serve.add_argument("--stdio", action="store_true", help="serve one session on stdin/stdout")
     p_serve.set_defaults(func=_cmd_serve_mock)
 

@@ -87,6 +87,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from typing import Callable, Generator, Iterable, Iterator, Optional, Sequence
@@ -138,8 +139,8 @@ class DecodeConfig:
             raise ValueError("k must be >= 1")
         if not 0 < self.p <= 1:
             raise ValueError("p must be in (0, 1]")
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
+        if not 1 <= self.max_new_tokens <= sys.maxsize:
+            raise ValueError(f"max_new_tokens must be in 1..{sys.maxsize}, got {self.max_new_tokens}")
 
     def to_dict(self) -> dict:
         """Every field by name, the strategy as its string: what :meth:`from_dict` reads back."""
@@ -323,6 +324,8 @@ _NO_TOKENS: frozenset[int] = frozenset()
 
 def _follower_map(sequence: Sequence[int], ngram_size: int) -> _Followers:
     """Each (ngram_size-1)-gram of ``sequence`` mapped to the ids that follow it there."""
+    if ngram_size > len(sequence):  # no window fits, and the zip below would still take ngram_size slices
+        return {}
     followers: dict[tuple[int, ...], set[int]] = {}
     for gram in zip(*(sequence[i:] for i in range(ngram_size))):
         followers.setdefault(gram[:-1], set()).add(gram[-1])

@@ -262,18 +262,13 @@ def training_set(samples: Sequence[Sample]) -> TrainingTexts:
     as a train sample.
     """
     try:
-        return TrainingTexts.from_table(*target_table(samples))
+        return TrainingTexts(*target_table(samples))
     except PromptError as exc:
         raise PromptError(f"train {exc}") from None
 
 
-def training_parts(samples: Sequence[Sample]) -> list[tuple[str, ...]]:
-    """The texts of ``training_set(samples)``, each as its tuple of parts."""
-    return list(training_set(samples))
-
-
 def training_texts(samples: Sequence[Sample]) -> list[str]:
-    """Prompt+target renderings of every sample under all seven variants: the joins of ``training_parts``."""
+    """Prompt+target renderings of every sample under all seven variants: the joins of ``training_set``'s texts."""
     return ["".join(parts) for parts in training_set(samples)]
 
 
@@ -514,16 +509,6 @@ def run_grid(
                     turn.model.close()
                 turn = memo = None
     return GridResult(rows=rows, means=means, failures=failures, provenance=provenance, corpus_errors=loaded.errors)
-
-
-def rank_combinations(result: GridResult, metric: str = "total_score") -> list[CombinationMean]:
-    """Combination means sorted descending; ties broken by combination key."""
-    if metric not in METRIC_FIELDS:
-        raise ValueError(f"metric must be one of {METRIC_FIELDS}")
-    return sorted(
-        result.means,
-        key=lambda m: (-getattr(m.mean, metric), (m.model_id, m.prompt_id, m.decoder_id)),
-    )
 
 
 def _group_total_scores(means: Sequence[CombinationMean], key_attr: str) -> dict:

@@ -8,18 +8,18 @@ probability it produces can be checked by hand; larger models are reached
 over the wire protocol in :mod:`lyricsense.wire`.
 
 Models of several orders fitted on the same corpus share one
-:class:`TrainingTexts`: a table of distinct pieces, such as a prompt
-template's literal pieces and the samples' fields, and one row of piece
-indices per text. Each distinct piece is tokenized once, a text's tokens
-are gathered from its pieces' tokens with numpy, and each vocabulary
-cap's vocabulary and flat id array are built once, whatever the number
-of orders. A fit keys every n-gram window with numpy and counts them
-all with one ``np.unique``; a fitted or loaded model holds the counts in
-one count table of numpy arrays (see :class:`NGramModel`). A model
-caches the read-only distributions of the contexts seen in training that
-it was last asked for, in at most ``CACHE_BYTES`` of arrays, evicting the
-least recently used; every unseen context shares one uniform vector,
-which is never cached. One thread steps a model at a time (see
+:class:`TrainingTexts`: a table of pieces, such as a prompt template's
+literal pieces and the samples' fields, and one row of piece indices per
+text. Each piece is tokenized once, a text's tokens are gathered from
+its pieces' tokens with numpy, and each vocabulary cap's vocabulary and
+flat id array are built once, whatever the number of orders. A fit keys
+every n-gram window with numpy and counts them all with one
+``np.unique``; a fitted or loaded model holds the counts in one count
+table of numpy arrays (see :class:`NGramModel`). A model caches the
+read-only distributions of the contexts seen in training that it was
+last asked for, in at most ``CACHE_BYTES`` of arrays, evicting the least
+recently used; every unseen context shares one uniform vector, which is
+never cached. One thread steps a model at a time (see
 :class:`LanguageModel`), so the cache takes no lock.
 
 Token ids are checked where they enter: ``NGramModel.next`` and
@@ -341,34 +341,19 @@ class _Index(dict):
 class TrainingTexts:
     """Training texts as a table of pieces, tokenized once and encoded once per vocabulary cap.
 
-    ``pieces`` are distinct strings, and each text is one row of
-    ``rows``: the indices of its pieces in order, with -1 for no piece.
-    ``TrainingTexts(texts)`` builds the table from texts, each a string
-    or a tuple of parts whose join is the text, such as
-    :func:`lyricsense.prompts.target_parts`; a string is a one-part text.
-    Iterating gives each text as the tuple of its pieces. Passing the
-    same object to several :func:`fit_ngram` calls fits every order from
-    one tokenization, and models with the same ``vocab_cap`` share one
-    :class:`Vocabulary`.
+    Each text is one row of ``rows``: the indices into ``pieces`` of its
+    parts in order, with -1 for no piece, such as the table of
+    :func:`lyricsense.prompts.target_table`. Iterating gives each text as
+    the tuple of its pieces. Passing the same object to several
+    :func:`fit_ngram` calls fits every order from one tokenization, and
+    models with the same ``vocab_cap`` share one :class:`Vocabulary`.
     """
 
-    def __init__(self, texts: Iterable[str | tuple[str, ...]] = ()) -> None:
-        index = _Index()
-        parts = [[index[part] for part in ((text,) if isinstance(text, str) else text)] for text in texts]
-        widths = np.array([len(text) for text in parts], np.int64)
-        rows = np.full((len(parts), widths.max(initial=0)), -1, np.int64)
-        rows[np.arange(rows.shape[1]) < widths[:, None]] = [i for text in parts for i in text]
-        self._pieces: Sequence[str] = list(index)
+    def __init__(self, pieces: Sequence[str], rows: np.ndarray) -> None:
+        self._pieces = pieces
         self._rows = rows
         self._tokens: tuple[list[str], np.ndarray, np.ndarray] | None = None
         self._encoded: dict[int, tuple[Vocabulary, np.ndarray, np.ndarray]] = {}
-
-    @classmethod
-    def from_table(cls, pieces: Sequence[str], rows: np.ndarray) -> "TrainingTexts":
-        """The texts whose parts are ``pieces[i]`` for each ``i >= 0`` of each row of ``rows``, in order."""
-        table = cls()
-        table._pieces, table._rows = pieces, rows
-        return table
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -380,7 +365,7 @@ class TrainingTexts:
     def _tokenize(self) -> tuple[list[str], np.ndarray, np.ndarray]:
         """The distinct tokens, every text's tokens back to back as indices into them, and each text's token count.
 
-        Each distinct piece is tokenized once, and a text's tokens are its
+        Each piece is tokenized once, and a text's tokens are its
         pieces' tokens in order, gathered with numpy. That equals
         ``tokenize_lm`` of the joined text as long as no token spans two
         pieces: a caller splits a text only where whitespace or
@@ -422,17 +407,18 @@ class TrainingTexts:
         return built
 
 
-def fit_ngram(texts: Iterable[str | tuple[str, ...]], order: int, k: float = SMOOTHING_K,
+def fit_ngram(texts: Iterable[str] | TrainingTexts, order: int, k: float = SMOOTHING_K,
               vocab_cap: int = VOCAB_CAP) -> NGramModel:
-    """Fit an add-k n-gram model on raw texts, each a string or a tuple of parts (see :class:`TrainingTexts`).
+    """Fit an add-k n-gram model on raw texts, each a string, or on a :class:`TrainingTexts`.
 
     The vocabulary keeps the ``vocab_cap`` most frequent tokens (ties by
     alphabetical order) plus the reserved markers; everything else maps
     to UNK. Each text is bracketed with BOS padding and a final EOS so
     decoders can stop naturally.
 
-    ``texts`` that are not a :class:`TrainingTexts` are wrapped in one;
-    pass one ``TrainingTexts`` to fit several orders or caps without
+    Strings are laid out as a one-column table, one piece per text, and a
+    text that is not a string is a ``TypeError`` naming its index. Pass
+    one ``TrainingTexts`` to fit several orders or caps without
     tokenizing the texts again. The fitted model's row cache is bounded
     (see :class:`NGramModel`).
     """
@@ -440,7 +426,11 @@ def fit_ngram(texts: Iterable[str | tuple[str, ...]], order: int, k: float = SMO
     if vocab_cap < 3:
         raise ValueError("vocab_cap must be >= 3")
     if not isinstance(texts, TrainingTexts):
-        texts = TrainingTexts(texts)
+        texts = list(texts)
+        for index, text in enumerate(texts):
+            if not isinstance(text, str):
+                raise TypeError(f"training text {index} is a {type(text).__name__}, not a str")
+        texts = TrainingTexts(texts, np.arange(len(texts)).reshape(-1, 1))
     vocab, ids, lengths = texts.encoded(vocab_cap)
 
     # The texts back to back, each as order-1 BOS, its ids and EOS.

@@ -246,6 +246,27 @@ def test_generate_malformed_decode_config_is_a_typed_error(tmp_path, capsys, con
     assert field in _single_error_line(capsys)
 
 
+def test_max_new_tokens_past_sys_maxsize_is_an_error_naming_it(tmp_path, capsys):
+    # A greedy row steps through itertools.repeat, which takes at most sys.maxsize steps.
+    model_path = str(tmp_path / "toy.json")
+    toy_chain_model_file(model_path)
+    too_many = 10**21
+    argv = ["generate", "--model", model_path, "--fragment", "x", "--max-new-tokens", str(too_many)]
+    assert run_cli(*argv) == 1
+    assert _single_error_line(capsys) == f"error: max_new_tokens must be in 1..{sys.maxsize}, got {too_many}"
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+def test_serve_mock_port_outside_0_to_65535_is_a_usage_error(capsys, port):
+    parser = build_parser()
+    assert parser.parse_args(["serve-mock", "--model", "m", "--port", "65535"]).port == 65535
+    assert parser.parse_args(["serve-mock", "--model", "m"]).port == 0  # any free port
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(["serve-mock", "--model", "m", "--port", port])
+    assert exc.value.code == 2
+    assert f"port must be in 0..65535 (0 picks a free port), got {port}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--config", "--decode-config", "--model"])
 @pytest.mark.parametrize(
     "text", ['{"seed": 0,', "[" * 100_000 + "]" * 100_000], ids=["syntax_error", "deeply_nested"]
@@ -389,6 +410,7 @@ def test_grid_cli_with_config(mini_corpus_path, tmp_path, capsys):
         ([], "grid config"),
         ({"prompts": [5]}, "prompts[0]"),
         ({"decoders": [{"strategy": "greedy", "k": "x"}]}, "decoders[0]"),
+        ({"decoders": [{"id": "g", "strategy": "greedy", "max_new_tokens": 10**20}]}, "decoders[0]"),
         ({"weights": {"alpha1": "x"}}, "weights.alpha1"),
         ({"seed": [1]}, "seed"),
         ({"eval_samples": {"top_page_views": 0}}, "eval_samples"),

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -63,6 +64,7 @@ def test_config_defaults_match_documented_hyperparameters():
         {"p": 0.0},
         {"p": 1.5},
         {"max_new_tokens": 0},
+        {"max_new_tokens": sys.maxsize + 1},
         {"temperature": math.nan},
         {"temperature": math.inf},
     ],
@@ -156,7 +158,7 @@ def test_exhaustive_beam_matches_brute_force_oracle():
 
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_unbounded_max_new_tokens_costs_only_the_steps_taken(strategy, monkeypatch):
-    # DecodeConfig puts no upper bound on max_new_tokens. A sampler row draws
+    # DecodeConfig bounds max_new_tokens only by sys.maxsize. A sampler row draws
     # its uniforms a block at a time, so a row that ends at EOS on step 3
     # draws one block of at most 64 values, not 10**12.
     blocks = []
@@ -196,6 +198,19 @@ def test_no_repeat_bigram_constraint_on_cycling_model():
     sequence = tuple(prompt) + generation.ids
     bigrams = list(zip(sequence, sequence[1:]))
     assert len(bigrams) == len(set(bigrams))
+
+
+def test_no_repeat_size_longer_than_the_text_bans_nothing():
+    # No window of a size past the text fits, so nothing is banned, and the
+    # follower map must be built without one slice of the prompt per unit of size.
+    model = fit_ngram(["a b a b a b a b"], order=2, k=1e-6, vocab_cap=10)
+    prompt = model.vocabulary().encode(["a", "b", "a"])
+    assert _follower_map(prompt, 10**12) == {}
+
+    def beam(size):
+        return beam_search(model, prompt, cfg(Strategy.BEAM, no_repeat_ngram_size=size, max_new_tokens=4))
+
+    assert beam(10**12) == beam(0) != beam(2)
 
 
 def test_no_repeat_disabled_allows_cycles():

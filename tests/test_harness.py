@@ -12,6 +12,7 @@ import weakref
 from collections import Counter
 from itertools import product, takewhile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
@@ -26,9 +27,7 @@ from lyricsense.harness import (
     ModelSpec,
     default_grid,
     emit_report,
-    rank_combinations,
     run_grid,
-    training_parts,
     training_set,
     training_texts,
 )
@@ -340,30 +339,6 @@ def test_default_grid_reports_match_golden_hashes(mini_corpus_path, tmp_path, mo
     assert len(fitted) == (3 if budget_rows else 0)
 
 
-def test_rank_combinations_orders_and_breaks_ties():
-    def mean_with(total, model="m", prompt="p", decoder="d"):
-        return CombinationMean(model, prompt, decoder, 1, MetricReport(0.0, 0.0, 0.0, total))
-
-    single = GridResult(rows=[], means=[mean_with(0.5)], failures=[], provenance={})
-    assert rank_combinations(single) == single.means
-
-    means = [
-        mean_with(0.2, model="b"),
-        mean_with(0.9, model="c"),
-        mean_with(0.2, model="a"),
-    ]
-    result = GridResult(rows=[], means=means, failures=[], provenance={})
-    ranked = rank_combinations(result)
-    assert [m.mean.total_score for m in ranked] == [0.9, 0.2, 0.2]
-    assert [m.model_id for m in ranked] == ["c", "a", "b"]  # tie broken by key
-
-    shuffled = GridResult(rows=[], means=list(reversed(means)), failures=[], provenance={})
-    assert rank_combinations(shuffled) == ranked
-
-    with pytest.raises(ValueError):
-        rank_combinations(result, metric="vibes")
-
-
 def test_emit_report_empty_result(tmp_path):
     result = GridResult(rows=[], means=[], failures=[], provenance={"seed": 0})
     paths = emit_report(result, str(tmp_path))
@@ -586,27 +561,11 @@ _samples = st.lists(
 ])
 
 
-@given(samples=_samples, vocab_cap=st.integers(3, 12))
-@example(samples=[Sample("s0#0", "s0", "ΑΣ'", "'ΣΑΣ", "ΟΔΟΣ", "ΣΑΣ")], vocab_cap=12)  # a final sigma at every edge
-@settings(max_examples=150)
-def test_fit_from_parts_equals_fit_from_rendered_texts(samples, vocab_cap):
-    parts, texts = lm.TrainingTexts(training_parts(samples)), lm.TrainingTexts(training_texts(samples))
-    assert len(parts) == len(texts) == 7 * len(samples)
-    parts_vocab, parts_ids, parts_lengths = parts.encoded(vocab_cap)
-    texts_vocab, texts_ids, texts_lengths = texts.encoded(vocab_cap)
-    assert parts_vocab == texts_vocab
-    assert parts_ids.tolist() == texts_ids.tolist()
-    assert parts_lengths.tolist() == texts_lengths.tolist()
-    for order in (1, 2, 3):
-        assert (fit_ngram(parts, order, vocab_cap=vocab_cap).to_dict()
-                == fit_ngram(texts, order, vocab_cap=vocab_cap).to_dict())
-
-
 def _assert_fits_as_rendered_texts(samples, vocab_caps):
     """``training_set(samples)`` encodes and fits orders 1-3 as the rendered texts do, one text per (sample, variant)."""
     rendered = [render_with_target(spec, sample) for sample in samples for spec in PromptSpec.all_variants()]
     assert training_texts(samples) == rendered
-    table, texts = training_set(samples), lm.TrainingTexts(training_texts(samples))
+    table, texts = training_set(samples), lm.TrainingTexts(rendered, np.arange(len(rendered)).reshape(-1, 1))
     assert len(table) == len(texts) == 7 * len(samples)
     for vocab_cap in vocab_caps:
         table_vocab, table_ids, table_lengths = table.encoded(vocab_cap)
@@ -620,6 +579,7 @@ def _assert_fits_as_rendered_texts(samples, vocab_caps):
 
 
 @given(samples=_samples, vocab_cap=st.integers(3, 12))
+@example(samples=[Sample("s0#0", "s0", "ΑΣ'", "'ΣΑΣ", "ΟΔΟΣ", "ΣΑΣ")], vocab_cap=12)  # a final sigma at every edge
 @settings(max_examples=100)
 def test_training_set_fits_as_the_rendered_texts(samples, vocab_cap):
     _assert_fits_as_rendered_texts(samples, [vocab_cap])
@@ -667,7 +627,7 @@ def test_grid_fits_from_parts_tokenizing_each_distinct_part_once(mini_corpus_pat
     run_grid(grid, mini_corpus_path, str(tmp_path))
     samples = flatten(clean_corpus(load_corpus(mini_corpus_path).records))
     train, _validation, _test = split(samples, grid.split_ratios, grid.seed)
-    parts = {part for text in training_parts(train) for part in text}
+    parts = {part for text in training_set(train) for part in text}
     assert renders == []
     assert Counter(text for text in tokenized if text in parts) == Counter(parts)
 

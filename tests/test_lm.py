@@ -85,6 +85,9 @@ def test_fit_rejects_bad_arguments():
         fit_ngram([], order=1)
     with pytest.raises(ValueError, match="training text"):
         fit_ngram(["", "   "], order=2)
+    # A text is a string: a tuple of parts is named, not tokenized.
+    with pytest.raises(TypeError, match=r"^training text 1 is a tuple, not a str$"):
+        fit_ngram(["a b", ("a", " b")], order=2)
 
 
 def test_add_k_closed_form_bigram():
@@ -404,13 +407,18 @@ def test_fit_matches_per_position_counting_past_int64_keys(texts, order):
     assert fitted.to_dict() == _oracle_fit(texts, order, 0.1, 20).to_dict()
 
 
+def _one_piece_each(texts):
+    """``texts`` as a one-column table, as ``fit_ngram`` lays out plain strings."""
+    return TrainingTexts(texts, np.arange(len(texts)).reshape(-1, 1))
+
+
 def test_fit_matches_per_position_counting_on_a_capped_corpus():
     rng = random.Random(13)
     prefixes, suffixes = ["", "Re", "o"], ["", "'s", ",", "!?", "."]
     lexicon = [rng.choice(prefixes) + f"w{i}" + rng.choice(suffixes) for i in range(600)]
     weights = [1 / (rank + 1) for rank in range(len(lexicon))]
     texts = [" ".join(rng.choices(lexicon, weights, k=rng.randint(0, 30))) for _ in range(300)]
-    shared = TrainingTexts(texts)
+    shared = _one_piece_each(texts)
     assert len(set(tokenize_lm(" ".join(texts)))) > 400
     for order in (1, 2, 3):
         fitted = fit_ngram(shared, order=order, k=0.1, vocab_cap=150)
@@ -421,8 +429,8 @@ def test_fit_matches_per_position_counting_on_a_capped_corpus():
 
 
 def test_shared_training_texts_fit_the_same_models():
-    texts = ["a b c a b", "c a b d", "d d e", "", "it's a b"]
-    shared = TrainingTexts(texts)
+    texts = ["a b c a b", "c a b d", "d d e", "", "it's a b", "d d e"]
+    shared = _one_piece_each(texts)
     for order in (1, 2, 3):
         for cap in (3, 4, 10):
             fresh = fit_ngram(list(texts), order=order, k=0.3, vocab_cap=cap)
@@ -435,7 +443,7 @@ def test_shared_training_texts_fit_the_same_models():
 def test_table_texts_fit_as_the_joined_texts():
     # Piece 0 is in no row, and -1 marks no piece anywhere in a row.
     rows = np.array([[1, 2, 3], [-1, 3, 1], [-1, -1, -1], [4, -1, 5]])
-    table = TrainingTexts.from_table(["unused words", "a b", ",", " c ", "b b", " d"], rows)
+    table = TrainingTexts(["unused words", "a b", ",", " c ", "b b", " d"], rows)
     texts = ["a b, c ", " c a b", "", "b b d"]
     assert len(table) == 4
     assert ["".join(text) for text in table] == texts
