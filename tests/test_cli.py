@@ -410,7 +410,6 @@ def test_grid_cli_with_config(mini_corpus_path, tmp_path, capsys):
         ([], "grid config"),
         ({"prompts": [5]}, "prompts[0]"),
         ({"decoders": [{"strategy": "greedy", "k": "x"}]}, "decoders[0]"),
-        ({"decoders": [{"id": "g", "strategy": "greedy", "max_new_tokens": 10**20}]}, "decoders[0]"),
         ({"weights": {"alpha1": "x"}}, "weights.alpha1"),
         ({"seed": [1]}, "seed"),
         ({"eval_samples": {"top_page_views": 0}}, "eval_samples"),
@@ -428,6 +427,7 @@ def test_grid_cli_with_config(mini_corpus_path, tmp_path, capsys):
         ({"models": [{"id": "r", "type": "remote", "endpoint": "127.0.0.1:70000"}]}, "models[0]"),
         ({"models": [{"id": "r", "type": "remote", "endpoint": "localhost:99999999999999999999"}]}, "models[0]"),
         ({"models": [{"id": "a"}, {"id": "r", "type": "remote", "endpoint": "localhost:\u0663"}]}, "models[1]"),
+        ({"decoders": [{"id": "g", "strategy": "greedy", "max_new_tokens": 10**20}]}, "decoders[0]"),
     ],
 )
 def test_grid_cli_malformed_config_is_a_typed_error(mini_corpus_path, tmp_path, capsys, config, where):
